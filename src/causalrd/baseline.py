@@ -1,7 +1,8 @@
 """Classical (noncausal) rate-distortion references via Blahut-Arimoto.
 
 Used as the block-level dominance oracle and as the single-stage equivalence
-check for the causal solver.  Everything is parametric in the multiplier
+check for the causal solver, with which it shares the max-shift log-sum-exp
+and the multiplier search.  Everything is parametric in the multiplier
 ``s <= 0`` (slope of the rate-distortion curve, rates in nats).
 """
 from __future__ import annotations
@@ -10,12 +11,51 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidArgumentError
 from .model import DistortionSpec
 
 S_MAGNITUDE_CAP = 1e6
+
+
+def log_normalize(a: np.ndarray, axis: int):
+    """Max-shift log-sum-exp of ``a`` along ``axis`` (kept) and the weights
+    exp(a - log-sum-exp); an all -inf slice gives -inf and zero weights, with
+    no nan and no warning."""
+    m = a.max(axis=axis, keepdims=True)
+    dead = m == -np.inf
+    m[dead] = 0.0
+    p = a - m
+    np.exp(p, out=p)
+    z = p.sum(axis=axis, keepdims=True)     # >= 1 on every live slice
+    z[dead] = 1.0
+    p /= z
+    logz = np.log(z)
+    logz += m
+    logz[dead] = -np.inf
+    return logz, p
+
+
+def bisect_multiplier(probe, distortion, target, tol, lo, best, failed=None):
+    """Bisect the multiplier on [lo, 0], where ``best = probe(lo)`` has
+    distortion at most ``target``, until a probe's distortion is within
+    ``tol`` of it; returns the closest probe, or the first one ``failed``
+    flags."""
+    hi = 0.0
+    for _ in range(200):
+        if abs(distortion(best) - target) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        point = probe(mid)
+        if failed is not None and failed(point):
+            return point
+        if distortion(point) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if abs(distortion(point) - target) < abs(distortion(best) - target):
+            best = point
+    return best
 
 
 @dataclass
@@ -66,8 +106,8 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
     it = 0
     for it in range(1, max_iters + 1):
         w = s * rho + ln_nu[None, :]
-        ln_q = w - logsumexp(w, axis=1, keepdims=True)
-        ln_nu_new = logsumexp(ln_px[:, None] + ln_q, axis=0)
+        ln_q = w - log_normalize(w, axis=1)[0]
+        ln_nu_new = log_normalize(ln_px[:, None] + ln_q, axis=0)[0][0]
         delta = float(np.max(np.abs(np.exp(ln_nu_new) - np.exp(ln_nu))))
         ln_nu = ln_nu_new
         if delta <= tol:
@@ -75,10 +115,9 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
             break
 
     w = s * rho + ln_nu[None, :]
-    ln_z = logsumexp(w, axis=1)
-    q = np.exp(w - ln_z[:, None])
+    ln_z, q = log_normalize(w, axis=1)
     dist = float(np.sum(px[:, None] * q * rho))
-    rate = s * dist - float(px @ ln_z)
+    rate = s * dist - float(px @ ln_z[:, 0])
     return BaPoint(s, max(rate, 0.0), dist, it, converged)
 
 
@@ -122,19 +161,8 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float,
             return math.inf
         point_lo = probe(s_lo)
 
-    lo, hi = s_lo, 0.0
-    best = point_lo
-    for _ in range(200):
-        if abs(best.distortion - target_total) <= dist_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        point = probe(mid)
-        if point.distortion >= target_total:
-            hi = mid
-        else:
-            lo = mid
-        if abs(point.distortion - target_total) < abs(best.distortion - target_total):
-            best = point
+    best = bisect_multiplier(probe, lambda p: p.distortion, target_total, dist_tol,
+                             s_lo, point_lo)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)
     return max(rate, 0.0)

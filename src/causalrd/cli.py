@@ -358,7 +358,7 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
     solves = []
     t0 = time.perf_counter()
     try:
-        if rc.mode == "solve_s":
+        if rc.mode == "solve_s" or (rc.mode == "verify" and rc.d_target is None):
             res = fixed_point_solve(rc.source, rc.spec,
                                     SolverConfig(s=float(rc.s), fp_tol=rc.fp_tol,
                                                  max_sweeps=rc.max_sweeps,
@@ -367,7 +367,7 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
             points = [_result_point(res, n)]
             if not res.converged:
                 status = EXIT_NUMERICAL
-        elif rc.mode == "target_d" or (rc.mode == "verify" and rc.d_target is not None):
+        elif rc.mode in ("target_d", "verify"):
             res = solve_for_target_distortion(rc.source, rc.spec, float(rc.d_target),
                                               fp_tol=rc.fp_tol,
                                               max_sweeps=rc.max_sweeps,
@@ -377,15 +377,6 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
             if not res.feasible:
                 status = EXIT_INFEASIBLE
             elif not res.converged:
-                status = EXIT_NUMERICAL
-        elif rc.mode == "verify":
-            res = fixed_point_solve(rc.source, rc.spec,
-                                    SolverConfig(s=float(rc.s), fp_tol=rc.fp_tol,
-                                                 max_sweeps=rc.max_sweeps,
-                                                 damping=rc.damping))
-            solves = [(rc.source, rc.spec, res)]
-            points = [_result_point(res, n)]
-            if not res.converged:
                 status = EXIT_NUMERICAL
         elif rc.mode == "curve":
             curve = trace_curve(rc.source, rc.spec, [float(s) for s in rc.s_values],

@@ -223,10 +223,11 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     stops 5.94e-5 above the infimum, while the exact grid minimum is
     5.69e-6 above it.
 
-    ``seed_policy`` (rows assumed on the grid, e.g. the argmin at a coarser
-    resolution) is injected as an extra descent start, which makes the value
-    monotone under grid halving.  Ties break toward the lexicographically
-    first candidate.  Practical coverage: binary alphabets, n_stages <= 2.
+    ``seed_policy`` (all rows on the grid, else InvalidArgumentError; e.g.
+    the argmin at a coarser resolution) is injected as an extra descent start,
+    which makes the value monotone under grid halving.  Ties break toward the
+    lexicographically first candidate.  Practical coverage: binary alphabets,
+    n_stages <= 2.
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
@@ -234,6 +235,8 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     n = al.n_stages
     if n > 2:
         raise ResourceBudgetError("brute-force oracle covers n_stages <= 2 only")
+    if seed_policy is not None:
+        _check_seed(seed_policy, al, grid.resolution)
 
     mu0 = source.kernels[0][0]
     rho0 = spec.stage_table(0)
@@ -296,6 +299,20 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     k1 = brows.reshape(c0, sy0, xh1, sy1)[best]    # (y_hist(0), x_hist(1), |Y_1|)
     policy = CausalPolicy(al, [rows0[best][None, :, :], k1], validate=False)
     return _measured_value(source, spec, s, policy, float(totals[best])), policy
+
+
+def _check_seed(policy: CausalPolicy, alphabets, resolution: float):
+    """Reject a seed whose alphabets differ from the source's or that has a
+    row off the grid (row * N within 1e-9 of integers)."""
+    if policy.alphabets != alphabets:
+        raise InvalidArgumentError("seed_policy alphabets differ from the source's")
+    n = int(round(1.0 / resolution))
+    for i, k in enumerate(policy.kernels):
+        off = np.argwhere((np.abs(k * n - np.round(k * n)) > 1e-9).any(axis=2))
+        if off.size:
+            raise InvalidArgumentError(
+                f"seed_policy row at stage {i}, y-history {off[0][0]}, x-history "
+                f"{off[0][1]} is off the {resolution:g} grid: {k[tuple(off[0])].tolist()}")
 
 
 def _measured_value(source, spec, s, policy, decomposed):

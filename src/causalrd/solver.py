@@ -7,9 +7,11 @@ The optimal reproduction kernels have the tilted form
 where the value tables g_i integrate out the future stages through a backward
 recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
-alternating the backward pass with the marginal update until nu is stable,
-then evaluates the block rate in closed form and cross-checks it against the
-directed information of the solved policy.
+sweeps of two passes until nu is stable: a backward pass yields g, log Z and
+the kernels q, a forward pass over the weights P(x^i, y^{i-1}) yields nu, and
+one more pair at the stable nu yields the distortion and the block rate.  That
+rate is cross-checked once per solve against the directed information of the
+solved policy, computed on the dense laws of :mod:`causalrd.measures`.
 
 All exponentials are evaluated in log space with max shifting; rates are in
 nats; ``s <= 0`` throughout.
@@ -21,39 +23,31 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .baseline import S_MAGNITUDE_CAP, bisect_multiplier, log_normalize
 from .errors import (
     DegenerateMarginalError,
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .measures import (
-    MarginalProcess,
-    directed_information,
-    expected_distortion,
-    joint_law,
-    output_marginal,
-)
-from .model import CausalPolicy, DistortionSpec, SourceModel, full_joint_source
-
-S_MAGNITUDE_CAP = 1e6
+from .measures import MarginalProcess, directed_information, expected_distortion
+from .model import (CausalPolicy, DistortionSpec, SourceModel, StageAlphabets,
+                    decode_history, full_joint_source)
 
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
+@dataclass
 class GTable:
     """Backward-recursion value tables, one per stage.
 
     ``tables[i]`` has shape ``(x_hist_size(i), y_hist_size(i))``; the terminal
     table is identically zero.
     """
-
-    def __init__(self, alphabets, tables):
-        self.alphabets = alphabets
-        self.tables = tables
+    alphabets: StageAlphabets
+    tables: list
 
     def __getitem__(self, i):
         return self.tables[i]
@@ -137,45 +131,102 @@ class RdCurve:
 
 
 # ---------------------------------------------------------------------------
-# Backward recursion and tilted kernels
+# The two passes of a sweep
 # ---------------------------------------------------------------------------
 
-def _log_marginals(nu: MarginalProcess):
-    out = []
-    for t in nu.tables:
-        if (t.sum(axis=1) <= 0).any():
-            stage = len(out)
-            bad = int(np.nonzero(t.sum(axis=1) <= 0)[0][0])
-            raise DegenerateMarginalError(stage, bad, "marginal row has no mass")
-        out.append(np.log(t, out=np.full_like(t, -np.inf), where=t > 0))
-    return out
+class _Passes:
+    """The backward and forward pass of one sweep at multiplier ``s``.
 
+    A stage-i table over (x^i, y^i) is held y-major, as (y_i, x^i, y^{i-1}):
+    with the short y_i axis outermost, the max shift, the normalization and
+    the broadcasts all run along long contiguous rows.  In 4-D form
+    (y_i, x^{i-1}, x_i, y^{i-1}) a single-letter rho broadcasts as
+    rho[x_i, y_i], so no dense stage table is built.
+    """
 
-def _backward_pass(source: SourceModel, spec: DistortionSpec,
-                   nu: MarginalProcess, s: float):
-    """g tables and per-stage log normalizers logZ_i(x^i, y^{i-1})."""
-    al = source.alphabets
-    n = al.n_stages
-    log_nu = _log_marginals(nu)
-    g = [None] * n
-    logz = [None] * n
-    g[n - 1] = np.zeros((al.x_hist_size(n - 1), al.y_hist_size(n - 1)))
-    for i in range(n - 1, -1, -1):
-        sy = al.y_sizes[i]
-        exponent = s * spec.stage_table(i) - g[i]
-        e3 = exponent.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
-        logz[i] = logsumexp(e3 + log_nu[i][None, :, :], axis=2)
-        if np.isneginf(logz[i]).any():
-            xh, yh = np.nonzero(np.isneginf(logz[i]))
+    def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
+                 s: float = 0.0):
+        al = source.alphabets
+        self.al = al
+        self.shapes = [(al.y_sizes[i], al.x_hist_size(i - 1), al.x_sizes[i],
+                        al.y_hist_size(i - 1)) for i in range(al.n_stages)]
+        self.rho = self.s_rho = None                  # no spec: forward pass only
+        if spec is not None:
+            self.rho = ([spec.rho.T[:, None, :, None]] * al.n_stages
+                        if spec.mode == "single_letter"
+                        else [self._y_major(t, i) for i, t in enumerate(spec.tables)])
+            self.s_rho = [s * r for r in self.rho]
+        self.rows = [source.kernels[0][0][:, None]] + [
+            source.stage_rows(i) for i in range(1, al.n_stages)]
+
+    def _y_major(self, t, i):
+        """4-D y-major view of a stage-i table indexed (x^i, y^i)."""
+        sy, xp, sx, yp = self.shapes[i]
+        return t.reshape(xp, sx, yp, sy).transpose(3, 0, 1, 2)
+
+    def tilt(self, i, g, nu):
+        """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
+        log Z_i(x^i, y^{i-1}), from one exponent and one max shift."""
+        sy, xp, sx, yp = self.shapes[i]
+        log_nu = np.log(nu.T, out=np.full((sy, yp), -np.inf), where=nu.T > 0)
+        e = np.subtract(self.s_rho[i] + log_nu[:, None, None, :], self._y_major(g, i),
+                        order="C")
+        logz, q = log_normalize(e.reshape(sy, xp * sx, yp), axis=0)
+        if logz.min() == -np.inf:
+            _, xh, yh = np.nonzero(np.isneginf(logz))
             raise DegenerateMarginalError(
-                i, int(yh[0]),
-                f"tilted normalizer vanished for x-history {int(xh[0])}")
-        if i > 0:
-            rows = source.stage_rows(i)          # (x_hist(i-1), |X_i|)
-            z3 = logz[i].reshape(al.x_hist_size(i - 1), al.x_sizes[i],
-                                 al.y_hist_size(i - 1))
-            g[i - 1] = -np.einsum('ab,abc->ac', rows, z3)
-    return g, logz
+                i, int(yh[0]), f"tilted normalizer vanished for x-history {int(xh[0])}")
+        return q, logz[0]
+
+    def backward(self, nu_tables):
+        """g tables, log normalizers and kernels, from the last stage down."""
+        al = self.al
+        n = al.n_stages
+        g, logz, q = [None] * n, [None] * n, [None] * n
+        g[n - 1] = np.zeros((al.x_hist_size(n - 1), al.y_hist_size(n - 1)))
+        for i in range(n - 1, -1, -1):
+            q[i], logz[i] = self.tilt(i, g[i], nu_tables[i])
+            if i > 0:
+                _, xp, sx, yp = self.shapes[i]
+                g[i - 1] = -np.einsum('ab,abc->ac', self.rows[i],
+                                      logz[i].reshape(xp, sx, yp))
+        return g, logz, q
+
+    def forward(self, q, g=None, logz=None):
+        """Output marginals nu_i and prefix masses P(y^{i-1}) induced by the
+        kernels ``q``, from the weights P(x^i, y^{i-1}) carried stage to
+        stage.  With ``g`` and ``logz`` it also returns the total distortion
+        and sum_i E[g_i + log Z_i]; otherwise those two are None."""
+        tables, masses = [], []
+        dist = bracket = None if g is None else 0.0
+        w = self.rows[0]                              # P(x^0, y^{-1})
+        for i, (sy, xp, sx, yp) in enumerate(self.shapes):
+            joint = q[i] * w                          # P(y_i, x^i, y^{i-1})
+            py = joint.sum(axis=1).T                  # P(y^{i-1}, y_i)
+            mass = py.sum(axis=1)
+            tables.append(np.divide(py, mass[:, None], out=np.full((yp, sy), 1.0 / sy),
+                                    where=mass[:, None] > 0))
+            masses.append(mass)
+            if g is not None:
+                j4 = joint.reshape(sy, xp, sx, yp)
+                dist += float(np.sum(j4 * self.rho[i]))
+                bracket += float(np.sum(j4 * self._y_major(g[i], i)) + np.vdot(w, logz[i]))
+            if i + 1 < len(self.shapes):
+                # P(x^{i+1}, y^i), written with y_i innermost as its code requires
+                rows = self.rows[i + 1]
+                w = np.empty((xp * sx, rows.shape[1], yp, sy))
+                for k in range(sy):
+                    np.multiply(joint[k][:, None, :], rows[:, :, None], out=w[..., k])
+                w = w.reshape(-1, yp * sy)
+        return tables, masses, dist, bracket
+
+    def policy(self, q) -> CausalPolicy:
+        return CausalPolicy(self.al, [np.ascontiguousarray(k.transpose(2, 1, 0)) for k in q],
+                            validate=False)
+
+
+def _kernels(policy: CausalPolicy):     # in the y-major layout of _Passes
+    return [k.transpose(2, 1, 0) for k in policy.kernels]
 
 
 def backward_g(source: SourceModel, spec: DistortionSpec,
@@ -188,7 +239,7 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
-    g, _ = _backward_pass(source, spec, nu, s)
+    g, _, _ = _Passes(source, spec, s).backward(nu.tables)
     return GTable(source.alphabets, g)
 
 
@@ -201,47 +252,21 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
     unchanged (the normalizer absorbs it); at the terminal stage g is zero and
     the kernel reduces to the pure single-stage tilt.
     """
-    al = source.alphabets
-    log_nu = _log_marginals(nu)
-    ks = []
-    for i in range(al.n_stages):
-        sy = al.y_sizes[i]
-        exponent = s * spec.stage_table(i) - g[i]
-        e3 = exponent.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
-        w = e3 + log_nu[i][None, :, :]
-        z = logsumexp(w, axis=2)
-        if np.isneginf(z).any():
-            xh, yh = np.nonzero(np.isneginf(z))
-            raise DegenerateMarginalError(
-                i, int(yh[0]),
-                f"tilted normalizer vanished for x-history {int(xh[0])}")
-        q = np.exp(w - z[:, :, None])
-        q /= q.sum(axis=2, keepdims=True)
-        ks.append(np.swapaxes(q, 0, 1).copy())    # (y_hist(i-1), x_hist(i), sy)
-    return CausalPolicy(al, ks, validate=False)
+    passes = _Passes(source, spec, s)
+    return passes.policy([passes.tilt(i, g[i], nu.tables[i])[0]
+                          for i in range(source.alphabets.n_stages)])
 
 
 def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProcess:
     """Output marginal process induced by the source and a policy (the
     consistency map whose fixed point the solver seeks)."""
-    return output_marginal(joint_law(full_joint_source(source), policy))
+    tables, masses, _, _ = _Passes(source).forward(_kernels(policy))
+    return MarginalProcess(source.alphabets, tables, prefix_mass=masses)
 
 
 # ---------------------------------------------------------------------------
 # Zero-rate endpoint
 # ---------------------------------------------------------------------------
-
-def _x_prefix_marginals(source: SourceModel):
-    """P(x^i) for every stage, as dense vectors."""
-    al = source.alphabets
-    out = []
-    cur = source.kernels[0][0]
-    out.append(cur)
-    for i in range(1, al.n_stages):
-        cur = (cur[:, None] * source.stage_rows(i)).reshape(-1)
-        out.append(cur)
-    return out
-
 
 def d_max_policy(source: SourceModel, spec: DistortionSpec):
     """Best source-blind reproduction: the deterministic trajectory minimizing
@@ -250,20 +275,16 @@ def d_max_policy(source: SourceModel, spec: DistortionSpec):
     This is the distortion at which the rate-distortion curve hits zero.
     """
     al = source.alphabets
-    px = _x_prefix_marginals(source)
+    px = source.kernels[0][0]                                # P(x^i)
     acc = np.zeros(al.y_trajectories())
     for i in range(al.n_stages):
-        term = px[i] @ spec.stage_table(i)                  # (y_hist(i),)
+        if i > 0:
+            px = (px[:, None] * source.stage_rows(i)).reshape(-1)
+        term = px @ spec.stage_table(i)                      # (y_hist(i),)
         ydiv = math.prod(al.y_sizes[i + 1:])
         acc += term[np.arange(al.y_trajectories()) // ydiv]
     best = int(np.argmin(acc))                               # ties -> lowest code
-    symbols = []
-    code = best
-    for c in reversed(al.y_sizes):
-        symbols.append(code % c)
-        code //= c
-    symbols.reverse()
-    policy = CausalPolicy.constant(al, symbols)
+    policy = CausalPolicy.constant(al, decode_history(best, al.y_sizes))
     return float(acc[best]) / al.n_stages, policy
 
 
@@ -273,17 +294,12 @@ def min_achievable_distortion(source: SourceModel, spec: DistortionSpec) -> floa
     al = source.alphabets
     n = al.n_stages
     v = np.zeros((al.x_hist_size(n - 1), al.y_hist_size(n - 1)))
-    for i in range(n - 1, -1, -1):
-        sy = al.y_sizes[i]
-        total = spec.stage_table(i) + v
-        best = total.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy).min(axis=2)
-        if i == 0:
-            v0 = best[:, 0]
-            return float(source.kernels[0][0] @ v0) / n
-        rows = source.stage_rows(i)
-        b3 = best.reshape(al.x_hist_size(i - 1), al.x_sizes[i], al.y_hist_size(i - 1))
-        v = np.einsum('ab,abc->ac', rows, b3)
-    raise AssertionError("unreachable")
+    for i in range(n - 1, 0, -1):
+        best = (spec.stage_table(i) + v).reshape(
+            al.x_hist_size(i), al.y_hist_size(i - 1), al.y_sizes[i]).min(axis=2)
+        v = np.einsum('ab,abc->ac', source.stage_rows(i),
+                      best.reshape(al.x_hist_size(i - 1), al.x_sizes[i], -1))
+    return float(source.kernels[0][0] @ (spec.stage_table(0) + v).min(axis=1)) / n
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +317,19 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     (D_max, 0).  Non-convergence is reported in the result, not raised.
     """
     al = source.alphabets
-    mu = full_joint_source(source)
     s = float(config.s)
+    passes = _Passes(source, spec, s)
 
     if s == 0.0:
         dmax, policy = d_max_policy(source, spec)
-        nu = marginal_update(source, policy)
-        n = al.n_stages
+        tables, masses, _, _ = passes.forward(_kernels(policy))
         g = GTable(al, [np.zeros((al.x_hist_size(i), al.y_hist_size(i)))
-                        for i in range(n)])
-        return SolveResult(s=0.0, policy=policy, nu=nu, g=g, rate_nats=0.0,
-                           distortion_total=dmax * n, distortion_per_symbol=dmax,
-                           sweeps_used=1, converged=True, residual=0.0)
+                        for i in range(al.n_stages)])
+        return SolveResult(s=0.0, policy=policy, g=g,
+                           nu=MarginalProcess(al, tables, prefix_mass=masses),
+                           rate_nats=0.0, distortion_total=dmax * al.n_stages,
+                           distortion_per_symbol=dmax, sweeps_used=1,
+                           converged=True, residual=0.0)
 
     if config.nu_init == "uniform":
         nu = MarginalProcess.uniform(al)
@@ -326,73 +343,35 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
-        g_tabs, logz = _backward_pass(source, spec, nu, s)
-        policy = _tilted_from_pass(al, spec, nu, g_tabs, logz, s)
-        nu_new = marginal_update(source, policy)
-        reachable = [m > 0 for m in nu_new.prefix_mass]
-        mixed = [(1.0 - lam) * a + lam * b
-                 for a, b in zip(nu.tables, nu_new.tables)]
-        nxt = MarginalProcess(al, mixed, prefix_mass=nu_new.prefix_mass)
-        residual = nxt.sup_distance(nu, reachable=reachable)
+        tables, masses, _, _ = passes.forward(passes.backward(nu.tables)[2])
+        if lam != 1.0:
+            tables = [(1.0 - lam) * a + lam * b for a, b in zip(nu.tables, tables)]
+        nxt = MarginalProcess(al, tables, prefix_mass=masses)
+        residual = nxt.sup_distance(nu, reachable=[m > 0 for m in masses])
         nu = nxt
         if residual <= config.fp_tol:
             converged = True
             break
 
-    g_tabs, logz = _backward_pass(source, spec, nu, s)
-    policy = _tilted_from_pass(al, spec, nu, g_tabs, logz, s)
-    g = GTable(al, g_tabs)
-    dist = expected_distortion(mu, policy, spec)
-    rate, gap = _closed_form_rate(source, spec, policy, nu, g_tabs, logz, s,
-                                  dist.total, mu,
-                                  check=converged)
-    return SolveResult(s=s, policy=policy, nu=nu, g=g, rate_nats=rate,
-                       distortion_total=dist.total,
-                       distortion_per_symbol=dist.per_symbol,
+    g_tabs, logz, q = passes.backward(nu.tables)
+    _, _, dist, bracket = passes.forward(q, g_tabs, logz)
+    policy = passes.policy(q)
+    rate, gap = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
+    return SolveResult(s=s, policy=policy, nu=nu, g=GTable(al, g_tabs), rate_nats=rate,
+                       distortion_total=dist,
+                       distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged,
                        residual=residual, di_gap=gap)
 
 
-def _tilted_from_pass(al, spec, nu, g_tabs, logz, s) -> CausalPolicy:
-    """Tilted kernels reusing the normalizers of a backward pass."""
-    log_nu = _log_marginals(nu)
-    ks = []
-    for i in range(al.n_stages):
-        sy = al.y_sizes[i]
-        exponent = s * spec.stage_table(i) - g_tabs[i]
-        e3 = exponent.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
-        w = e3 + log_nu[i][None, :, :]
-        q = np.exp(w - logz[i][:, :, None])
-        q /= q.sum(axis=2, keepdims=True)
-        ks.append(np.swapaxes(q, 0, 1).copy())
-    return CausalPolicy(al, ks, validate=False)
-
-
-def _closed_form_rate(source, spec, policy, nu, g_tabs, logz, s,
-                      distortion_total, mu, check=True,
+def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True,
                       check_tol=1e-6):
     """Closed-form block rate s*D_total - sum_i E[g_i + log Z_i], plus the
     gap to the directed information of the solved policy."""
-    al = source.alphabets
-    n = al.n_stages
-    total = 0.0
-    w = source.kernels[0][0][:, None]            # weights over (x^i, y^{i-1})
-    for i in range(n):
-        sy = al.y_sizes[i]
-        q = np.swapaxes(policy.kernels[i], 0, 1)     # (x_hist(i), y_hist(i-1), sy)
-        g3 = g_tabs[i].reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
-        bracket = np.einsum('abc,abc->ab', q, g3) + logz[i]
-        total += float(np.sum(w * bracket))
-        if i < n - 1:
-            joint_i = (w[:, :, None] * q).reshape(al.x_hist_size(i),
-                                                  al.y_hist_size(i))
-            rows = source.stage_rows(i + 1)          # (x_hist(i), |X_{i+1}|)
-            w = np.einsum('ab,ac->acb', joint_i, rows).reshape(
-                al.x_hist_size(i + 1), al.y_hist_size(i))
-    rate = s * distortion_total - total
+    rate = s * distortion_total - bracket
     if -1e-9 < rate < 0.0:
         rate = 0.0
-    gap = abs(rate - directed_information(mu, policy))
+    gap = abs(rate - directed_information(full_joint_source(source), policy))
     if check and gap > check_tol:
         raise InternalConsistencyError(
             f"closed-form rate and directed information differ by {gap:.3e} "
@@ -409,12 +388,12 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     (they coincide at an exact fixed point) and raises
     :class:`InternalConsistencyError` beyond 1e-6.
     """
-    mu = full_joint_source(source)
+    passes = _Passes(source, spec, s)
+    logz = [passes.tilt(i, g[i], nu.tables[i])[1] for i in range(source.alphabets.n_stages)]
+    _, _, dist, bracket = passes.forward(_kernels(policy), g.tables, logz)
     if distortion_total is None:
-        distortion_total = expected_distortion(mu, policy, spec).total
-    _, logz = _backward_pass(source, spec, nu, s)
-    rate, _ = _closed_form_rate(source, spec, policy, nu, g.tables, logz, s,
-                                distortion_total, mu, check=True)
+        distortion_total = dist
+    rate, _ = _closed_form_rate(source, policy, s, distortion_total, bracket)
     return rate
 
 
@@ -469,23 +448,8 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
         if not low.converged:
             return low
 
-    best = low
-    lo, hi = s_lo, 0.0
-    for _ in range(200):
-        if abs(best.distortion_per_symbol - d_target) <= dist_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        probe = solve_at(mid)
-        if not probe.converged:
-            return probe
-        if probe.distortion_per_symbol >= d_target:
-            hi = mid
-        else:
-            lo = mid
-        if (abs(probe.distortion_per_symbol - d_target)
-                < abs(best.distortion_per_symbol - d_target)):
-            best = probe
-    return best
+    return bisect_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
+                             dist_tol, s_lo, low, failed=lambda r: not r.converged)
 
 
 def trace_curve(source: SourceModel, spec: DistortionSpec,

@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causalrd.baseline import blahut_arimoto, classical_block_rdf
+import causalrd
+from causalrd.baseline import blahut_arimoto, classical_block_rdf, log_normalize
 from causalrd.errors import InvalidArgumentError
 from causalrd.model import (
     DistortionSpec,
@@ -52,6 +57,35 @@ def test_ba_sweep_monotone_convex():
         t = (b.distortion - a.distortion) / (c.distortion - a.distortion)
         chord = (1 - t) * a.rate_nats + t * c.rate_nats
         assert b.rate_nats <= chord + 1e-9
+
+
+def test_log_normalize_matches_direct_sums_and_handles_dead_slices():
+    rng = np.random.default_rng(3)
+    a = rng.normal(scale=50.0, size=(4, 5, 3))
+    a[1, 2, :] = -np.inf                          # a dead slice along axis 2
+    a[0, 0, 1] = -np.inf                          # one dead entry in a live slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logz, p = log_normalize(a, axis=2)
+    assert logz.shape == (4, 5, 1)
+    assert logz[1, 2, 0] == -np.inf and np.all(p[1, 2] == 0.0)
+    assert not np.isnan(logz).any() and not np.isnan(p).any()
+    live = np.ones((4, 5), dtype=bool)
+    live[1, 2] = False
+    rows = a[live]
+    m = rows.max(axis=1, keepdims=True)
+    want = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+    assert np.max(np.abs(logz[live] - want)) < 1e-12
+    assert np.max(np.abs(p[live] - np.exp(rows - want))) < 1e-13
+    assert np.max(np.abs(p[live].sum(axis=1) - 1.0)) < 1e-15
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src_dir = Path(causalrd.__file__).resolve().parents[1]
+    code = "import sys, causalrd; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src_dir, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ba_input_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalrd.baseline import blahut_arimoto
-from causalrd.errors import ResourceBudgetError
+from causalrd.errors import InvalidArgumentError, ResourceBudgetError
 from causalrd.measures import JointLaw, directed_information, joint_law
 from causalrd.model import (
     CausalPolicy,
@@ -114,3 +114,23 @@ def test_brute_force_budget_guards():
     with pytest.raises(ResourceBudgetError):
         brute_force_lagrangian_min(src2, spec2, -1.0,
                                    GridSpec(resolution=0.02, max_cells=100))
+
+
+def test_brute_force_rejects_off_grid_seed():
+    # the 0.05 argmin has rows such as [0.95, 0.05], which are not multiples
+    # of 1/50; seeding a 0.02 search with it used to return off-grid rows
+    src = binary_symmetric_markov(0.3, 2)
+    spec = hamming_distortion(src.alphabets)
+    _, coarse = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.05))
+    with pytest.raises(InvalidArgumentError, match="off the 0.02 grid"):
+        brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02),
+                                   seed_policy=coarse)
+
+
+def test_brute_force_rejects_seed_with_other_alphabets():
+    src = binary_symmetric_markov(0.3, 2)
+    spec = hamming_distortion(src.alphabets)
+    other = CausalPolicy.uniform(iid_source([0.5, 0.5], 2, y_size=4).alphabets)
+    with pytest.raises(InvalidArgumentError, match="alphabets"):
+        brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02),
+                                   seed_policy=other)

@@ -12,12 +12,15 @@ from causalrd.errors import (
 from causalrd.measures import (
     MarginalProcess,
     directed_information,
+    expected_distortion,
     joint_law,
     markov_chain_check,
+    output_marginal,
 )
 from causalrd.model import (
     CausalPolicy,
     DistortionSpec,
+    SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
     full_joint_source,
@@ -41,7 +44,13 @@ from causalrd.solver import (
     verify_stationarity,
 )
 
-from helpers import binary_entropy, bsc_policy, random_source, random_alphabets
+from helpers import (
+    binary_entropy,
+    bsc_policy,
+    random_alphabets,
+    random_policy,
+    random_source,
+)
 
 LN2 = math.log(2.0)
 
@@ -241,6 +250,83 @@ def test_fixed_point_nonconvergence_reported_not_raised():
     assert not r.converged
     assert r.sweeps_used == 3
     assert r.residual > 1e-14
+
+
+def test_fixed_point_zero_mass_nu_init_names_stage_and_row():
+    src = binary_symmetric_markov(0.3, 3)
+    spec = hamming_distortion(src.alphabets)
+    tables = [t.copy() for t in uniform_nu(src.alphabets).tables]
+    tables[2][3] = 0.0                              # y-history code 3 at stage 2
+    cfg = SolverConfig(s=-2.0, nu_init=MarginalProcess(src.alphabets, tables))
+    with pytest.raises(DegenerateMarginalError, match="stage 2, y-history code 3") as err:
+        fixed_point_solve(src, spec, cfg)
+    assert (err.value.stage, err.value.y_history) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# fused passes against the dense laws of the measures
+# ---------------------------------------------------------------------------
+
+def _random_fused_case(rng, mode, memory):
+    """Source with ``memory`` ("full" or an int) and a ``mode`` distortion;
+    |X| != |Y| always, and stage tables also vary the sizes by stage."""
+    n = int(rng.integers(1, 4))
+    if mode == "single_letter":
+        sx, sy = (2, 3) if rng.random() < 0.5 else (3, 2)
+        al = StageAlphabets(n, [sx] * n, [sy] * n)
+        spec = DistortionSpec.single_letter(al, rng.uniform(0, 2, size=(sx, sy)))
+    else:
+        al = random_alphabets(rng, n)
+        while al.x_sizes == al.y_sizes or len(set(al.x_sizes + al.y_sizes)) == 1:
+            al = random_alphabets(rng, n)
+        spec = DistortionSpec.stage_tables(
+            al, [rng.uniform(0, 2, size=(al.x_hist_size(i), al.y_hist_size(i)))
+                 for i in range(n)])
+    if memory == "full":
+        return random_source(rng, al), spec
+    ks = [rng.dirichlet(np.ones(al.x_sizes[i]),
+                        size=math.prod(al.x_sizes[i - min(memory, i):i]))
+          for i in range(n)]
+    return SourceModel(al, ks, memory=memory), spec
+
+
+def _assert_marginals_match(src, policy, tol=1e-12):
+    """Prefix masses P(y^{i-1}) and the laws P(y^i) = mass * nu agree.  The
+    rows themselves are compared where both masses are 0 (uniform by
+    convention): a mass near the underflow threshold can be 1e-300 in the
+    forward recursion and 0 in the dense sum over whole trajectories."""
+    fused = marginal_update(src, policy)
+    dense = output_marginal(joint_law(full_joint_source(src), policy))
+    for a, b, ma, mb in zip(fused.tables, dense.tables, fused.prefix_mass, dense.prefix_mass):
+        assert np.max(np.abs(ma - mb)) < tol
+        assert np.max(np.abs(ma[:, None] * a - mb[:, None] * b)) < tol
+        dead = (ma == 0) & (mb == 0)
+        assert np.array_equal(a[dead], b[dead])
+
+
+@pytest.mark.parametrize("mode", ["single_letter", "stage_tables"])
+@pytest.mark.parametrize("memory", ["full", 1, 2])
+def test_fused_passes_match_dense_measures(mode, memory):
+    rng = np.random.default_rng([17, len(mode), 0 if memory == "full" else memory])
+    for _ in range(3):
+        src, spec = _random_fused_case(rng, mode, memory)
+        al = src.alphabets
+        mu = full_joint_source(src)
+        _assert_marginals_match(src, random_policy(rng, al))
+        # a deterministic policy leaves y-histories unreachable (uniform rows)
+        _assert_marginals_match(src, CausalPolicy.constant(
+            al, [int(rng.integers(c)) for c in al.y_sizes]))
+        # at a fixed point the closed form exceeds the directed information
+        # by sum_i KL(nu'_i || nu_i), nu' the induced marginal: second order
+        # in the residual, but divided by the smallest nu entries
+        for s in (-0.5, -2.0, -6.0):
+            r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-13))
+            assert r.converged
+            _assert_marginals_match(src, r.policy)
+            assert abs(r.distortion_total
+                       - expected_distortion(mu, r.policy, spec).total) < 1e-12
+            assert abs(r.rate_nats - directed_information(mu, r.policy)) < 1e-12
+            assert abs(rdf_value(src, spec, r.policy, r.nu, r.g, s) - r.rate_nats) < 1e-12
 
 
 # ---------------------------------------------------------------------------
