@@ -36,18 +36,27 @@ def log_normalize(a: np.ndarray, axis: int):
     return logz, p
 
 
-def bisect_multiplier(probe, distortion, target, tol, lo, best, failed=None):
-    """Bisect the multiplier on [lo, 0], where ``best = probe(lo)`` has
-    distortion at most ``target``, until a probe's distortion is within
-    ``tol`` of it; returns the closest probe, or the first one ``failed``
-    flags."""
-    hi = 0.0
+def search_multiplier(probe, distortion, target, tol, failed=lambda point: False):
+    """Probe the multiplier for a distortion within ``tol`` of ``target``.
+
+    Doubles s from -1 until a probe's distortion is at most ``target``, then
+    bisects [s, 0] and returns the closest probe.  Returns the first probe
+    ``failed`` flags, and returns the last probe, unbisected, when the next
+    doubling would pass |s| = S_MAGNITUDE_CAP.
+    """
+    lo, hi = -1.0, 0.0
+    best = probe(lo)
+    while distortion(best) > target and not failed(best):
+        if -2.0 * lo > S_MAGNITUDE_CAP:
+            return best
+        lo *= 2.0
+        best = probe(lo)
     for _ in range(200):
-        if abs(distortion(best) - target) <= tol:
+        if failed(best) or abs(distortion(best) - target) <= tol:
             break
         mid = 0.5 * (lo + hi)
         point = probe(mid)
-        if failed is not None and failed(point):
+        if failed(point):
             return point
         if distortion(point) >= target:
             hi = mid
@@ -126,9 +135,11 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float,
     """Classical block rate (total nats) at per-symbol distortion ``d_target``.
 
     Runs Blahut-Arimoto on the trajectory super-alphabets with the
-    stage-summed distortion, bisecting the multiplier until the achieved
+    stage-summed distortion, searching the multiplier until the achieved
     distortion brackets the target, then evaluates the supporting line at the
-    exact target (second-order accurate on the convex curve).
+    exact target (second-order accurate on the convex curve).  When the search
+    stops at the multiplier cap short of the target, the line is a lower
+    bound on the rate.
 
     Returns 0 for targets at or above the zero-rate distortion and ``inf``
     for targets below the minimum achievable distortion.
@@ -150,19 +161,8 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float,
     if target_total < dmin_total - 1e-12:
         return math.inf
 
-    def probe(s):
-        return blahut_arimoto(mu, dmat, s, tol=ba_tol)
-
-    s_lo = -1.0
-    point_lo = probe(s_lo)
-    while point_lo.distortion > target_total:
-        s_lo *= 2.0
-        if -s_lo > S_MAGNITUDE_CAP:
-            return math.inf
-        point_lo = probe(s_lo)
-
-    best = bisect_multiplier(probe, lambda p: p.distortion, target_total, dist_tol,
-                             s_lo, point_lo)
+    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s, tol=ba_tol),
+                             lambda p: p.distortion, target_total, dist_tol)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)
     return max(rate, 0.0)

@@ -17,14 +17,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .baseline import classical_block_rdf
-from .errors import CausalRdError, ConfigError
+from .errors import CausalRdError, ConfigError, InvalidArgumentError, ResourceBudgetError
 from .measures import joint_law, markov_chain_check
 from .model import (
     DistortionSpec,
@@ -38,7 +38,6 @@ from .model import (
 )
 from .solver import (
     CurvePoint,
-    SolveResult,
     SolverConfig,
     fixed_point_solve,
     solve_for_target_distortion,
@@ -64,22 +63,17 @@ LN2 = math.log(2.0)
 @dataclass
 class RunConfig:
     raw: dict
-    horizon: int
     source: SourceModel
     spec: DistortionSpec
     mode: str
+    solver: dict            # SolverConfig keyword arguments other than s
     s: Optional[float] = None
     s_values: Optional[list] = None
     d_target: Optional[float] = None
     horizons: Optional[list] = None
-    fp_tol: float = 1e-9
-    max_sweeps: int = 10_000
-    damping: float = 1.0
     out_format: str = "csv"
     out_path: Optional[str] = None
     units: str = "nats"
-    source_kind: str = "general"
-    source_params: dict = field(default_factory=dict)
 
 
 def _need(obj, key, path, types=None):
@@ -91,17 +85,40 @@ def _need(obj, key, path, types=None):
     return v
 
 
-def _build_source(cfg: dict, horizon: int, y_sizes):
+def _opt(obj, key, path, ok, what, kind=None):
+    """``obj[key]`` converted by ``kind``, or None when absent; a present
+    value that fails ``ok`` raises ConfigError naming the field."""
+    v = obj.get(key)
+    if v is None:
+        return None
+    if not ok(v):
+        raise ConfigError(f"{path}.{key} must be {what}")
+    return v if kind is None else kind(v)
+
+
+def _real(v) -> bool:
+    """A JSON number, not a boolean, that a finite float can hold."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _integer(v) -> bool:
+    return _real(v) and float(v).is_integer()
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
+
+
+def _build_source(cfg: dict, horizon: int, y_sizes) -> SourceModel:
     src_cfg = _need(cfg, "source", "$", dict)
     kind = _need(src_cfg, "type", "$.source", str)
+    ys = y_sizes[0] if y_sizes else None
     if kind == "iid":
         px = np.asarray(_need(src_cfg, "px", "$.source", list), dtype=float)
-        ys = y_sizes[0] if y_sizes else None
         model = iid_source(px, horizon, y_size=ys)
     elif kind == "markov":
         init = np.asarray(_need(src_cfg, "init", "$.source", list), dtype=float)
         trans = np.asarray(_need(src_cfg, "transition", "$.source", list), dtype=float)
-        ys = y_sizes[0] if y_sizes else None
         model = markov_source(init, trans, horizon, y_size=ys)
     elif kind == "general":
         x_sizes = _need(src_cfg, "x_sizes", "$.source", list)
@@ -123,7 +140,7 @@ def _build_source(cfg: dict, horizon: int, y_sizes):
     if kind == "general":
         # renormalize rows now that validation passed
         model = SourceModel(model.alphabets, model.kernels, memory=model.memory)
-    return model, kind, src_cfg
+    return model
 
 
 def _build_spec(cfg: dict, alphabets) -> DistortionSpec:
@@ -159,20 +176,35 @@ def load_config(path: str) -> RunConfig:
     horizon = _need(raw, "horizon", "$", int)
     if horizon < 1:
         raise ConfigError("$.horizon must be >= 1")
-    y_sizes = raw.get("y_sizes")
-    if y_sizes is not None and (not isinstance(y_sizes, list)
-                                or len(y_sizes) != horizon):
-        raise ConfigError("$.y_sizes must list one size per stage")
+    y_sizes = _opt(raw, "y_sizes", "$", lambda v: isinstance(v, list) and len(v) == horizon
+                   and all(_integer(c) and c >= 1 for c in v),
+                   "a list of one integer >= 1 per stage")
     mode = _need(raw, "mode", "$", str)
     if mode not in MODES:
         raise ConfigError(f"$.mode must be one of {'|'.join(MODES)}")
 
-    source, kind, src_cfg = _build_source(raw, horizon, y_sizes)
-    spec = _build_spec(raw, source.alphabets)
+    try:
+        source = _build_source(raw, horizon, y_sizes)
+    except (InvalidArgumentError, ResourceBudgetError, TypeError, ValueError) as e:
+        raise ConfigError(f"$.source: {e}") from None
+    try:
+        spec = _build_spec(raw, source.alphabets)
+    except (InvalidArgumentError, TypeError, ValueError) as e:
+        raise ConfigError(f"$.distortion: {e}") from None
 
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("$.solver must be an object")
+    settings = {"fp_tol": _opt(solver, "fp_tol", "$.solver", _real, "a number", float),
+                "max_sweeps": _opt(solver, "max_sweeps", "$.solver", _integer,
+                                   "an integer", int),
+                "damping": _opt(solver, "damping", "$.solver", _real, "a number", float)}
+    settings = {k: v for k, v in settings.items() if v is not None}
+    try:
+        SolverConfig(s=0.0, **settings)
+    except InvalidArgumentError as e:
+        raise ConfigError(f"$.solver.{e}") from None
+
     out = raw.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("$.output must be an object")
@@ -184,40 +216,35 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("$.output.format must be csv or json")
 
     rc = RunConfig(
-        raw=raw, horizon=horizon, source=source, spec=spec, mode=mode,
-        s=raw.get("s"), s_values=raw.get("s_values"),
-        d_target=raw.get("D_target"), horizons=raw.get("horizons"),
-        fp_tol=float(solver.get("fp_tol", 1e-9)),
-        max_sweeps=int(solver.get("max_sweeps", 10_000)),
-        damping=float(solver.get("damping", 1.0)),
-        out_format=fmt, out_path=out.get("path"), units=units,
-        source_kind=kind, source_params=src_cfg,
-    )
-    _validate_mode_fields(rc)
+        raw=raw, source=source, spec=spec, mode=mode, solver=settings,
+        s=_opt(raw, "s", "$", lambda v: _real(v) and v <= 0, "a number <= 0", float),
+        s_values=_opt(raw, "s_values", "$", _list_of(lambda v: _real(v) and v <= 0),
+                      "a nonempty list of numbers <= 0"),
+        d_target=_opt(raw, "D_target", "$", lambda v: _real(v) and v >= 0,
+                      "a number >= 0", float),
+        horizons=_opt(raw, "horizons", "$", _list_of(lambda v: _integer(v) and v >= 1),
+                      "a nonempty list of integers >= 1", lambda v: [int(h) for h in v]),
+        out_format=fmt, out_path=out.get("path"), units=units)
+    _require_mode_fields(rc)
     return rc
 
 
-def _validate_mode_fields(rc: RunConfig):
-    if rc.mode == "solve_s" and not isinstance(rc.s, (int, float)):
+def _require_mode_fields(rc: RunConfig):
+    if rc.mode == "solve_s" and rc.s is None:
         raise ConfigError("$.s (a number <= 0) is required for mode solve_s")
-    if rc.mode in ("target_d",) and not isinstance(rc.d_target, (int, float)):
-        raise ConfigError("$.D_target is required for mode target_d")
-    if rc.mode == "curve":
-        if not isinstance(rc.s_values, list) or not rc.s_values:
-            raise ConfigError("$.s_values (nonempty list) is required for mode curve")
+    if rc.mode in ("target_d", "horizon_sweep") and rc.d_target is None:
+        raise ConfigError(f"$.D_target is required for mode {rc.mode}")
+    if rc.mode == "curve" and rc.s_values is None:
+        raise ConfigError("$.s_values (nonempty list) is required for mode curve")
     if rc.mode == "horizon_sweep":
-        if not isinstance(rc.d_target, (int, float)):
-            raise ConfigError("$.D_target is required for mode horizon_sweep")
-        if not isinstance(rc.horizons, list) or not rc.horizons:
+        if rc.horizons is None:
             raise ConfigError("$.horizons (nonempty list) is required for mode horizon_sweep")
-        if rc.source_kind == "general":
-            raise ConfigError("mode horizon_sweep needs an iid or markov source family")
+        if rc.raw["source"]["type"] == "general":
+            raise ConfigError("mode horizon_sweep needs an iid or markov $.source")
+        if rc.spec.mode != "single_letter":
+            raise ConfigError("mode horizon_sweep needs a single-letter $.distortion")
     if rc.mode == "verify" and rc.s is None and rc.d_target is None:
         raise ConfigError("mode verify needs $.s or $.D_target")
-    if rc.s is not None and rc.s > 0:
-        raise ConfigError("$.s must be <= 0")
-    if rc.s_values is not None and any(s > 0 for s in rc.s_values):
-        raise ConfigError("$.s_values must all be <= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +270,7 @@ def _point_row(p: CurvePoint, units: str) -> str:
     scale = 1.0 / LN2 if units == "bits" else 1.0
     return ",".join([
         _fmt(p.s), _fmt(p.distortion_per_symbol),
-        _fmt(p.rate_total_nats * scale if math.isfinite(p.rate_total_nats) else p.rate_total_nats),
-        _fmt(p.rate_per_symbol_nats * scale if math.isfinite(p.rate_per_symbol_nats) else p.rate_per_symbol_nats),
+        _fmt(p.rate_total_nats * scale), _fmt(p.rate_per_symbol_nats * scale),
         _fmt(p.sweeps), _fmt(p.converged), _fmt(p.residual),
     ])
 
@@ -255,16 +281,6 @@ def emit_csv(points, path: str, units: str = "nats"):
     lines = [CSV_HEADER] + [_point_row(p, units) for p in points]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _result_point(res: SolveResult, n_stages: int) -> CurvePoint:
-    return CurvePoint(
-        s=res.s if res.s is not None else math.nan,
-        distortion_per_symbol=res.distortion_per_symbol,
-        rate_total_nats=res.rate_nats,
-        rate_per_symbol_nats=(res.rate_nats / n_stages
-                              if math.isfinite(res.rate_nats) else res.rate_nats),
-        sweeps=res.sweeps_used, converged=res.converged, residual=res.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -278,51 +294,61 @@ def _run_checks(names, solves, curve, seed: int):
               if r is not None and r.policy is not None and r.converged]
     for name in names:
         t0 = time.perf_counter()
+        note = None
         if name == "dominance":
-            worst = -math.inf
-            for src, spec, r in solved:
-                block = classical_block_rdf(full_joint_source(src), spec,
-                                            r.distortion_per_symbol)
-                worst = max(worst, block - r.rate_nats)
-            value = None if worst == -math.inf else worst
-            entry = {"check": name, "value": value, "tolerance": 1e-9,
-                     "pass": value is None or value <= 1e-9}
+            tol = 1e-9
+            value = max((classical_block_rdf(full_joint_source(src), spec,
+                                             r.distortion_per_symbol) - r.rate_nats
+                         for src, spec, r in solved), default=None)
+            ok = value is None or value <= tol
         elif name == "convexity":
+            tol = 1e-9
             if curve is None:
-                entry = {"check": name, "value": None, "tolerance": 1e-9,
-                         "pass": True, "note": "no curve in this mode"}
+                value, ok, note = None, True, "no curve in this mode"
             else:
-                worst = max(curve.monotone_worst, curve.convex_worst)
-                entry = {"check": name, "value": worst, "tolerance": 1e-9,
-                         "pass": curve.monotone_ok and curve.convex_ok}
+                value = max(curve.monotone_worst, curve.convex_worst)
+                ok = curve.monotone_ok and curve.convex_ok
         elif name == "mc-residual":
-            worst = 0.0
+            tol = 1e-10
+            value = 0.0
             for src, spec, r in solved:
                 j = joint_law(full_joint_source(src), r.policy)
-                worst = max(worst, max(markov_chain_check(j, v) for v in (1, 2, 3, 4)))
-            entry = {"check": name, "value": worst, "tolerance": 1e-10,
-                     "pass": worst < 1e-10}
+                value = max(value, max(markov_chain_check(j, v) for v in (1, 2, 3, 4)))
+            ok = value < tol
         elif name == "stationarity":
-            worst = -math.inf
-            for src, spec, r in solved:
-                if r.s is None or r.s == 0.0:
-                    continue
-                worst = max(worst, verify_stationarity(src, spec, r,
-                                                       n_perturbations=100,
-                                                       epsilon=1e-3, seed=seed))
-            value = None if worst == -math.inf else worst
-            entry = {"check": name, "value": value, "tolerance": 1e-8,
-                     "pass": value is None or value <= 1e-8}
+            tol = 1e-8
+            value = max((verify_stationarity(src, spec, r, n_perturbations=100,
+                                             epsilon=1e-3, seed=seed)
+                         for src, spec, r in solved if r.s), default=None)
+            ok = value is None or value <= tol
         else:
             raise ConfigError(f"unknown check {name!r}")
-        entry["seconds"] = time.perf_counter() - t0
-        checks.append(entry)
+        checks.append({"check": name, "value": value, "tolerance": tol, "pass": ok,
+                       **({"note": note} if note else {}),
+                       "seconds": time.perf_counter() - t0})
     return checks
 
 
 # ---------------------------------------------------------------------------
 # Run
 # ---------------------------------------------------------------------------
+
+def _solve(rc: RunConfig):
+    """The run's solves as (source, spec, result) triples, plus the curve in
+    mode curve (None otherwise, and result None for a failed curve point)."""
+    if rc.mode == "curve":
+        curve = trace_curve(rc.source, rc.spec, rc.s_values, **rc.solver)
+        return [(rc.source, rc.spec, r) for r in curve.results], curve
+    problems = [(rc.source, rc.spec)]
+    if rc.mode == "horizon_sweep":
+        sources = [_build_source(rc.raw, h, rc.raw.get("y_sizes")) for h in rc.horizons]
+        problems = [(src, _build_spec(rc.raw, src.alphabets)) for src in sources]
+    if rc.mode == "solve_s" or rc.d_target is None:
+        return [(src, spec, fixed_point_solve(src, spec, SolverConfig(s=rc.s, **rc.solver)))
+                for src, spec in problems], None
+    return [(src, spec, solve_for_target_distortion(src, spec, rc.d_target, **rc.solver))
+            for src, spec in problems], None
+
 
 def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         checks=(), seed: int = 0, units: Optional[str] = None) -> int:
@@ -333,7 +359,7 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
             if mode not in MODES:
                 raise ConfigError(f"--mode must be one of {'|'.join(MODES)}")
             rc.mode = mode
-            _validate_mode_fields(rc)
+            _require_mode_fields(rc)
         if units is not None:
             if units not in ("nats", "bits"):
                 raise ConfigError("--units must be nats or bits")
@@ -349,86 +375,24 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
 
     base = rc.out_path or (config_path.rsplit(".", 1)[0] + ".out."
                            + ("json" if rc.out_format == "json" else "csv"))
-    n = rc.horizon
     report = {"schema_version": 1, "package_version": __version__,
               "mode": rc.mode, "config": rc.raw, "units": rc.units,
               "points": [], "checks": [], "timings": {}}
-    status = EXIT_OK
-    curve = None
-    solves = []
     t0 = time.perf_counter()
     try:
-        if rc.mode == "solve_s" or (rc.mode == "verify" and rc.d_target is None):
-            res = fixed_point_solve(rc.source, rc.spec,
-                                    SolverConfig(s=float(rc.s), fp_tol=rc.fp_tol,
-                                                 max_sweeps=rc.max_sweeps,
-                                                 damping=rc.damping))
-            solves = [(rc.source, rc.spec, res)]
-            points = [_result_point(res, n)]
-            if not res.converged:
-                status = EXIT_NUMERICAL
-        elif rc.mode in ("target_d", "verify"):
-            res = solve_for_target_distortion(rc.source, rc.spec, float(rc.d_target),
-                                              fp_tol=rc.fp_tol,
-                                              max_sweeps=rc.max_sweeps,
-                                              damping=rc.damping)
-            solves = [(rc.source, rc.spec, res)]
-            points = [_result_point(res, n)]
-            if not res.feasible:
-                status = EXIT_INFEASIBLE
-            elif not res.converged:
-                status = EXIT_NUMERICAL
-        elif rc.mode == "curve":
-            curve = trace_curve(rc.source, rc.spec, [float(s) for s in rc.s_values],
-                                fp_tol=rc.fp_tol, max_sweeps=rc.max_sweeps,
-                                damping=rc.damping)
-            points = list(curve.points)
-            solves = [(rc.source, rc.spec, r)
-                      for r in curve.results if r is not None]
-            if any(not p.converged for p in points):
-                status = EXIT_NUMERICAL
-            report["curve_checks"] = {
-                "monotone_ok": curve.monotone_ok,
-                "monotone_worst": curve.monotone_worst,
-                "convex_ok": curve.convex_ok,
-                "convex_worst": curve.convex_worst,
-                "slope_worst_rel_err": curve.slope_worst_rel_err,
-            }
-        else:   # horizon_sweep
-            points = []
-            for h in rc.horizons:
-                fam_src = (iid_source(np.asarray(rc.source_params["px"], dtype=float), int(h))
-                           if rc.source_kind == "iid" else
-                           markov_source(np.asarray(rc.source_params["init"], dtype=float),
-                                         np.asarray(rc.source_params["transition"], dtype=float),
-                                         int(h)))
-                fam_spec = (DistortionSpec.single_letter(fam_src.alphabets, rc.spec.rho)
-                            if rc.spec.mode == "single_letter" else None)
-                if fam_spec is None:
-                    raise ConfigError("mode horizon_sweep needs a single_letter distortion")
-                res = solve_for_target_distortion(fam_src, fam_spec, float(rc.d_target),
-                                                  fp_tol=rc.fp_tol,
-                                                  max_sweeps=rc.max_sweeps,
-                                                  damping=rc.damping)
-                points.append(_result_point(res, int(h)))
-                solves.append((fam_src, fam_spec, res))
-                if not res.feasible:
-                    status = EXIT_INFEASIBLE
-                elif not res.converged and status == EXIT_OK:
-                    status = EXIT_NUMERICAL
-            report["horizons"] = [int(h) for h in rc.horizons]
-
+        solves, curve = _solve(rc)
         report["timings"]["solve_seconds"] = time.perf_counter() - t0
-
-        if rc.mode == "verify":
-            names = list(checks) if checks else ["dominance", "mc-residual", "stationarity"]
+        if curve is not None:
+            points = curve.points
+            report["curve_checks"] = {key: getattr(curve, key) for key in (
+                "monotone_ok", "monotone_worst", "convex_ok", "convex_worst",
+                "slope_worst_rel_err")}
         else:
-            names = list(checks)
-        if names:
-            report["checks"] = _run_checks(names, solves, curve, seed)
-            if any(not c["pass"] for c in report["checks"]) and status == EXIT_OK:
-                status = EXIT_NUMERICAL
-
+            points = [CurvePoint.from_result(r, src.alphabets.n_stages) for src, _, r in solves]
+        if rc.mode == "horizon_sweep":
+            report["horizons"] = rc.horizons
+        default = ["dominance", "mc-residual", "stationarity"] if rc.mode == "verify" else []
+        report["checks"] = _run_checks(list(checks) or default, solves, curve, seed)
         report["points"] = [
             {"s": None if math.isnan(p.s) else p.s,
              "D_per_symbol": p.distortion_per_symbol,
@@ -436,7 +400,7 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
              "R_per_symbol_nats": p.rate_per_symbol_nats,
              "sweeps": p.sweeps, "converged": p.converged,
              "residual": p.residual,
-             **({"error": p.error} if getattr(p, "error", None) else {})}
+             **({"error": p.error} if p.error else {})}
             for p in points
         ]
     except CausalRdError as e:
@@ -452,7 +416,11 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         _write_json(base + ".json", report)
     else:
         _write_json(base, report)
-    return status
+    if any(r is not None and not r.feasible for _, _, r in solves):
+        return EXIT_INFEASIBLE
+    if any(not p.converged for p in points) or any(not c["pass"] for c in report["checks"]):
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _write_json(path, report):
@@ -483,10 +451,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--units", choices=("nats", "bits"),
                        help="override output units")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.config, mode=args.mode, out=args.out, checks=args.check,
-                   seed=args.seed, units=args.units)
-    return EXIT_CONFIG
+    return run(args.config, mode=args.mode, out=args.out, checks=args.check,
+               seed=args.seed, units=args.units)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import CausalPolicy, DistortionSpec, StageAlphabets
+from .model import (CausalPolicy, DistortionSpec, SourceModel, StageAlphabets,
+                    full_joint_source)
 
 COND_EPS = 1e-12
 MASS_TOL = 1e-10
@@ -105,16 +106,25 @@ class MarginalProcess:
 # Construction
 # ---------------------------------------------------------------------------
 
-def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
-    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
+def _prefix_channels(policy: CausalPolicy):
+    """Yield the prefix channels Q(y^i | x^i) = prod_{j<=i} q_j, as dense
+    (x_hist_size(i), y_hist_size(i)) tables, for i = 0 .. n-1."""
     al = policy.alphabets
     t = policy.kernels[0][0]                       # (x_hist(0), sy0)
+    yield t
     for i in range(1, al.n_stages):
         xh = al.x_hist_size(i - 1)
         yh = al.y_hist_size(i - 1)
         sx, sy = al.x_sizes[i], al.y_sizes[i]
         q = policy.kernels[i].reshape(yh, xh, sx, sy)
         t = np.einsum('ab,bacd->acbd', t, q).reshape(xh * sx, yh * sy)
+        yield t
+
+
+def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
+    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
+    for t in _prefix_channels(policy):
+        pass
     return t
 
 
@@ -182,18 +192,7 @@ def mix_policies(a: CausalPolicy, b: CausalPolicy, lam: float) -> CausalPolicy:
 
     ks = []
     prev = None      # mixed prefix channel M_{i-1}(x^{i-1}; y^{i-1})
-    ta = a.kernels[0][0]
-    tb = b.kernels[0][0]
-    cur_a, cur_b = ta, tb
-    for i in range(al.n_stages):
-        if i > 0:
-            xh = al.x_hist_size(i - 1)
-            yh = al.y_hist_size(i - 1)
-            sx, sy = al.x_sizes[i], al.y_sizes[i]
-            qa = a.kernels[i].reshape(yh, xh, sx, sy)
-            qb = b.kernels[i].reshape(yh, xh, sx, sy)
-            cur_a = np.einsum('ab,bacd->acbd', cur_a, qa).reshape(xh * sx, yh * sy)
-            cur_b = np.einsum('ab,bacd->acbd', cur_b, qb).reshape(xh * sx, yh * sy)
+    for i, (cur_a, cur_b) in enumerate(zip(_prefix_channels(a), _prefix_channels(b))):
         mix = lam * cur_a + (1.0 - lam) * cur_b    # (x_hist(i), y_hist(i))
         sy = al.y_sizes[i]
         num = mix.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
@@ -263,6 +262,14 @@ def expected_distortion(mu: np.ndarray, policy: CausalPolicy,
     d = spec.total_table()
     total = float(np.sum(joint.table * d))
     return DistortionValue(total, total / al.n_stages)
+
+
+def lagrangian_value(source: SourceModel, spec: DistortionSpec,
+                     policy: CausalPolicy, s: float) -> float:
+    """I(X -> Y) - s * total distortion, evaluated through the measures."""
+    mu = full_joint_source(source)
+    return (directed_information(mu, policy)
+            - s * expected_distortion(mu, policy, spec).total)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceBudgetError
-from .measures import JointLaw, directed_information, expected_distortion
-from .model import CausalPolicy, DistortionSpec, SourceModel, full_joint_source
+from .measures import JointLaw, lagrangian_value
+from .model import CausalPolicy, DistortionSpec, SourceModel
 
 _FINE_SWEEP_LIMIT = 200
 _COARSE_ELEMENT_BUDGET = 30_000_000
@@ -318,9 +318,7 @@ def _check_seed(policy: CausalPolicy, alphabets, resolution: float):
 def _measured_value(source, spec, s, policy, decomposed):
     """Re-evaluate the assembled policy through the measures and make sure the
     search algebra agrees with them."""
-    mu = full_joint_source(source)
-    value = (directed_information(mu, policy)
-             - s * expected_distortion(mu, policy, spec).total)
+    value = lagrangian_value(source, spec, policy, s)
     if abs(value - decomposed) > 1e-9:
         raise AssertionError(
             f"oracle decomposition drifted from the measured value "

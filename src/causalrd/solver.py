@@ -24,13 +24,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import S_MAGNITUDE_CAP, bisect_multiplier, log_normalize
+from .baseline import log_normalize, search_multiplier
 from .errors import (
     DegenerateMarginalError,
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .measures import MarginalProcess, directed_information, expected_distortion
+from .measures import MarginalProcess, directed_information, lagrangian_value
 from .model import (CausalPolicy, DistortionSpec, SourceModel, StageAlphabets,
                     decode_history, full_joint_source)
 
@@ -110,6 +110,14 @@ class CurvePoint:
     converged: bool
     residual: float
     error: Optional[str] = None
+
+    @classmethod
+    def from_result(cls, r: SolveResult, n_stages: int) -> "CurvePoint":
+        """The point of one solve over ``n_stages`` stages (s is nan when the
+        result is an infeasible-target sentinel)."""
+        return cls(math.nan if r.s is None else r.s, r.distortion_per_symbol,
+                   r.rate_nats, r.rate_nats / n_stages, r.sweeps_used,
+                   r.converged, r.residual)
 
 
 @dataclass
@@ -407,13 +415,14 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
                                 max_sweeps: int = 10_000,
                                 damping: float = 1.0,
                                 dist_tol: float = 1e-6) -> SolveResult:
-    """Solve at a per-symbol distortion target by bisecting the multiplier.
+    """Solve at a per-symbol distortion target by searching the multiplier.
 
     The multiplier bracket is grown by doubling from -1 until the achieved
-    distortion falls below the target (capped at |s| = 1e6), then bisected
-    until the achieved per-symbol distortion is within ``dist_tol``.  Targets
-    at or above the zero-rate distortion return the s = 0 endpoint; targets
-    below the achievable floor return an infeasible sentinel with rate +inf.
+    distortion falls below the target, then bisected until the achieved
+    per-symbol distortion is within ``dist_tol``; when doubling would pass
+    |s| = 1e6 the last solve is returned.  Targets at or above the zero-rate
+    distortion return the s = 0 endpoint; targets below the achievable floor
+    return an infeasible sentinel with rate +inf.
     """
     if d_target < 0:
         raise InvalidArgumentError("d_target must be >= 0")
@@ -436,20 +445,8 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
                            distortion_per_symbol=floor, sweeps_used=0,
                            converged=True, residual=0.0, feasible=False)
 
-    s_lo = -1.0
-    low = solve_at(s_lo)
-    if not low.converged:
-        return low
-    while low.distortion_per_symbol > d_target:
-        s_lo *= 2.0
-        if -s_lo > S_MAGNITUDE_CAP:
-            break
-        low = solve_at(s_lo)
-        if not low.converged:
-            return low
-
-    return bisect_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
-                             dist_tol, s_lo, low, failed=lambda r: not r.converged)
+    return search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
+                             dist_tol, failed=lambda r: not r.converged)
 
 
 def trace_curve(source: SourceModel, spec: DistortionSpec,
@@ -471,9 +468,7 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
                                   SolverConfig(s=float(s), fp_tol=fp_tol,
                                                max_sweeps=max_sweeps,
                                                damping=damping))
-            pts.append((CurvePoint(float(s), r.distortion_per_symbol,
-                                   r.rate_nats, r.rate_nats / n, r.sweeps_used,
-                                   r.converged, r.residual), r))
+            pts.append((CurvePoint.from_result(r, n), r))
         except Exception as exc:       # record, do not abort the sweep
             pts.append((CurvePoint(float(s), math.nan, math.nan, math.nan,
                                    0, False, math.nan, error=str(exc)), None))
@@ -534,14 +529,6 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
 # ---------------------------------------------------------------------------
 # First-order optimality
 # ---------------------------------------------------------------------------
-
-def lagrangian_value(source: SourceModel, spec: DistortionSpec,
-                     policy: CausalPolicy, s: float) -> float:
-    """I(X -> Y) - s * total distortion, evaluated through the measures."""
-    mu = full_joint_source(source)
-    return (directed_information(mu, policy)
-            - s * expected_distortion(mu, policy, spec).total)
-
 
 def verify_stationarity(source: SourceModel, spec: DistortionSpec,
                         result: SolveResult, n_perturbations: int = 100,

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import causalrd
-from causalrd.baseline import blahut_arimoto, classical_block_rdf, log_normalize
+from causalrd import baseline, solver
+from causalrd.baseline import (
+    S_MAGNITUDE_CAP,
+    BaPoint,
+    blahut_arimoto,
+    classical_block_rdf,
+    log_normalize,
+)
 from causalrd.errors import InvalidArgumentError
 from causalrd.model import (
     DistortionSpec,
@@ -17,7 +24,12 @@ from causalrd.model import (
     hamming_distortion,
     iid_source,
 )
-from causalrd.solver import SolverConfig, fixed_point_solve, solve_for_target_distortion
+from causalrd.solver import (
+    SolveResult,
+    SolverConfig,
+    fixed_point_solve,
+    solve_for_target_distortion,
+)
 
 from helpers import binary_entropy, random_alphabets, random_source
 
@@ -142,3 +154,72 @@ def test_block_rdf_never_exceeds_causal_rate():
         causal = solve_for_target_distortion(src, spec, d)
         block = classical_block_rdf(mu, spec, causal.distortion_per_symbol)
         assert causal.rate_nats >= block - 1e-9
+
+
+# A target at the distortion floor that no multiplier below the cap reaches:
+# the per-letter floor is 0.6 * 0.2 + 0.4 * 0.3 = 0.24, with an optimal
+# reproduction for x = 0 only 2e-6 cheaper than the other one.
+FLOOR_PX = [0.6, 0.4]
+FLOOR_RHO = [[0.2, 0.200002], [0.5, 0.3]]
+
+
+def _fake_solve(probes, d_per_symbol):
+    """A fixed_point_solve stand-in that records s and returns ``d_per_symbol``
+    for every s < 0 (0.5, the zero-rate distortion, at s = 0)."""
+    def fake(source, spec, config):
+        probes.append(config.s)
+        d = 0.5 if config.s == 0.0 else d_per_symbol
+        return SolveResult(s=config.s, policy=None, nu=None, g=None, rate_nats=1.0,
+                           distortion_total=2 * d, distortion_per_symbol=d,
+                           sweeps_used=1, converged=True, residual=0.0)
+    return fake
+
+
+def test_target_search_stops_at_the_multiplier_cap(monkeypatch):
+    probes = []
+    monkeypatch.setattr(solver, "fixed_point_solve", _fake_solve(probes, 0.2))
+    src = iid_source([0.5, 0.5], 2)
+    res = solve_for_target_distortion(src, hamming_distortion(src.alphabets), 0.1)
+    assert len(probes) <= 21
+    assert max(abs(s) for s in probes) <= S_MAGNITUDE_CAP
+    assert res.s == probes[-1] and res.distortion_per_symbol == 0.2
+
+
+def test_block_rdf_search_stops_at_the_multiplier_cap(monkeypatch):
+    probes = []
+
+    def fake(px, rho, s, tol=1e-11, max_iters=500_000):
+        probes.append(s)
+        return BaPoint(s, 1.0, 0.4, 1, True)       # total distortion, above 0.2
+
+    monkeypatch.setattr(baseline, "blahut_arimoto", fake)
+    src = iid_source([0.5, 0.5], 2)
+    rate = classical_block_rdf(full_joint_source(src), hamming_distortion(src.alphabets), 0.1)
+    assert len(probes) <= 21
+    assert max(abs(s) for s in probes) <= S_MAGNITUDE_CAP
+    # supporting line of the last probe at the target
+    assert rate == 1.0 + probes[-1] * (0.2 - 0.4)
+
+
+def test_block_rdf_at_the_floor_is_a_finite_lower_bound():
+    src = iid_source(FLOOR_PX, 2)
+    spec = DistortionSpec.single_letter(src.alphabets, FLOOR_RHO)
+    entropy = -sum(p * math.log(p) for p in FLOOR_PX)
+    rate = classical_block_rdf(full_joint_source(src), spec, 0.24)
+    assert math.isfinite(rate) and 0.0 < rate <= 2 * entropy
+
+
+def test_target_search_at_the_floor_probes_at_most_21_times(monkeypatch):
+    probes = []
+
+    def counted(source, spec, config):
+        probes.append(config.s)
+        return fixed_point_solve(source, spec, config)
+
+    monkeypatch.setattr(solver, "fixed_point_solve", counted)
+    src = iid_source(FLOOR_PX, 2)
+    spec = DistortionSpec.single_letter(src.alphabets, FLOOR_RHO)
+    res = solve_for_target_distortion(src, spec, 0.24, dist_tol=1e-9)
+    assert res.converged and res.feasible
+    assert len(probes) <= 21
+    assert max(abs(s) for s in probes) <= S_MAGNITUDE_CAP

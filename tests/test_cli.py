@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from causalrd.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -203,3 +205,53 @@ def test_json_output_format(tmp_path):
     assert run(path, out=str(out)) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["points"][0]["converged"] is True
+
+
+STAGE_TABLES = {"stage_tables": [[[0, 1], [1, 0]],
+                                 [[0, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]]]}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(mode="horizon_sweep", D_target=0.1, horizons=[1, 2], distortion=STAGE_TABLES),
+     "$.distortion"),
+    (dict(mode="target_d", D_target=-0.1), "$.D_target"),
+    (dict(solver={"fp_tol": 0}), "$.solver.fp_tol"),
+    (dict(solver={"damping": 2}), "$.solver.damping"),
+    (dict(solver={"max_sweeps": 0}), "$.solver.max_sweeps"),
+    (dict(mode="horizon_sweep", D_target=0.1, horizons=[0, 1]), "$.horizons"),
+    (dict(solver={"fp_tol": "tight"}), "$.solver.fp_tol"),
+    (dict(mode="target_d", D_target=0.1, s="x"), "$.s"),
+    (dict(mode="curve", s_values=[-1.0, "a"]), "$.s_values"),
+    (dict(mode="horizon_sweep", D_target=0.1, horizons=[1, "b"]), "$.horizons"),
+    (dict(distortion={"single_letter": [[0, 1, 1], [1, 0, 1]]}), "$.distortion"),
+    (dict(solver={"max_sweeps": 10 ** 400}), "$.solver.max_sweeps"),
+], ids=["sweep-stage-tables", "negative-D", "fp_tol-0", "damping-2", "max_sweeps-0",
+        "horizon-0", "fp_tol-string", "s-string", "s_values-string", "horizons-string",
+        "rho-shape", "max_sweeps-huge"])
+def test_bad_config_exits_config_before_any_solve(tmp_path, capsys, overrides, field):
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, **overrides), out=str(out)) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv.json").exists()
+
+
+def test_horizon_sweep_honours_y_sizes(tmp_path):
+    path = write_config(tmp_path, mode="horizon_sweep", D_target=0.3, horizons=[1, 2],
+                        y_sizes=[3, 3],
+                        distortion={"single_letter": [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]})
+    out = tmp_path / "h.csv"
+    assert run(path, out=str(out)) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_verify_at_distortion_floor_passes_dominance(tmp_path):
+    # the multiplier search stops at the cap here; the classical rate is
+    # then the supporting line at the last probe, a finite lower bound
+    path = write_config(tmp_path, mode="verify", D_target=0.24,
+                        source={"type": "iid", "px": [0.6, 0.4]},
+                        distortion={"single_letter": [[0.2, 0.200002], [0.5, 0.3]]})
+    out = tmp_path / "v.csv"
+    assert run(path, out=str(out)) == EXIT_OK
+    report = json.loads((tmp_path / "v.csv.json").read_text())
+    dominance = [c for c in report["checks"] if c["check"] == "dominance"][0]
+    assert dominance["pass"] and math.isfinite(dominance["value"])
