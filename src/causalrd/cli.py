@@ -34,7 +34,6 @@ from .model import (
     full_joint_source,
     iid_source,
     markov_source,
-    validate_source,
 )
 from .solver import (
     CurvePoint,
@@ -63,9 +62,8 @@ LN2 = math.log(2.0)
 @dataclass
 class RunConfig:
     raw: dict
-    source: SourceModel
-    spec: DistortionSpec
     mode: str
+    problems: list          # (source, spec) per solve: one per horizon in horizon_sweep
     solver: dict            # SolverConfig keyword arguments other than s
     s: Optional[float] = None
     s_values: Optional[list] = None
@@ -110,37 +108,26 @@ def _list_of(ok):
 
 
 def _build_source(cfg: dict, horizon: int, y_sizes) -> SourceModel:
+    """The validated source of ``$.source`` over ``horizon`` stages."""
     src_cfg = _need(cfg, "source", "$", dict)
     kind = _need(src_cfg, "type", "$.source", str)
+    if kind != "general" and y_sizes and len(set(y_sizes)) != 1:
+        raise ConfigError("$.y_sizes must be constant for iid/markov sources")
     ys = y_sizes[0] if y_sizes else None
     if kind == "iid":
         px = np.asarray(_need(src_cfg, "px", "$.source", list), dtype=float)
-        model = iid_source(px, horizon, y_size=ys)
-    elif kind == "markov":
+        return iid_source(px, horizon, y_size=ys)
+    if kind == "markov":
         init = np.asarray(_need(src_cfg, "init", "$.source", list), dtype=float)
         trans = np.asarray(_need(src_cfg, "transition", "$.source", list), dtype=float)
-        model = markov_source(init, trans, horizon, y_size=ys)
-    elif kind == "general":
+        return markov_source(init, trans, horizon, y_size=ys)
+    if kind == "general":
         x_sizes = _need(src_cfg, "x_sizes", "$.source", list)
         kernels = _need(src_cfg, "kernels", "$.source", list)
-        memory = src_cfg.get("memory", "full")
-        al = StageAlphabets(Horizon(horizon), x_sizes,
-                            y_sizes if y_sizes else x_sizes)
-        model = SourceModel(al, [np.asarray(k, dtype=float) for k in kernels],
-                            memory=memory, validate=False)
-    else:
-        raise ConfigError(f"$.source.type must be one of iid|markov|general, got {kind!r}")
-
-    if kind != "general" and y_sizes and len(set(y_sizes)) != 1:
-        raise ConfigError("$.y_sizes must be constant for iid/markov sources")
-    report = validate_source(model)
-    if report:
-        raise ConfigError("invalid source kernels: "
-                          + "; ".join(str(v) for v in report))
-    if kind == "general":
-        # renormalize rows now that validation passed
-        model = SourceModel(model.alphabets, model.kernels, memory=model.memory)
-    return model
+        al = StageAlphabets(Horizon(horizon), x_sizes, y_sizes if y_sizes else x_sizes)
+        return SourceModel(al, [np.asarray(k, dtype=float) for k in kernels],
+                           memory=src_cfg.get("memory", "full"))
+    raise ConfigError(f"$.source.type must be one of iid|markov|general, got {kind!r}")
 
 
 def _build_spec(cfg: dict, alphabets) -> DistortionSpec:
@@ -158,9 +145,24 @@ def _build_spec(cfg: dict, alphabets) -> DistortionSpec:
                       "single_letter or stage_tables")
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration; raises ConfigError with the
-    offending field path on any schema violation."""
+def _build_problem(cfg: dict, horizon: int, y_sizes):
+    """(source, spec) over ``horizon`` stages; a library error while building
+    either becomes a ConfigError naming ``$.source`` or ``$.distortion``."""
+    try:
+        source = _build_source(cfg, horizon, y_sizes)
+    except (InvalidArgumentError, ResourceBudgetError, TypeError, ValueError) as e:
+        raise ConfigError(f"$.source: {e}") from None
+    try:
+        return source, _build_spec(cfg, source.alphabets)
+    except (InvalidArgumentError, TypeError, ValueError) as e:
+        raise ConfigError(f"$.distortion: {e}") from None
+
+
+def load_config(path: str, mode: Optional[str] = None,
+                units: Optional[str] = None) -> RunConfig:
+    """Parse and validate a run configuration, with ``mode`` and ``units``
+    overriding the configured ones, and build every problem it solves;
+    raises ConfigError with the offending field path on any violation."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -179,26 +181,20 @@ def load_config(path: str) -> RunConfig:
     y_sizes = _opt(raw, "y_sizes", "$", lambda v: isinstance(v, list) and len(v) == horizon
                    and all(_integer(c) and c >= 1 for c in v),
                    "a list of one integer >= 1 per stage")
-    mode = _need(raw, "mode", "$", str)
+    if mode is None:
+        mode = _need(raw, "mode", "$", str)
     if mode not in MODES:
-        raise ConfigError(f"$.mode must be one of {'|'.join(MODES)}")
-
-    try:
-        source = _build_source(raw, horizon, y_sizes)
-    except (InvalidArgumentError, ResourceBudgetError, TypeError, ValueError) as e:
-        raise ConfigError(f"$.source: {e}") from None
-    try:
-        spec = _build_spec(raw, source.alphabets)
-    except (InvalidArgumentError, TypeError, ValueError) as e:
-        raise ConfigError(f"$.distortion: {e}") from None
+        raise ConfigError(f"$.mode (or --mode) must be one of {'|'.join(MODES)}")
+    problems = [_build_problem(raw, horizon, y_sizes)]
 
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("$.solver must be an object")
+    _opt(solver, "damping", "$.solver", lambda v: _real(v) and v == 1,
+         "1 (sweeps are undamped)")
     settings = {"fp_tol": _opt(solver, "fp_tol", "$.solver", _real, "a number", float),
                 "max_sweeps": _opt(solver, "max_sweeps", "$.solver", _integer,
-                                   "an integer", int),
-                "damping": _opt(solver, "damping", "$.solver", _real, "a number", float)}
+                                   "an integer", int)}
     settings = {k: v for k, v in settings.items() if v is not None}
     try:
         SolverConfig(s=0.0, **settings)
@@ -208,15 +204,16 @@ def load_config(path: str) -> RunConfig:
     out = raw.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("$.output must be an object")
-    units = out.get("units", "nats")
+    if units is None:
+        units = out.get("units", "nats")
     if units not in ("nats", "bits"):
-        raise ConfigError("$.output.units must be nats or bits")
+        raise ConfigError("$.output.units (or --units) must be nats or bits")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("$.output.format must be csv or json")
 
     rc = RunConfig(
-        raw=raw, source=source, spec=spec, mode=mode, solver=settings,
+        raw=raw, mode=mode, problems=problems, solver=settings,
         s=_opt(raw, "s", "$", lambda v: _real(v) and v <= 0, "a number <= 0", float),
         s_values=_opt(raw, "s_values", "$", _list_of(lambda v: _real(v) and v <= 0),
                       "a nonempty list of numbers <= 0"),
@@ -226,6 +223,13 @@ def load_config(path: str) -> RunConfig:
                       "a nonempty list of integers >= 1", lambda v: [int(h) for h in v]),
         out_format=fmt, out_path=out.get("path"), units=units)
     _require_mode_fields(rc)
+    if mode == "horizon_sweep":
+        rc.problems = []
+        for h in rc.horizons:
+            try:
+                rc.problems.append(_build_problem(raw, h, y_sizes))
+            except ConfigError as e:
+                raise ConfigError(f"$.horizons: horizon {h}: {e}") from None
     return rc
 
 
@@ -241,7 +245,7 @@ def _require_mode_fields(rc: RunConfig):
             raise ConfigError("$.horizons (nonempty list) is required for mode horizon_sweep")
         if rc.raw["source"]["type"] == "general":
             raise ConfigError("mode horizon_sweep needs an iid or markov $.source")
-        if rc.spec.mode != "single_letter":
+        if rc.problems[0][1].mode != "single_letter":
             raise ConfigError("mode horizon_sweep needs a single-letter $.distortion")
     if rc.mode == "verify" and rc.s is None and rc.d_target is None:
         raise ConfigError("mode verify needs $.s or $.D_target")
@@ -337,35 +341,21 @@ def _solve(rc: RunConfig):
     """The run's solves as (source, spec, result) triples, plus the curve in
     mode curve (None otherwise, and result None for a failed curve point)."""
     if rc.mode == "curve":
-        curve = trace_curve(rc.source, rc.spec, rc.s_values, **rc.solver)
-        return [(rc.source, rc.spec, r) for r in curve.results], curve
-    problems = [(rc.source, rc.spec)]
-    if rc.mode == "horizon_sweep":
-        sources = [_build_source(rc.raw, h, rc.raw.get("y_sizes")) for h in rc.horizons]
-        problems = [(src, _build_spec(rc.raw, src.alphabets)) for src in sources]
+        (source, spec), = rc.problems
+        curve = trace_curve(source, spec, rc.s_values, **rc.solver)
+        return [(source, spec, r) for r in curve.results], curve
     if rc.mode == "solve_s" or rc.d_target is None:
         return [(src, spec, fixed_point_solve(src, spec, SolverConfig(s=rc.s, **rc.solver)))
-                for src, spec in problems], None
+                for src, spec in rc.problems], None
     return [(src, spec, solve_for_target_distortion(src, spec, rc.d_target, **rc.solver))
-            for src, spec in problems], None
+            for src, spec in rc.problems], None
 
 
 def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         checks=(), seed: int = 0, units: Optional[str] = None) -> int:
     """Execute a configured run; returns the process exit status."""
     try:
-        rc = load_config(config_path)
-        if mode is not None:
-            if mode not in MODES:
-                raise ConfigError(f"--mode must be one of {'|'.join(MODES)}")
-            rc.mode = mode
-            _require_mode_fields(rc)
-        if units is not None:
-            if units not in ("nats", "bits"):
-                raise ConfigError("--units must be nats or bits")
-            rc.units = units
-        if out is not None:
-            rc.out_path = out
+        rc = load_config(config_path, mode, units)
         for c in checks:
             if c not in CHECKS:
                 raise ConfigError(f"--check must be among {'|'.join(CHECKS)}")
@@ -373,8 +363,8 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    base = rc.out_path or (config_path.rsplit(".", 1)[0] + ".out."
-                           + ("json" if rc.out_format == "json" else "csv"))
+    base = out or rc.out_path or (config_path.rsplit(".", 1)[0] + ".out."
+                                  + ("json" if rc.out_format == "json" else "csv"))
     report = {"schema_version": 1, "package_version": __version__,
               "mode": rc.mode, "config": rc.raw, "units": rc.units,
               "points": [], "checks": [], "timings": {}}

@@ -192,6 +192,12 @@ def _renormalize(rows: np.ndarray) -> np.ndarray:
 # Source model
 # ---------------------------------------------------------------------------
 
+def _valid_memory(m) -> bool:
+    if isinstance(m, str):
+        return m == "full"
+    return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 0
+
+
 class SourceModel:
     """Nonstationary source law as per-stage conditional kernels.
 
@@ -201,9 +207,13 @@ class SourceModel:
     integer ``memory=m`` the kernel reads only the last ``min(m, i)`` source
     symbols and rows are indexed by the code of that suffix (which equals
     ``full_code % window_hist_size`` under the shared mixed-radix contract).
+    Any other ``memory`` (a float, a bool, a negative number) is rejected.
     """
 
     def __init__(self, alphabets: StageAlphabets, kernels, memory="full", validate=True):
+        if not _valid_memory(memory):
+            raise InvalidArgumentError(
+                f"memory must be 'full' or a nonnegative integer, got {memory!r}")
         self.alphabets = alphabets
         self.memory = memory
         n = alphabets.n_stages
@@ -226,12 +236,7 @@ class SourceModel:
             self.kernels = [_renormalize(k) for k in self.kernels]
 
     def window_len(self, stage: int) -> int:
-        if self.memory == "full":
-            return stage
-        m = int(self.memory)
-        if m < 0:
-            raise InvalidArgumentError("memory must be 'full' or a nonnegative integer")
-        return min(m, stage)
+        return stage if self.memory == "full" else min(self.memory, stage)
 
     def window_hist_size(self, stage: int) -> int:
         w = self.window_len(stage)

@@ -9,9 +9,9 @@ recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
 sweeps of two passes until nu is stable: a backward pass yields g, log Z and
 the kernels q, a forward pass over the weights P(x^i, y^{i-1}) yields nu, and
-one more pair at the stable nu yields the distortion and the block rate.  That
-rate is cross-checked once per solve against the directed information of the
-solved policy, computed on the dense laws of :mod:`causalrd.measures`.
+one more pair at the stable nu yields the distortion and the block rate.  The
+rate of a converged solve is cross-checked against the directed information of
+the solved policy, computed on the dense laws of :mod:`causalrd.measures`.
 
 All exponentials are evaluated in log space with max shifting; rates are in
 nats; ``s <= 0`` throughout.
@@ -19,7 +19,7 @@ nats; ``s <= 0`` throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -58,22 +58,19 @@ class SolverConfig:
     """Fixed-point iteration parameters.
 
     ``s`` is the Lagrange multiplier (<= 0); ``nu_init`` is either the string
-    "uniform" or a :class:`MarginalProcess` to start from; ``damping`` mixes
-    the new marginal with the old one (1.0 = undamped).
+    "uniform" or a :class:`MarginalProcess` to start from.  This class is the
+    one place each setting and its default is defined.
     """
     s: float
     nu_init: Union[str, MarginalProcess] = "uniform"
     fp_tol: float = 1e-9
     max_sweeps: int = 10_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.s > 0:
             raise InvalidArgumentError("multiplier s must be <= 0")
         if self.fp_tol <= 0:
             raise InvalidArgumentError("fp_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise InvalidArgumentError("damping must be in (0, 1]")
         if self.max_sweeps < 1:
             raise InvalidArgumentError("max_sweeps must be >= 1")
 
@@ -92,7 +89,6 @@ class SolveResult:
     converged: bool
     residual: float
     feasible: bool = True
-    di_gap: float = 0.0
 
     @property
     def rate_per_symbol_nats(self) -> float:
@@ -346,14 +342,11 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     else:
         raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
 
-    lam = config.damping
     residual = math.inf
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
         tables, masses, _, _ = passes.forward(passes.backward(nu.tables)[2])
-        if lam != 1.0:
-            tables = [(1.0 - lam) * a + lam * b for a, b in zip(nu.tables, tables)]
         nxt = MarginalProcess(al, tables, prefix_mass=masses)
         residual = nxt.sup_distance(nu, reachable=[m > 0 for m in masses])
         nu = nxt
@@ -364,27 +357,28 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     g_tabs, logz, q = passes.backward(nu.tables)
     _, _, dist, bracket = passes.forward(q, g_tabs, logz)
     policy = passes.policy(q)
-    rate, gap = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
+    rate = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
     return SolveResult(s=s, policy=policy, nu=nu, g=GTable(al, g_tabs), rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
-                       sweeps_used=sweeps, converged=converged,
-                       residual=residual, di_gap=gap)
+                       sweeps_used=sweeps, converged=converged, residual=residual)
 
 
 def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True,
                       check_tol=1e-6):
-    """Closed-form block rate s*D_total - sum_i E[g_i + log Z_i], plus the
-    gap to the directed information of the solved policy."""
+    """Closed-form block rate s*D_total - sum_i E[g_i + log Z_i].  With
+    ``check`` it is compared with the directed information of the policy on
+    the dense laws, which only a fixed point makes equal."""
     rate = s * distortion_total - bracket
     if -1e-9 < rate < 0.0:
         rate = 0.0
-    gap = abs(rate - directed_information(full_joint_source(source), policy))
-    if check and gap > check_tol:
-        raise InternalConsistencyError(
-            f"closed-form rate and directed information differ by {gap:.3e} "
-            f"(tolerance {check_tol:.1e}); the fixed point looks broken")
-    return rate, gap
+    if check:
+        gap = abs(rate - directed_information(full_joint_source(source), policy))
+        if gap > check_tol:
+            raise InternalConsistencyError(
+                f"closed-form rate and directed information differ by {gap:.3e} "
+                f"(tolerance {check_tol:.1e}); the fixed point looks broken")
+    return rate
 
 
 def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
@@ -401,8 +395,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     _, _, dist, bracket = passes.forward(_kernels(policy), g.tables, logz)
     if distortion_total is None:
         distortion_total = dist
-    rate, _ = _closed_form_rate(source, policy, s, distortion_total, bracket)
-    return rate
+    return _closed_form_rate(source, policy, s, distortion_total, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +403,10 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
 # ---------------------------------------------------------------------------
 
 def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
-                                d_target: float,
-                                fp_tol: float = 1e-9,
-                                max_sweeps: int = 10_000,
-                                damping: float = 1.0,
-                                dist_tol: float = 1e-6) -> SolveResult:
-    """Solve at a per-symbol distortion target by searching the multiplier.
+                                d_target: float, dist_tol: float = 1e-6,
+                                **settings) -> SolveResult:
+    """Solve at a per-symbol distortion target by searching the multiplier;
+    ``settings`` are the :class:`SolverConfig` fields other than ``s``.
 
     The multiplier bracket is grown by doubling from -1 until the achieved
     distortion falls below the target, then bisected until the achieved
@@ -428,10 +419,7 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
         raise InvalidArgumentError("d_target must be >= 0")
 
     def solve_at(s):
-        return fixed_point_solve(source, spec,
-                                 SolverConfig(s=s, fp_tol=fp_tol,
-                                              max_sweeps=max_sweeps,
-                                              damping=damping))
+        return fixed_point_solve(source, spec, SolverConfig(s=s, **settings))
 
     endpoint = solve_at(0.0)
     if d_target >= endpoint.distortion_per_symbol - 1e-12:
@@ -450,24 +438,22 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
 
 
 def trace_curve(source: SourceModel, spec: DistortionSpec,
-                s_values: Sequence[float],
-                fp_tol: float = 1e-9, max_sweeps: int = 10_000,
-                damping: float = 1.0) -> RdCurve:
-    """One fixed-point solve per multiplier; points sorted by distortion with
-    monotonicity, convexity and slope diagnostics.
+                s_values: Sequence[float], **settings) -> RdCurve:
+    """One fixed-point solve per multiplier, with the :class:`SolverConfig`
+    fields ``settings``; points sorted by distortion with monotonicity,
+    convexity and slope diagnostics.
 
-    Per-point failures are recorded on the point rather than raised.
+    Per-point failures are recorded on the point rather than raised; a bad
+    setting raises before any solve.
     """
     if len(s_values) == 0:
         raise InvalidArgumentError("s_values must be nonempty")
+    config = SolverConfig(s=0.0, **settings)
     n = source.alphabets.n_stages
     pts = []
     for s in s_values:
         try:
-            r = fixed_point_solve(source, spec,
-                                  SolverConfig(s=float(s), fp_tol=fp_tol,
-                                               max_sweeps=max_sweeps,
-                                               damping=damping))
+            r = fixed_point_solve(source, spec, replace(config, s=float(s)))
             pts.append((CurvePoint.from_result(r, n), r))
         except Exception as exc:       # record, do not abort the sweep
             pts.append((CurvePoint(float(s), math.nan, math.nan, math.nan,

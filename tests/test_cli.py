@@ -225,14 +225,28 @@ STAGE_TABLES = {"stage_tables": [[[0, 1], [1, 0]],
     (dict(mode="horizon_sweep", D_target=0.1, horizons=[1, "b"]), "$.horizons"),
     (dict(distortion={"single_letter": [[0, 1, 1], [1, 0, 1]]}), "$.distortion"),
     (dict(solver={"max_sweeps": 10 ** 400}), "$.solver.max_sweeps"),
+    (dict(mode="horizon_sweep", D_target=0.1, horizons=[2, 30]), "$.horizons"),
+    (dict(solver={"damping": 0.5}), "$.solver.damping"),
+    (dict(source={"type": "general", "x_sizes": [2, 2], "memory": 1.5,
+                  "kernels": [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}), "$.source"),
 ], ids=["sweep-stage-tables", "negative-D", "fp_tol-0", "damping-2", "max_sweeps-0",
         "horizon-0", "fp_tol-string", "s-string", "s_values-string", "horizons-string",
-        "rho-shape", "max_sweeps-huge"])
+        "rho-shape", "max_sweeps-huge", "horizons-over-budget", "damping-half",
+        "memory-float"])
 def test_bad_config_exits_config_before_any_solve(tmp_path, capsys, overrides, field):
     out = tmp_path / "out.csv"
     assert run(write_config(tmp_path, **overrides), out=str(out)) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.csv.json").exists()
+
+
+def test_damping_one_is_accepted_and_changes_nothing(tmp_path):
+    plain = tmp_path / "plain.csv"
+    damped = tmp_path / "damped.csv"
+    assert run(write_config(tmp_path), out=str(plain)) == EXIT_OK
+    assert run(write_config(tmp_path, name="d.json", solver={"fp_tol": 1e-10, "damping": 1}),
+               out=str(damped)) == EXIT_OK
+    assert plain.read_bytes() == damped.read_bytes()
 
 
 def test_horizon_sweep_honours_y_sizes(tmp_path):

@@ -115,6 +115,13 @@ def test_memory_window_expansion():
     assert np.allclose(rows[2], [0.75, 0.25])   # x^1 = (1, 0)
 
 
+@pytest.mark.parametrize("memory", [1.5, True, -1, "abc"])
+def test_memory_must_be_full_or_a_nonnegative_int(memory):
+    al = StageAlphabets(2, [2, 2], [2, 2])
+    with pytest.raises(InvalidArgumentError, match="memory"):
+        SourceModel(al, [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]], memory=memory)
+
+
 def test_distortion_lookup_hamming():
     al = StageAlphabets(2, [2, 2], [2, 2])
     spec = hamming_distortion(al)

@@ -27,6 +27,7 @@ from causalrd.model import (
     hamming_distortion,
     iid_source,
 )
+from causalrd import solver as solver_module
 from causalrd.solver import (
     GTable,
     SolveResult,
@@ -233,14 +234,20 @@ def test_fixed_point_consistency_invariants():
         assert markov_chain_check(j, variant) < 1e-10
 
 
-def test_fixed_point_damping_reaches_same_answer():
+def test_unconverged_solve_skips_the_dense_check(monkeypatch):
+    # the dense directed-information check can only raise on a converged solve
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return directed_information(*args)
+
+    monkeypatch.setattr(solver_module, "directed_information", counted)
     src = binary_symmetric_markov(0.3, 2)
     spec = hamming_distortion(src.alphabets)
-    a = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-11))
-    b = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-11, damping=0.5))
-    assert a.converged and b.converged
-    assert abs(a.rate_nats - b.rate_nats) < 1e-8
-    assert abs(a.distortion_per_symbol - b.distortion_per_symbol) < 1e-8
+    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-14, max_sweeps=3))
+    assert not r.converged and calls == []
+    assert fixed_point_solve(src, spec, SolverConfig(s=-2.0)).converged and calls == [1]
 
 
 def test_fixed_point_nonconvergence_reported_not_raised():
@@ -474,6 +481,8 @@ def test_trace_curve_empty_rejected():
     spec = hamming_distortion(src.alphabets)
     with pytest.raises(InvalidArgumentError):
         trace_curve(src, spec, [])
+    with pytest.raises(InvalidArgumentError):       # a bad setting is not a failed point
+        trace_curve(src, spec, [-1.0], fp_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
