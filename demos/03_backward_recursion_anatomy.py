@@ -10,7 +10,6 @@ import numpy as np
 
 from causalrd import (
     DistortionSpec,
-    GTable,
     SolverConfig,
     SourceModel,
     StageAlphabets,
@@ -38,7 +37,7 @@ print(f"converged in {res.sweeps_used} sweeps; "
       f"D={res.distortion_per_symbol:.6f}, R={res.rate_nats:.6f} nats")
 print()
 print("g tables (rows = x-history code, cols = y-history code):")
-for i, t in enumerate(res.g.tables):
+for i, t in enumerate(res.g):
     print(f"  stage {i}: shape {t.shape}, terminal-zero={bool(np.all(t == 0))}")
     print(np.array2string(t, precision=4, suppress_small=True, prefix="    "))
 
@@ -48,7 +47,7 @@ print("two-argument for this source because the future depends on the present.")
 
 # tilt-shift invariance: g is only defined up to an x-history offset
 nu = res.nu
-g_shift = GTable(al, [t + np.arange(t.shape[0])[:, None] for t in res.g.tables])
+g_shift = [t + np.arange(t.shape[0])[:, None] for t in res.g]
 p1 = tilted_policy(src, spec, nu, res.g, -2.0)
 p2 = tilted_policy(src, spec, nu, g_shift, -2.0)
 drift = max(float(np.abs(a - b).max()) for a, b in zip(p1.kernels, p2.kernels))

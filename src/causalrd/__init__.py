@@ -47,7 +47,6 @@ from .measures import (
 from .oracle import GridSpec, brute_force_lagrangian_min, exhaustive_directed_info
 from .solver import (
     CurvePoint,
-    GTable,
     RdCurve,
     SolveResult,
     SolverConfig,

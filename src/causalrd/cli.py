@@ -408,7 +408,8 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         _write_json(base, report)
     if any(r is not None and not r.feasible for _, _, r in solves):
         return EXIT_INFEASIBLE
-    if any(not p.converged for p in points) or any(not c["pass"] for c in report["checks"]):
+    if (any(not p.converged for p in points) or any(not c["pass"] for c in report["checks"])
+            or any(r is not None and not r.target_met for _, _, r in solves)):
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -10,11 +10,11 @@ backward recursion, no fixed points):
   of rows), so the search exploits the exact chain-rule split of the
   objective: stage-0 row combinations are enumerated exhaustively, and given
   stage-0 the stage-1 rows decompose into independent per-output-branch
-  subproblems, each searched on the grid by coarse enumeration plus
-  exhaustive per-row descent from several starts.  The reported value is
-  re-evaluated through :mod:`causalrd.measures` on the assembled policy, so
-  the returned value is a genuine Lagrangian of a genuine grid policy and
-  therefore an upper bound on the true infimum that tightens with resolution.
+  subproblems, each minimized exactly over the grid along one staircase of
+  row assignments.  The result is the grid minimum, re-evaluated through
+  :mod:`causalrd.measures` on the assembled policy: a genuine Lagrangian of a
+  genuine grid policy, and so an upper bound on the true infimum that never
+  loosens as the grid halves.
 
 * :func:`exhaustive_directed_info` recomputes directed information from a raw
   joint table with plain loops, reconstructing the causal factors and output
@@ -28,12 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceBudgetError
+from .errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
 from .measures import JointLaw, lagrangian_value
 from .model import CausalPolicy, DistortionSpec, SourceModel
-
-_FINE_SWEEP_LIMIT = 200
-_COARSE_ELEMENT_BUDGET = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,7 @@ def _compositions(total, parts):
 
 def _plogp(t: np.ndarray) -> np.ndarray:
     """Elementwise t log t with the 0 log 0 = 0 convention."""
-    out = np.zeros_like(t)
-    mask = t > 0
-    out[mask] = t[mask] * np.log(t[mask])
-    return out
+    return t * np.log(t, out=np.zeros_like(t), where=t > 0)
 
 
 def _stage0_values(mu0, rows, rho0, s):
@@ -92,116 +86,52 @@ def _stage0_values(mu0, rows, rho0, s):
     return ent_rows - ent_nu - s * dist, nu
 
 
-def _branch_batch_values(w, rho, s, combos, plogp_combo):
-    """Objective of every row-combo for a batch of branch subproblems.
+def _branch_minima(w, cost, grid):
+    """Exact grid minima of the stage-1 branch subproblems, |Y_1| = 2.
 
-    w: (B, R); rho: (B, R, sy); combos: (C, R, sy); plogp_combo: (C, R).
-    Returns (B, C).
+    w: (Y, C, R) row weights w_r = P(x^1 | y_0) of branch y_0 under each of
+    C stage-0 candidates; cost: (Y, R, N+1) row costs
+    c_r(t_j) = sum_v t_jv log t_jv - s rho_r . t_j at the grid rows
+    t_j = grid[j] = (j/N, 1 - j/N).  Returns (values (Y, C), grid-row
+    indices (Y, C, R)).
+
+    A branch's objective is sum_r w_r c_r(t_r) - sum_v nu_v log nu_v with
+    nu = sum_r w_r t_r.  By the Gibbs inequality (the variational form of
+    entropy behind Blahut-Arimoto), -sum nu log nu = min over nu' of
+    -sum nu log nu', so the grid minimum is the minimum over nu' of
+    sum_r w_r min_j [c_r(t_j) - t_j . log nu'], in which the rows separate.
+    With u = log(nu'_0 / nu'_1) the row term is c_r(t_j) - (j/N) u up to a
+    constant, so row r's argmin climbs one grid step at a time, from j to
+    j + 1 at the breakpoint N (c_r(t_{j+1}) - c_r(t_j)); these increase
+    in j because c_r is convex.  As u runs over the line the rows
+    therefore pass through the R*N + 1 assignments of one staircase: every
+    row at j = 0, then one step per breakpoint in sorted order.  The grid
+    minimum is attained on that staircase, so evaluating the objective at
+    each of its assignments finds it exactly.  The breakpoints do not
+    depend on the weights, so branch y_0 has one staircase under every
+    stage-0 candidate.  Ties go to the first step.
     """
-    nu = np.einsum('br,crv->bcv', w, combos)
-    ent_nu = _plogp(nu).sum(axis=2)
-    ent_rows = np.einsum('br,cr->bc', w, plogp_combo)
-    dist = np.einsum('crv,brv->bc', combos, rho * w[:, :, None])
-    return ent_rows - ent_nu - s * dist
+    ny, nrows, npts = cost.shape
+    step_row = np.argsort(np.diff(cost, axis=2).reshape(ny, -1), axis=1,
+                          kind="stable") // (npts - 1)        # row climbing at each step
+    climbed = np.cumsum(step_row[:, None, :] == np.arange(nrows)[:, None], axis=2)
+    stairs = np.concatenate([np.zeros_like(climbed[:, :, :1]), climbed], axis=2)  # (Y, R, J)
+    # J = R*N + 1 assignments; stairs[y, r, k] is row r's grid index at step k
+    stair_cost = np.take_along_axis(cost, stairs, axis=2)                         # (Y, R, J)
+    stair_rows = grid[stairs].reshape(ny, nrows, -1)                              # (Y, R, J*2)
 
-
-def _refine_branches(w, rho, s, grid, starts):
-    """Exhaustive per-row descent on the grid for a batch of branches.
-
-    w: (B, R); rho: (B, R, sy); grid: (G, sy); each start: (B, R, sy).
-    Returns (values (B,), rows (B, R, sy)); descent is monotone, so the
-    result never exceeds the value of any start.
-    """
-    bsz, nrows = w.shape
-    plogp_grid = _plogp(grid).sum(axis=1)
-    best_val = None
-    best_rows = None
-    for start in starts:
-        t = np.array(start, copy=True)
-        ent_rows = _plogp(t).sum(axis=2)              # (B, R)
-        dist_rows = (t * rho).sum(axis=2)             # (B, R)
-        val = (np.einsum('br,br->b', w, ent_rows)
-               - _plogp(np.einsum('br,brv->bv', w, t)).sum(axis=1)
-               - s * np.einsum('br,br->b', w, dist_rows))
-        for _ in range(_FINE_SWEEP_LIMIT):
-            improved = False
-            for r in range(nrows):
-                nu_other = np.einsum('br,brv->bv', w, t) - w[:, r, None] * t[:, r, :]
-                cand_nu = nu_other[:, None, :] + w[:, r, None, None] * grid[None, :, :]
-                ent_nu = _plogp(cand_nu).sum(axis=2)             # (B, G)
-                base_rows = np.einsum('br,br->b', w, ent_rows) - w[:, r] * ent_rows[:, r]
-                base_dist = np.einsum('br,br->b', w, dist_rows) - w[:, r] * dist_rows[:, r]
-                cand_dist = np.einsum('gv,bv->bg', grid, rho[:, r, :])
-                cand = (base_rows[:, None] + w[:, r, None] * plogp_grid[None, :]
-                        - ent_nu
-                        - s * (base_dist[:, None] + w[:, r, None] * cand_dist))
-                pick = np.argmin(cand, axis=1)
-                new_val = cand[np.arange(bsz), pick]
-                better = new_val < val - 1e-15
-                if better.any():
-                    improved = True
-                    t[better, r, :] = grid[pick[better]]
-                    ent_rows[better, r] = plogp_grid[pick[better]]
-                    dist_rows[better, r] = cand_dist[better, pick[better]]
-                    val[better] = new_val[better]
-            if not improved:
-                break
-        if best_rows is None:
-            best_val, best_rows = val, t
-        else:
-            better = val < best_val - 1e-15
-            best_rows[better] = t[better]
-            best_val[better] = val[better]
-    return best_val, best_rows
-
-
-def _solve_branches(w, rho, s, grid, seeds):
-    """Minimize every branch subproblem on the grid.
-
-    Deduplicates identical (weights, distortion slice, seed) branches, runs a
-    coarse full enumeration to locate basins, then exhaustive per-row descent
-    from the coarse argmin, the uniform rows, and the injected seed.
-    """
-    bsz, nrows = w.shape
-    sy = rho.shape[2]
-    key_parts = [np.round(w, 12), np.round(rho.reshape(bsz, -1), 12)]
-    if seeds is not None:
-        key_parts.append(np.round(seeds.reshape(bsz, -1), 12))
-    key = np.ascontiguousarray(np.concatenate(key_parts, axis=1))
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
-    uw, urho = w[first], rho[first]
-    useeds = seeds[first] if seeds is not None else None
-    usz = first.size
-
-    # coarse stage: largest full enumeration that fits the element budget
-    cc_combos = None
-    for denom in (10, 8, 6, 5, 4, 3, 2):
-        cgrid = simplex_grid(sy, 1.0 / denom)
-        ncomb = cgrid.shape[0] ** nrows
-        if usz * ncomb * sy <= _COARSE_ELEMENT_BUDGET:
-            idx = np.array(list(itertools.product(range(cgrid.shape[0]),
-                                                  repeat=nrows)))
-            cc_combos = cgrid[idx]
-            break
-    if cc_combos is None:
-        raise ResourceBudgetError("branch subproblem too large for coarse pass")
-    cplogp = _plogp(cc_combos).sum(axis=2)
-
-    coarse_rows = np.empty((usz, nrows, sy))
-    chunk = max(1, int(4_000_000 // max(cc_combos.shape[0], 1)))
-    for a in range(0, usz, chunk):
-        b = min(a + chunk, usz)
-        vals = _branch_batch_values(uw[a:b], urho[a:b], s, cc_combos, cplogp)
-        coarse_rows[a:b] = cc_combos[np.argmin(vals, axis=1)]
-
-    starts = [coarse_rows,
-              np.broadcast_to(np.full((nrows, sy), 1.0 / sy),
-                              coarse_rows.shape)]
-    if useeds is not None:
-        starts.append(useeds)
-    uvals, urows = _refine_branches(uw, urho, s, grid, starts)
-    return uvals[inverse], urows[inverse]
+    values = np.empty(w.shape[:2])
+    picks = np.empty(w.shape[:2], dtype=np.intp)
+    # npts candidates at a time: Y*npts*J*2 entries, where all C at once
+    # would need Y*C*J*2
+    for a in range(0, w.shape[1], npts):
+        wc = w[:, a:a + npts]
+        nu = np.matmul(wc, stair_rows).reshape(ny, wc.shape[1], -1, 2)
+        v = np.matmul(wc, stair_cost) - _plogp(nu).sum(axis=3)                 # (Y, c, J)
+        pick = np.argmin(v, axis=2)
+        picks[:, a:a + npts] = pick
+        values[:, a:a + npts] = np.take_along_axis(v, pick[..., None], axis=2)[..., 0]
+    return values, stairs.transpose(0, 2, 1)[np.arange(ny)[:, None], picks]
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +139,18 @@ def _solve_branches(w, rho, s, grid, seeds):
 # ---------------------------------------------------------------------------
 
 def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
-                               s: float, grid: GridSpec,
-                               seed_policy: CausalPolicy = None):
-    """Search I(X -> Y) - s * total distortion over causal policies with
+                               s: float, grid: GridSpec):
+    """Minimize I(X -> Y) - s * total distortion over causal policies with
     every row on the simplex grid.
 
-    Returns ``(value, policy)``: a grid policy and its Lagrangian,
-    re-evaluated through the measures.  The search guarantees only that
-    ``value`` is an upper bound on the grid minimum (and so on the true
-    infimum); it is not always the grid minimum itself.  Stage 0 is
-    enumerated exhaustively, but the stage-1 per-row descent can stop at a
-    local minimum: at resolution 0.01 on the fair IID source with s = -1 it
-    stops 5.94e-5 above the infimum, while the exact grid minimum is
-    5.69e-6 above it.
-
-    ``seed_policy`` (all rows on the grid, else InvalidArgumentError; e.g.
-    the argmin at a coarser resolution) is injected as an extra descent start,
-    which makes the value monotone under grid halving.  Ties break toward the
-    lexicographically first candidate.  Practical coverage: binary alphabets,
-    n_stages <= 2.
+    Returns ``(value, policy)``: the grid minimum, re-evaluated through the
+    measures, and a grid policy attaining it.  The grid minimum is an upper
+    bound on the true infimum, and halving the step never raises it, since
+    the finer grid contains the coarser one.  Stage 0 is enumerated
+    exhaustively; given stage 0, each stage-1 branch is minimized exactly
+    by :func:`_branch_minima`, which needs |Y_1| = 2.  Ties break toward the
+    first stage-0 candidate in enumeration order and, within a branch,
+    toward the first staircase step.  Coverage: n_stages <= 2.
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
@@ -235,8 +158,6 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     n = al.n_stages
     if n > 2:
         raise ResourceBudgetError("brute-force oracle covers n_stages <= 2 only")
-    if seed_policy is not None:
-        _check_seed(seed_policy, al, grid.resolution)
 
     mu0 = source.kernels[0][0]
     rho0 = spec.stage_table(0)
@@ -259,60 +180,33 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
 
     # ---- two stages: exact branch decomposition --------------------------
     sy0, sy1 = al.y_sizes[0], al.y_sizes[1]
+    if sy1 != 2:
+        raise InvalidArgumentError(
+            f"two-stage oracle needs |Y_1| = 2, got |Y_1| = {sy1}")
     xh1 = al.x_hist_size(1)
     grid1 = simplex_grid(sy1, grid.resolution)
-    est = c0 * sy0 * (xh1 * grid1.shape[0] + 64)
+    est = c0 * sy0 * xh1 * (grid1.shape[0] - 1)
     if est > grid.max_cells:
         raise ResourceBudgetError(
             f"two-stage search needs ~{est} evaluations, over budget")
 
     mu1 = (mu0[:, None] * source.stage_rows(1)).reshape(-1)   # P(x^1)
     rho1 = spec.stage_table(1).reshape(xh1, sy0, sy1)
+    cost = (_plogp(grid1).sum(axis=1)
+            - s * np.einsum('ryv,jv->yrj', rho1, grid1))     # (sy0, xh1, N+1)
 
     x0_of = np.arange(xh1) // al.x_sizes[1]
     raw = mu1[None, :, None] * rows0[:, x0_of, :]  # (C0, xh1, sy0)
     mass = nu0                                     # (C0, sy0) = P(y0)
     safe = np.where(mass == 0.0, 1.0, mass)
     branch_w = raw / safe[:, None, :]              # w(x^1 | y0); 0 when unreachable
+    bvals, picks = _branch_minima(np.transpose(branch_w, (2, 0, 1)), cost, grid1)
 
-    w_flat = np.transpose(branch_w, (0, 2, 1)).reshape(c0 * sy0, xh1)
-    rho_flat = np.broadcast_to(
-        np.transpose(rho1, (1, 0, 2))[None],       # (1, sy0, xh1, sy1)
-        (c0, sy0, xh1, sy1)).reshape(c0 * sy0, xh1, sy1)
-    live = (mass > 0).reshape(-1)
-
-    bvals = np.zeros(c0 * sy0)
-    brows = np.broadcast_to(np.full((xh1, sy1), 1.0 / sy1),
-                            (c0 * sy0, xh1, sy1)).copy()
-    idx = np.nonzero(live)[0]
-    if idx.size:
-        seeds = None
-        if seed_policy is not None:
-            seeds = seed_policy.kernels[1][idx % sy0]         # (B, xh1, sy1)
-        vals_l, rows_l = _solve_branches(w_flat[idx], rho_flat[idx], s,
-                                         grid1, seeds)
-        bvals[idx] = vals_l
-        brows[idx] = rows_l
-
-    totals = vals0 + np.einsum('cy,cy->c', mass, bvals.reshape(c0, sy0))
+    totals = vals0 + np.einsum('cy,yc->c', mass, bvals)
     best = int(np.argmin(totals))
-    k1 = brows.reshape(c0, sy0, xh1, sy1)[best]    # (y_hist(0), x_hist(1), |Y_1|)
+    k1 = grid1[picks[:, best]]                     # (y_hist(0), x_hist(1), |Y_1|)
     policy = CausalPolicy(al, [rows0[best][None, :, :], k1], validate=False)
     return _measured_value(source, spec, s, policy, float(totals[best])), policy
-
-
-def _check_seed(policy: CausalPolicy, alphabets, resolution: float):
-    """Reject a seed whose alphabets differ from the source's or that has a
-    row off the grid (row * N within 1e-9 of integers)."""
-    if policy.alphabets != alphabets:
-        raise InvalidArgumentError("seed_policy alphabets differ from the source's")
-    n = int(round(1.0 / resolution))
-    for i, k in enumerate(policy.kernels):
-        off = np.argwhere((np.abs(k * n - np.round(k * n)) > 1e-9).any(axis=2))
-        if off.size:
-            raise InvalidArgumentError(
-                f"seed_policy row at stage {i}, y-history {off[0][0]}, x-history "
-                f"{off[0][1]} is off the {resolution:g} grid: {k[tuple(off[0])].tolist()}")
 
 
 def _measured_value(source, spec, s, policy, decomposed):
@@ -320,7 +214,7 @@ def _measured_value(source, spec, s, policy, decomposed):
     search algebra agrees with them."""
     value = lagrangian_value(source, spec, policy, s)
     if abs(value - decomposed) > 1e-9:
-        raise AssertionError(
+        raise InternalConsistencyError(
             f"oracle decomposition drifted from the measured value "
             f"by {abs(value - decomposed):.3e}")
     return value

@@ -31,27 +31,13 @@ from .errors import (
     InvalidArgumentError,
 )
 from .measures import MarginalProcess, directed_information, lagrangian_value
-from .model import (CausalPolicy, DistortionSpec, SourceModel, StageAlphabets,
+from .model import (CausalPolicy, DistortionSpec, SourceModel,
                     decode_history, full_joint_source)
 
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GTable:
-    """Backward-recursion value tables, one per stage.
-
-    ``tables[i]`` has shape ``(x_hist_size(i), y_hist_size(i))``; the terminal
-    table is identically zero.
-    """
-    alphabets: StageAlphabets
-    tables: list
-
-    def __getitem__(self, i):
-        return self.tables[i]
-
 
 @dataclass
 class SolverConfig:
@@ -77,11 +63,18 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Converged (or diagnostic) output of one fixed-point solve."""
+    """Converged (or diagnostic) output of one fixed-point solve.
+
+    ``g`` holds the backward-recursion value tables, one per stage: ``g[i]``
+    has shape ``(x_hist_size(i), y_hist_size(i))`` and the terminal table is
+    identically zero.  ``target_met`` is False when a distortion-target solve
+    returns a point whose per-symbol distortion misses the target by more
+    than its tolerance, or no point (an infeasible target).
+    """
     s: Optional[float]
     policy: Optional[CausalPolicy]
     nu: Optional[MarginalProcess]
-    g: Optional[GTable]
+    g: Optional[list]
     rate_nats: float
     distortion_total: float
     distortion_per_symbol: float
@@ -89,6 +82,7 @@ class SolveResult:
     converged: bool
     residual: float
     feasible: bool = True
+    target_met: bool = True
 
     @property
     def rate_per_symbol_nats(self) -> float:
@@ -234,8 +228,9 @@ def _kernels(policy: CausalPolicy):     # in the y-major layout of _Passes
 
 
 def backward_g(source: SourceModel, spec: DistortionSpec,
-               nu: MarginalProcess, s: float) -> GTable:
-    """Backward value tables for multiplier ``s`` under marginal process ``nu``.
+               nu: MarginalProcess, s: float) -> list:
+    """Backward value tables for multiplier ``s`` under marginal process ``nu``,
+    one array per stage, of shape ``(x_hist_size(i), y_hist_size(i))``.
 
     The recursion integrates, stage by stage from the end, the log of the
     tilted mass the next stage can reach, averaged over the next source
@@ -243,12 +238,11 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
-    g, _, _ = _Passes(source, spec, s).backward(nu.tables)
-    return GTable(source.alphabets, g)
+    return _Passes(source, spec, s).backward(nu.tables)[0]
 
 
 def tilted_policy(source: SourceModel, spec: DistortionSpec,
-                  nu: MarginalProcess, g: GTable, s: float) -> CausalPolicy:
+                  nu: MarginalProcess, g: list, s: float) -> CausalPolicy:
     """Optimal reproduction kernels for (nu, g, s): the exponentially tilted
     marginal, normalized per (y-history, x-history) row.
 
@@ -327,8 +321,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     if s == 0.0:
         dmax, policy = d_max_policy(source, spec)
         tables, masses, _, _ = passes.forward(_kernels(policy))
-        g = GTable(al, [np.zeros((al.x_hist_size(i), al.y_hist_size(i)))
-                        for i in range(al.n_stages)])
+        g = [np.zeros((al.x_hist_size(i), al.y_hist_size(i))) for i in range(al.n_stages)]
         return SolveResult(s=0.0, policy=policy, g=g,
                            nu=MarginalProcess(al, tables, prefix_mass=masses),
                            rate_nats=0.0, distortion_total=dmax * al.n_stages,
@@ -358,7 +351,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     _, _, dist, bracket = passes.forward(q, g_tabs, logz)
     policy = passes.policy(q)
     rate = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
-    return SolveResult(s=s, policy=policy, nu=nu, g=GTable(al, g_tabs), rate_nats=rate,
+    return SolveResult(s=s, policy=policy, nu=nu, g=g_tabs, rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged, residual=residual)
@@ -382,7 +375,7 @@ def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True,
 
 
 def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
-              nu: MarginalProcess, g: GTable, s: float,
+              nu: MarginalProcess, g: list, s: float,
               distortion_total: Optional[float] = None) -> float:
     """Block rate in closed form at a converged fixed point.
 
@@ -392,7 +385,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     """
     passes = _Passes(source, spec, s)
     logz = [passes.tilt(i, g[i], nu.tables[i])[1] for i in range(source.alphabets.n_stages)]
-    _, _, dist, bracket = passes.forward(_kernels(policy), g.tables, logz)
+    _, _, dist, bracket = passes.forward(_kernels(policy), g, logz)
     if distortion_total is None:
         distortion_total = dist
     return _closed_form_rate(source, policy, s, distortion_total, bracket)
@@ -411,9 +404,10 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     The multiplier bracket is grown by doubling from -1 until the achieved
     distortion falls below the target, then bisected until the achieved
     per-symbol distortion is within ``dist_tol``; when doubling would pass
-    |s| = 1e6 the last solve is returned.  Targets at or above the zero-rate
-    distortion return the s = 0 endpoint; targets below the achievable floor
-    return an infeasible sentinel with rate +inf.
+    |s| = 1e6 the last solve is returned.  A returned solve that misses the
+    target by more than ``dist_tol`` has ``target_met`` False.  Targets at
+    or above the zero-rate distortion return the s = 0 endpoint; targets
+    below the achievable floor return an infeasible sentinel with rate +inf.
     """
     if d_target < 0:
         raise InvalidArgumentError("d_target must be >= 0")
@@ -431,10 +425,13 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
                            rate_nats=math.inf, distortion_total=floor *
                            source.alphabets.n_stages,
                            distortion_per_symbol=floor, sweeps_used=0,
-                           converged=True, residual=0.0, feasible=False)
+                           converged=True, residual=0.0, feasible=False,
+                           target_met=False)
 
-    return search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
+    best = search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
                              dist_tol, failed=lambda r: not r.converged)
+    best.target_met = abs(best.distortion_per_symbol - d_target) <= dist_tol
+    return best
 
 
 def trace_curve(source: SourceModel, spec: DistortionSpec,

@@ -106,11 +106,10 @@ def crit3_solves():
         for s in (-1.0, -2.0, -4.0):
             res = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-11))
             lag = res.rate_nats - s * res.distortion_total
-            v02, pol02 = brute_force_lagrangian_min(src, spec, s,
-                                                    GridSpec(resolution=0.02))
+            v02, _ = brute_force_lagrangian_min(src, spec, s,
+                                                GridSpec(resolution=0.02))
             v01, _ = brute_force_lagrangian_min(src, spec, s,
-                                                GridSpec(resolution=0.01),
-                                                seed_policy=pol02)
+                                                GridSpec(resolution=0.01))
             configs.append({"name": name, "src": src, "spec": spec, "s": s,
                             "res": res, "lagrangian": lag,
                             "oracle_02": v02, "oracle_01": v01})
@@ -249,7 +248,7 @@ def test_criterion_5_boundary_identities():
     ok = True
 
     for src, spec, res in all_cached_solves():
-        if res.g is not None and not np.all(res.g.tables[-1] == 0.0):
+        if res.g is not None and not np.all(res.g[-1] == 0.0):
             ok = False
             details.append("terminal g not exactly zero")
             break

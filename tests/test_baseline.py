@@ -223,3 +223,15 @@ def test_target_search_at_the_floor_probes_at_most_21_times(monkeypatch):
     assert res.converged and res.feasible
     assert len(probes) <= 21
     assert max(abs(s) for s in probes) <= S_MAGNITUDE_CAP
+
+
+def test_target_search_at_the_floor_reports_the_missed_target():
+    # with dist_tol 1e-9 the search stops at s = -524288, 4.3e-7 above the
+    # target; with the default 1e-6 that miss is within tolerance
+    src = iid_source(FLOOR_PX, 2)
+    spec = DistortionSpec.single_letter(src.alphabets, FLOOR_RHO)
+    res = solve_for_target_distortion(src, spec, 0.24, dist_tol=1e-9)
+    assert res.s == -524288.0 and res.converged and res.feasible
+    assert 1e-7 < res.distortion_per_symbol - 0.24 < 1e-6
+    assert res.target_met is False
+    assert solve_for_target_distortion(src, spec, 0.24).target_met is True

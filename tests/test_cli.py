@@ -1,12 +1,15 @@
+import functools
 import json
 import math
 
 import pytest
 
+from causalrd import cli, solver
 from causalrd.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     emit_csv,
     main,
@@ -269,3 +272,16 @@ def test_verify_at_distortion_floor_passes_dominance(tmp_path):
     report = json.loads((tmp_path / "v.csv.json").read_text())
     dominance = [c for c in report["checks"] if c["check"] == "dominance"][0]
     assert dominance["pass"] and math.isfinite(dominance["value"])
+
+
+def test_missed_distortion_target_exits_numerical(tmp_path, monkeypatch):
+    # at dist_tol 1e-9 the search at the floor stops at the multiplier cap,
+    # 4.3e-7 above the target, so the solve has target_met False
+    monkeypatch.setattr(cli, "solve_for_target_distortion",
+                        functools.partial(solver.solve_for_target_distortion, dist_tol=1e-9))
+    path = write_config(tmp_path, mode="target_d", D_target=0.24,
+                        source={"type": "iid", "px": [0.6, 0.4]},
+                        distortion={"single_letter": [[0.2, 0.200002], [0.5, 0.3]]})
+    out = tmp_path / "t.csv"
+    assert run(path, out=str(out)) == EXIT_NUMERICAL
+    assert out.read_text().splitlines()[1].split(",")[5] == "true"     # converged

@@ -1,9 +1,8 @@
 """Smoke test: the quick demos run to completion.
 
-Demos 01, 03, 05 and 06 together take a few seconds, so they run here as
-subprocesses.  Demos 02 (Markov curve against the block rate) and 04 (oracle
-bracketing down to grid 0.0125) take 10-20 s each and stay manual, e.g.
-``PYTHONPATH=src python demos/04_oracle_bracketing.py``.
+Demos 01, 03, 04, 05 and 06 together take a few seconds, so they run here as
+subprocesses.  Demo 02 (Markov curve against the block rate) takes about 5 s
+and stays manual: ``PYTHONPATH=src python demos/02_markov_causal_curve.py``.
 """
 import os
 import subprocess
@@ -18,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "01_classical_equivalence.py",
     "03_backward_recursion_anatomy.py",
+    "04_oracle_bracketing.py",
     "05_horizon_trend.py",
     "06_cli_workflow.py",
 ])

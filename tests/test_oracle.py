@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from causalrd import oracle
 from causalrd.baseline import blahut_arimoto
-from causalrd.errors import InvalidArgumentError, ResourceBudgetError
-from causalrd.measures import JointLaw, directed_information, joint_law
+from causalrd.errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
+from causalrd.measures import JointLaw, directed_information, joint_law, lagrangian_value
 from causalrd.model import (
     CausalPolicy,
+    DistortionSpec,
+    SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
     full_joint_source,
@@ -85,12 +89,11 @@ def test_brute_force_two_stage_brackets_solver():
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-11))
     solver_lagrangian = r.rate_nats + 2.0 * r.distortion_total
-    val, pol = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02))
+    val, _ = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02))
     assert val >= solver_lagrangian - 1e-9
     assert val <= solver_lagrangian + 5e-3
-    # refinement with the coarse argmin injected never increases the value
-    val2, _ = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.01),
-                                         seed_policy=pol)
+    # the 0.01 grid contains the 0.02 grid, so its minimum is no larger
+    val2, _ = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.01))
     assert val2 <= val + 1e-12
 
 
@@ -116,21 +119,69 @@ def test_brute_force_budget_guards():
                                    GridSpec(resolution=0.02, max_cells=100))
 
 
-def test_brute_force_rejects_off_grid_seed():
-    # the 0.05 argmin has rows such as [0.95, 0.05], which are not multiples
-    # of 1/50; seeding a 0.02 search with it used to return off-grid rows
-    src = binary_symmetric_markov(0.3, 2)
-    spec = hamming_distortion(src.alphabets)
-    _, coarse = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.05))
-    with pytest.raises(InvalidArgumentError, match="off the 0.02 grid"):
-        brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02),
-                                   seed_policy=coarse)
+def _grid_lagrangians(source, spec, s, grid):
+    """I(X -> Y) - s * total distortion of every two-stage binary policy with
+    rows on ``grid``, from the dense joint law p(x0, x1, y0, y1)."""
+    mu = source.kernels[0][0][:, None] * source.kernels[1]          # (x0, x1)
+    rho = (spec.stage_table(0)[:, None, :, None]
+           + spec.stage_table(1).reshape(2, 2, 2, 2))              # (x0, x1, y0, y1)
+    g = len(grid)
+    q1 = grid[np.array(list(itertools.product(range(g), repeat=8))).reshape(-1, 2, 2, 2)]
+    q1 = q1.transpose(0, 2, 3, 1, 4)          # (policy, x0, x1, y0, y1) from (y0, x^1, y1)
+    out = []
+    for a0, a1 in itertools.product(range(g), repeat=2):
+        q0 = grid[[a0, a1]]                                         # (x0, y0)
+        q = q0[None, :, None, :, None] * q1
+        p = mu[None, :, :, None, None] * q
+        log_q = np.log(q, out=np.zeros_like(q), where=p > 0)
+        py = p.sum(axis=(1, 2))
+        log_py = np.log(py, out=np.zeros_like(py), where=py > 0)
+        out.append((p * log_q).sum(axis=(1, 2, 3, 4)) - (py * log_py).sum(axis=(1, 2))
+                   - s * (p * rho).sum(axis=(1, 2, 3, 4)))
+    return np.concatenate(out)
 
 
-def test_brute_force_rejects_seed_with_other_alphabets():
-    src = binary_symmetric_markov(0.3, 2)
+def test_brute_force_two_stage_equals_literal_enumeration():
+    # every one of the 4^10 grid policies at resolution 1/3, on random
+    # full-history sources and stage-table distortions (one with ties)
+    rng = np.random.default_rng(8)
+    al = StageAlphabets(2, [2, 2], [2, 2])
+    grid = simplex_grid(2, 1.0 / 3.0)
+    for trial in range(4):
+        src = SourceModel(al, [rng.dirichlet(np.ones(2))[None, :],
+                               rng.dirichlet(np.ones(2), size=2)])
+        tables = [rng.uniform(0.0, 2.0, size=(2, 2)), rng.uniform(0.0, 2.0, size=(4, 4))]
+        if trial == 0:
+            tables = [np.round(t) for t in tables]
+        spec = DistortionSpec.stage_tables(al, tables)
+        s = float(rng.uniform(-4.0, -0.2))
+        val, pol = brute_force_lagrangian_min(src, spec, s, GridSpec(resolution=1.0 / 3.0))
+        assert abs(val - _grid_lagrangians(src, spec, s, grid).min()) < 1e-12
+        for k in pol.kernels:
+            assert all((grid == row).all(axis=1).any() for row in k.reshape(-1, 2))
+
+
+def test_brute_force_finds_the_fine_grid_minimum_on_the_fair_iid_source():
+    # a per-row descent stopped at 5.94e-5 above the infimum here; the exact
+    # 0.01 grid minimum is 5.6948e-6 above it
+    src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)
-    other = CausalPolicy.uniform(iid_source([0.5, 0.5], 2, y_size=4).alphabets)
-    with pytest.raises(InvalidArgumentError, match="alphabets"):
-        brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.02),
-                                   seed_policy=other)
+    r = fixed_point_solve(src, spec, SolverConfig(s=-1.0, fp_tol=1e-11))
+    val, _ = brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.01))
+    assert abs(val - (r.rate_nats + r.distortion_total) - 5.6948e-6) < 1e-9
+
+
+def test_brute_force_two_stage_needs_binary_second_output():
+    src = iid_source([0.5, 0.5], 2, y_size=3)
+    spec = DistortionSpec.single_letter(src.alphabets, np.ones((2, 3)))
+    with pytest.raises(InvalidArgumentError, match=r"\|Y_1\| = 3"):
+        brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.5))
+
+
+def test_brute_force_raises_when_the_measured_value_drifts(monkeypatch):
+    src = iid_source([0.5, 0.5], 2)
+    spec = hamming_distortion(src.alphabets)
+    monkeypatch.setattr(oracle, "lagrangian_value",
+                        lambda *args: lagrangian_value(*args) + 1e-6)
+    with pytest.raises(InternalConsistencyError, match="drifted"):
+        brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.1))

@@ -29,7 +29,6 @@ from causalrd.model import (
 )
 from causalrd import solver as solver_module
 from causalrd.solver import (
-    GTable,
     SolveResult,
     SolverConfig,
     backward_g,
@@ -75,7 +74,7 @@ def test_backward_g_zero_multiplier():
     src = binary_symmetric_markov(0.2, 3)
     spec = hamming_distortion(src.alphabets)
     g = backward_g(src, spec, uniform_nu(src.alphabets), 0.0)
-    for t in g.tables:
+    for t in g:
         assert np.max(np.abs(t)) < 1e-14
 
 
@@ -87,7 +86,7 @@ def test_backward_g_hand_value_per_remaining_stage():
         src = iid_source([0.5, 0.5], n_stages)
         spec = hamming_distortion(src.alphabets)
         g = backward_g(src, spec, uniform_nu(src.alphabets), -1.0)
-        for i, t in enumerate(g.tables):
+        for i, t in enumerate(g):
             remaining = n_stages - 1 - i
             assert np.max(np.abs(t - remaining * unit)) < 1e-12
 
@@ -135,8 +134,8 @@ def test_tilted_policy_shift_invariance():
     g = backward_g(src, spec, nu, -1.5)
     pol = tilted_policy(src, spec, nu, g, -1.5)
     rng = np.random.default_rng(5)
-    shifted = [t + rng.normal(size=(t.shape[0], 1)) for t in g.tables]
-    pol2 = tilted_policy(src, spec, nu, GTable(src.alphabets, shifted), -1.5)
+    shifted = [t + rng.normal(size=(t.shape[0], 1)) for t in g]
+    pol2 = tilted_policy(src, spec, nu, shifted, -1.5)
     for a, b in zip(pol.kernels, pol2.kernels):
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -213,7 +212,7 @@ def test_fixed_point_g_constant_for_iid():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-1.5, fp_tol=1e-12))
-    for t in r.g.tables:
+    for t in r.g:
         assert np.ptp(t) < 1e-9
 
 
