@@ -16,6 +16,8 @@ from .errors import InvalidArgumentError
 from .model import DistortionSpec
 
 S_MAGNITUDE_CAP = 1e6
+BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
+BLOCK_BA_TOL = 1e-12        # classical_block_rdf: Blahut-Arimoto tolerance
 
 
 def log_normalize(a: np.ndarray, axis: int):
@@ -34,6 +36,11 @@ def log_normalize(a: np.ndarray, axis: int):
     logz += m
     logz[dead] = -np.inf
     return logz, p
+
+
+def masked_log(p: np.ndarray) -> np.ndarray:
+    """log p, with -inf at the zero entries and no warning."""
+    return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
 
 
 def search_multiplier(probe, distortion, target, tol, failed=lambda point: False):
@@ -77,21 +84,20 @@ class BaPoint:
     converged: bool
 
 
-def _argmin_reproduction(px: np.ndarray, rho: np.ndarray):
-    """Best source-blind reproduction symbol and its expected distortion."""
-    col = px @ rho
-    y = int(np.argmin(col))        # ties -> lowest index
-    return y, float(col[y])
+def _zero_rate_distortion(px: np.ndarray, rho: np.ndarray) -> float:
+    """Expected distortion of the best source-blind reproduction symbol."""
+    return float((px @ rho).min())
 
 
 def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
                    max_iters: int = 500_000) -> BaPoint:
     """Parametric Blahut-Arimoto point at multiplier ``s``.
 
-    Alternates the tilted conditional q(y|x) ~ nu(y) exp(s rho(x,y)) with the
-    output marginal update until the marginal is stable in sup norm.  At
-    ``s = 0`` the zero-tilt family is degenerate and the distortion-minimizing
-    source-blind reproduction (rate 0) is returned.
+    Alternates the tilted conditional q(y|x) ~ nu(y) exp(s rho(x,y)), one
+    log-sum-exp per step, with the output marginal nu = px @ q, a plain
+    vector, until nu is stable in sup norm.  At ``s = 0`` the zero-tilt
+    family is degenerate and the distortion-minimizing source-blind
+    reproduction (rate 0) is returned.
     """
     px = np.asarray(px, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -105,33 +111,28 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
         raise InvalidArgumentError("multiplier s must be <= 0")
 
     if s == 0.0:
-        _, dmin = _argmin_reproduction(px, rho)
-        return BaPoint(0.0, 0.0, dmin, 1, True)
+        return BaPoint(0.0, 0.0, _zero_rate_distortion(px, rho), 1, True)
 
     ny = rho.shape[1]
-    ln_px = np.log(px, out=np.full_like(px, -np.inf), where=px > 0)
-    ln_nu = np.full(ny, -math.log(ny))
+    s_rho = s * rho
+    nu = np.full(ny, 1.0 / ny)
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        w = s * rho + ln_nu[None, :]
-        ln_q = w - log_normalize(w, axis=1)[0]
-        ln_nu_new = log_normalize(ln_px[:, None] + ln_q, axis=0)[0][0]
-        delta = float(np.max(np.abs(np.exp(ln_nu_new) - np.exp(ln_nu))))
-        ln_nu = ln_nu_new
+        nu_new = px @ log_normalize(s_rho + masked_log(nu), axis=1)[1]
+        delta = float(np.max(np.abs(nu_new - nu)))
+        nu = nu_new
         if delta <= tol:
             converged = True
             break
 
-    w = s * rho + ln_nu[None, :]
-    ln_z, q = log_normalize(w, axis=1)
+    ln_z, q = log_normalize(s_rho + masked_log(nu), axis=1)
     dist = float(np.sum(px[:, None] * q * rho))
     rate = s * dist - float(px @ ln_z[:, 0])
     return BaPoint(s, max(rate, 0.0), dist, it, converged)
 
 
-def classical_block_rdf(mu, spec: DistortionSpec, d_target: float,
-                        dist_tol: float = 1e-9, ba_tol: float = 1e-12) -> float:
+def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     """Classical block rate (total nats) at per-symbol distortion ``d_target``.
 
     Runs Blahut-Arimoto on the trajectory super-alphabets with the
@@ -154,15 +155,15 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float,
     dmat = spec.total_table()      # budget-guarded
     target_total = d_target * n
 
-    _, dmax_total = _argmin_reproduction(mu, dmat)
+    dmax_total = _zero_rate_distortion(mu, dmat)
     if target_total >= dmax_total - 1e-12:
         return 0.0
     dmin_total = float(mu @ dmat.min(axis=1))
     if target_total < dmin_total - 1e-12:
         return math.inf
 
-    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s, tol=ba_tol),
-                             lambda p: p.distortion, target_total, dist_tol)
+    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s, tol=BLOCK_BA_TOL),
+                             lambda p: p.distortion, target_total, BLOCK_DIST_TOL)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)
     return max(rate, 0.0)

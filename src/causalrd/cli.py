@@ -390,8 +390,9 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
              "R_per_symbol_nats": p.rate_per_symbol_nats,
              "sweeps": p.sweeps, "converged": p.converged,
              "residual": p.residual,
-             **({"error": p.error} if p.error else {})}
-            for p in points
+             **({"error": p.error} if p.error else {}),
+             **({} if r is None else {"target_met": r.target_met})}
+            for p, (_, _, r) in zip(points, solves)
         ]
     except CausalRdError as e:
         report["error"] = str(e)

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import log_normalize, search_multiplier
+from .baseline import log_normalize, masked_log, search_multiplier
 from .errors import (
     DegenerateMarginalError,
     InternalConsistencyError,
@@ -83,11 +83,6 @@ class SolveResult:
     residual: float
     feasible: bool = True
     target_met: bool = True
-
-    @property
-    def rate_per_symbol_nats(self) -> float:
-        n = self.policy.alphabets.n_stages if self.policy is not None else 1
-        return self.rate_nats / n
 
 
 @dataclass
@@ -166,8 +161,7 @@ class _Passes:
         """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
         log Z_i(x^i, y^{i-1}), from one exponent and one max shift."""
         sy, xp, sx, yp = self.shapes[i]
-        log_nu = np.log(nu.T, out=np.full((sy, yp), -np.inf), where=nu.T > 0)
-        e = np.subtract(self.s_rho[i] + log_nu[:, None, None, :], self._y_major(g, i),
+        e = np.subtract(self.s_rho[i] + masked_log(nu.T)[:, None, None, :], self._y_major(g, i),
                         order="C")
         logz, q = log_normalize(e.reshape(sy, xp * sx, yp), axis=0)
         if logz.min() == -np.inf:
@@ -329,25 +323,26 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
                            converged=True, residual=0.0)
 
     if config.nu_init == "uniform":
-        nu = MarginalProcess.uniform(al)
+        tables = MarginalProcess.uniform(al).tables
     elif isinstance(config.nu_init, MarginalProcess):
-        nu = config.nu_init
+        tables = config.nu_init.tables
     else:
         raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
 
-    residual = math.inf
     converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        tables, masses, _, _ = passes.forward(passes.backward(nu.tables)[2])
-        nxt = MarginalProcess(al, tables, prefix_mass=masses)
-        residual = nxt.sup_distance(nu, reachable=[m > 0 for m in masses])
-        nu = nxt
+    for sweeps in range(1, config.max_sweeps + 1):      # max_sweeps >= 1
+        nxt, masses, _, _ = passes.forward(passes.backward(tables)[2])
+        # sup-norm change over the rows of positive prefix mass
+        residual = max((float(np.abs(new - old)[m > 0].max())
+                        for new, old, m in zip(nxt, tables, masses) if (m > 0).any()),
+                       default=0.0)
+        tables = nxt
         if residual <= config.fp_tol:
             converged = True
             break
 
-    g_tabs, logz, q = passes.backward(nu.tables)
+    nu = MarginalProcess(al, tables, prefix_mass=masses)
+    g_tabs, logz, q = passes.backward(tables)
     _, _, dist, bracket = passes.forward(q, g_tabs, logz)
     policy = passes.policy(q)
     rate = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
@@ -455,7 +450,9 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
         except Exception as exc:       # record, do not abort the sweep
             pts.append((CurvePoint(float(s), math.nan, math.nan, math.nan,
                                    0, False, math.nan, error=str(exc)), None))
-    pts.sort(key=lambda pr: (pr[0].distortion_per_symbol, pr[0].s))
+    # failed points (distortion nan) go last: nan compares false either way
+    pts.sort(key=lambda pr: (math.isnan(pr[0].distortion_per_symbol),
+                             pr[0].distortion_per_symbol, pr[0].s))
     curve = RdCurve(points=[p for p, _ in pts], results=[r for _, r in pts])
     _check_curve(curve, n)
     return curve

@@ -15,6 +15,7 @@ from causalrd.cli import (
     main,
     run,
 )
+from causalrd.errors import InternalConsistencyError
 from causalrd.solver import CurvePoint
 
 LN2 = math.log(2.0)
@@ -272,6 +273,7 @@ def test_verify_at_distortion_floor_passes_dominance(tmp_path):
     report = json.loads((tmp_path / "v.csv.json").read_text())
     dominance = [c for c in report["checks"] if c["check"] == "dominance"][0]
     assert dominance["pass"] and math.isfinite(dominance["value"])
+    assert report["points"][0]["target_met"] is True
 
 
 def test_missed_distortion_target_exits_numerical(tmp_path, monkeypatch):
@@ -285,3 +287,41 @@ def test_missed_distortion_target_exits_numerical(tmp_path, monkeypatch):
     out = tmp_path / "t.csv"
     assert run(path, out=str(out)) == EXIT_NUMERICAL
     assert out.read_text().splitlines()[1].split(",")[5] == "true"     # converged
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    assert report["points"][0]["target_met"] is False
+
+
+def test_numerical_failure_exits_numerical_with_an_error_report(tmp_path, monkeypatch,
+                                                                capsys):
+    def broken(source, spec, config):
+        raise InternalConsistencyError("fixed point looks broken")
+
+    monkeypatch.setattr(cli, "fixed_point_solve", broken)
+    out = tmp_path / "f.csv"
+    assert run(write_config(tmp_path), out=str(out)) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "f.csv.json").read_text())
+    assert "fixed point looks broken" in report["error"]
+    assert report["timings"]["solve_seconds"] >= 0.0
+    assert not out.exists()
+
+
+def test_curve_mode_failed_point_reads_nan_and_exits_numerical(tmp_path, monkeypatch):
+    real = solver.fixed_point_solve
+
+    def failing_at_minus_one(source, spec, config):
+        if config.s == -1.0:
+            raise InternalConsistencyError("injected")
+        return real(source, spec, config)
+
+    monkeypatch.setattr(solver, "fixed_point_solve", failing_at_minus_one)
+    path = write_config(tmp_path, mode="curve", s_values=[-0.5, -1.0, -2.0])
+    out = tmp_path / "c.csv"
+    assert run(path, out=str(out)) == EXIT_NUMERICAL
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    failed = [r for r in rows if r[0] == "-1"]
+    assert len(rows) == 3 and len(failed) == 1
+    assert failed[0][1:4] == ["nan", "nan", "nan"] and failed[0][5] == "false"
+    points = json.loads((tmp_path / "c.csv.json").read_text())["points"]
+    assert [p["target_met"] for p in points if "error" not in p] == [True, True]
+    assert [p["s"] for p in points if "error" in p and "target_met" not in p] == [-1.0]

@@ -1,8 +1,9 @@
 """Smoke test: the quick demos run to completion.
 
 Demos 01, 03, 04, 05 and 06 together take a few seconds, so they run here as
-subprocesses.  Demo 02 (Markov curve against the block rate) takes about 5 s
-and stays manual: ``PYTHONPATH=src python demos/02_markov_causal_curve.py``.
+subprocesses.  Demo 02 (Markov curve against the block rate) takes about 7 s
+on a 2-core host and stays manual:
+``PYTHONPATH=src python demos/02_markov_causal_curve.py``.
 """
 import os
 import subprocess

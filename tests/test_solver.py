@@ -475,6 +475,36 @@ def test_trace_curve_multiplier_monotonicity():
         assert a.rate_total_nats >= b.rate_total_nats - 1e-9
 
 
+def test_trace_curve_records_a_failed_point_and_checks_the_rest(monkeypatch):
+    src = binary_symmetric_markov(0.3, 2)
+    spec = hamming_distortion(src.alphabets)
+    good = trace_curve(src, spec, [-0.5, -2.0, -4.0, -8.0])
+    real = solver_module.fixed_point_solve
+
+    def failing_at_minus_one(source, spec, config):
+        if config.s == -1.0:
+            raise InternalConsistencyError("injected")
+        return real(source, spec, config)
+
+    monkeypatch.setattr(solver_module, "fixed_point_solve", failing_at_minus_one)
+    # the failed point sits between two solved ones in the multiplier order
+    curve = trace_curve(src, spec, [-0.5, -1.0, -2.0, -4.0, -8.0])
+    failed = [k for k, p in enumerate(curve.points) if p.error]
+    assert len(failed) == 1
+    p = curve.points[failed[0]]
+    assert p.s == -1.0 and "injected" in p.error
+    assert math.isnan(p.distortion_per_symbol) and math.isnan(p.rate_total_nats)
+    assert not p.converged and p.sweeps == 0
+    assert curve.results[failed[0]] is None
+    rest = [(q, r) for k, (q, r) in enumerate(zip(curve.points, curve.results))
+            if k != failed[0]]
+    assert [q for q, _ in rest] == good.points
+    assert all(r.converged and r.s == q.s for q, r in rest)
+    for key in ("monotone_ok", "monotone_worst", "convex_ok", "convex_worst",
+                "slope_worst_rel_err"):
+        assert getattr(curve, key) == getattr(good, key)
+
+
 def test_trace_curve_empty_rejected():
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
