@@ -61,7 +61,7 @@ print("Markov-chain residuals of the solved joint:",
       " ".join(f"{r:.1e}" for r in residuals))
 
 # and first-order optimal: no feasible direction lowers the Lagrangian
-dec = verify_stationarity(src, spec, res, n_perturbations=200, epsilon=1e-3, seed=3)
+dec = verify_stationarity(src, spec, res, n_perturbations=200, seed=3)
 print(f"max Lagrangian decrease over 200 random feasible perturbations: {dec:.2e}")
 print(f"closed-form rate vs directed information gap: "
       f"{abs(res.rate_nats - directed_information(mu, res.policy)):.2e}")

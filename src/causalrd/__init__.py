@@ -19,7 +19,6 @@ from .errors import (
 from .model import (
     CausalPolicy,
     DistortionSpec,
-    Horizon,
     SourceModel,
     StageAlphabets,
     binary_symmetric_markov,

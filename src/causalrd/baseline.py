@@ -18,6 +18,7 @@ from .model import DistortionSpec
 S_MAGNITUDE_CAP = 1e6
 BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
 BLOCK_BA_TOL = 1e-12        # classical_block_rdf: Blahut-Arimoto tolerance
+BA_MAX_ITERS = 500_000      # blahut_arimoto: iterations before it reports no convergence
 
 
 def log_normalize(a: np.ndarray, axis: int):
@@ -89,8 +90,7 @@ def _zero_rate_distortion(px: np.ndarray, rho: np.ndarray) -> float:
     return float((px @ rho).min())
 
 
-def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
-                   max_iters: int = 500_000) -> BaPoint:
+def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     """Parametric Blahut-Arimoto point at multiplier ``s``.
 
     Alternates the tilted conditional q(y|x) ~ nu(y) exp(s rho(x,y)), one
@@ -118,7 +118,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11,
     nu = np.full(ny, 1.0 / ny)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, BA_MAX_ITERS + 1):
         nu_new = px @ log_normalize(s_rho + masked_log(nu), axis=1)[1]
         delta = float(np.max(np.abs(nu_new - nu)))
         nu = nu_new

@@ -28,7 +28,6 @@ from .errors import CausalRdError, ConfigError, InvalidArgumentError, ResourceBu
 from .measures import joint_law, markov_chain_check
 from .model import (
     DistortionSpec,
-    Horizon,
     SourceModel,
     StageAlphabets,
     full_joint_source,
@@ -103,6 +102,10 @@ def _integer(v) -> bool:
     return _real(v) and float(v).is_integer()
 
 
+def _positive_integer(v) -> bool:
+    return _integer(v) and v >= 1
+
+
 def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
 
@@ -124,7 +127,7 @@ def _build_source(cfg: dict, horizon: int, y_sizes) -> SourceModel:
     if kind == "general":
         x_sizes = _need(src_cfg, "x_sizes", "$.source", list)
         kernels = _need(src_cfg, "kernels", "$.source", list)
-        al = StageAlphabets(Horizon(horizon), x_sizes, y_sizes if y_sizes else x_sizes)
+        al = StageAlphabets(horizon, x_sizes, y_sizes if y_sizes else x_sizes)
         return SourceModel(al, [np.asarray(k, dtype=float) for k in kernels],
                            memory=src_cfg.get("memory", "full"))
     raise ConfigError(f"$.source.type must be one of iid|markov|general, got {kind!r}")
@@ -172,14 +175,15 @@ def load_config(path: str, mode: Optional[str] = None,
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    if raw.get("schema_version") != 1:
+    if isinstance(raw.get("schema_version"), bool) or raw.get("schema_version") != 1:
         raise ConfigError("$.schema_version must be 1")
 
-    horizon = _need(raw, "horizon", "$", int)
-    if horizon < 1:
-        raise ConfigError("$.horizon must be >= 1")
+    horizon = _need(raw, "horizon", "$")
+    if not _positive_integer(horizon):
+        raise ConfigError("$.horizon must be an integer >= 1")
+    horizon = int(horizon)
     y_sizes = _opt(raw, "y_sizes", "$", lambda v: isinstance(v, list) and len(v) == horizon
-                   and all(_integer(c) and c >= 1 for c in v),
+                   and all(_positive_integer(c) for c in v),
                    "a list of one integer >= 1 per stage")
     if mode is None:
         mode = _need(raw, "mode", "$", str)
@@ -219,9 +223,11 @@ def load_config(path: str, mode: Optional[str] = None,
                       "a nonempty list of numbers <= 0"),
         d_target=_opt(raw, "D_target", "$", lambda v: _real(v) and v >= 0,
                       "a number >= 0", float),
-        horizons=_opt(raw, "horizons", "$", _list_of(lambda v: _integer(v) and v >= 1),
+        horizons=_opt(raw, "horizons", "$", _list_of(_positive_integer),
                       "a nonempty list of integers >= 1", lambda v: [int(h) for h in v]),
-        out_format=fmt, out_path=out.get("path"), units=units)
+        out_format=fmt, out_path=_opt(out, "path", "$.output", lambda v: isinstance(v, str),
+                                      "a string"),
+        units=units)
     _require_mode_fields(rc)
     if mode == "horizon_sweep":
         rc.problems = []
@@ -321,8 +327,7 @@ def _run_checks(names, solves, curve, seed: int):
             ok = value < tol
         elif name == "stationarity":
             tol = 1e-8
-            value = max((verify_stationarity(src, spec, r, n_perturbations=100,
-                                             epsilon=1e-3, seed=seed)
+            value = max((verify_stationarity(src, spec, r, n_perturbations=100, seed=seed)
                          for src, spec, r in solved if r.s), default=None)
             ok = value is None or value <= tol
         else:

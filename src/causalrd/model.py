@@ -1,4 +1,4 @@
-"""Finite-alphabet problem data: horizons, history codes, sources, distortions, policies.
+"""Finite-alphabet problem data: alphabets, history codes, sources, distortions, policies.
 
 Every module in the package shares one indexing contract: a length-``k``
 prefix ``(u_0, ..., u_{k-1})`` over per-stage alphabet sizes
@@ -69,62 +69,54 @@ def decode_history(code: int, sizes) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Horizon and alphabets
+# Alphabets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Horizon:
-    """Number of stages (time indices 0..n_stages-1) plus a table budget.
-
-    ``entry_budget`` bounds the number of scalar entries in any dense
-    full-history table derived from this horizon; constructions that would
-    exceed it raise :class:`ResourceBudgetError`.
-    """
-    n_stages: int
-    entry_budget: int = DEFAULT_ENTRY_BUDGET
-
-    def __post_init__(self):
-        if self.n_stages < 1:
-            raise InvalidArgumentError("n_stages must be >= 1")
-        if self.entry_budget < 1:
-            raise InvalidArgumentError("entry_budget must be positive")
+def _count(v, what: str) -> int:
+    """``v`` as an int >= 1: an integer or an integral float, not a bool."""
+    if isinstance(v, (float, np.floating)):
+        ok = float(v).is_integer()                   # False for nan and inf
+    else:
+        ok = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if not ok or v < 1:
+        raise InvalidArgumentError(f"{what} must be an integer >= 1, got {v!r}")
+    return int(v)
 
 
 class StageAlphabets:
-    """Per-stage source and reproduction alphabet sizes.
+    """Stage count and per-stage source and reproduction alphabet sizes.
 
     Parameters
     ----------
-    horizon : Horizon or int
-        Stage count; an int is promoted with the default budget.
+    n_stages : int
+        Number of stages (time indices 0..n_stages-1).
     x_sizes, y_sizes : sequence of int
         Alphabet sizes |X_i| and |Y_i|, one per stage.
+    entry_budget : int
+        Bound on the scalar entries of any dense full-history table derived
+        from these alphabets; constructions that would exceed it raise
+        :class:`ResourceBudgetError`.
+
+    Counts and sizes must be integers (an integral float is accepted).
     """
 
-    def __init__(self, horizon, x_sizes, y_sizes):
-        if isinstance(horizon, int):
-            horizon = Horizon(horizon)
-        self.horizon = horizon
-        n = horizon.n_stages
-        x_sizes = [int(c) for c in x_sizes]
-        y_sizes = [int(c) for c in y_sizes]
-        if len(x_sizes) != n or len(y_sizes) != n:
+    def __init__(self, n_stages, x_sizes, y_sizes, entry_budget=DEFAULT_ENTRY_BUDGET):
+        self.n_stages = n = _count(n_stages, "n_stages")
+        self.entry_budget = _count(entry_budget, "entry_budget")
+        self.x_sizes = [_count(c, "x_sizes entry") for c in x_sizes]
+        self.y_sizes = [_count(c, "y_sizes entry") for c in y_sizes]
+        if len(self.x_sizes) != n or len(self.y_sizes) != n:
             raise InvalidArgumentError(
-                f"need {n} per-stage sizes, got {len(x_sizes)} x / {len(y_sizes)} y")
-        if any(c < 1 for c in x_sizes) or any(c < 1 for c in y_sizes):
-            raise InvalidArgumentError("alphabet sizes must be >= 1")
-        self.x_sizes = x_sizes
-        self.y_sizes = y_sizes
-        # pair table (|X^{n-1}| * |Y^{n-1}|) is the largest derived table
-        if self.x_trajectories() * self.y_trajectories() > horizon.entry_budget:
-            raise ResourceBudgetError(
-                f"full-history pair table needs "
-                f"{self.x_trajectories() * self.y_trajectories()} entries, "
-                f"budget is {horizon.entry_budget}")
-
-    @property
-    def n_stages(self) -> int:
-        return self.horizon.n_stages
+                f"need {n} per-stage sizes, got {len(self.x_sizes)} x / {len(self.y_sizes)} y")
+        # pair table (|X^{n-1}| * |Y^{n-1}|) is the largest derived table;
+        # stop at the budget so a long horizon forms no huge integer
+        entries = 1
+        for c in self.x_sizes + self.y_sizes:
+            entries *= c
+            if entries > self.entry_budget:
+                raise ResourceBudgetError(
+                    f"full-history pair table of {n} stages needs more than "
+                    f"{self.entry_budget} entries (the budget)")
 
     def x_hist_size(self, stage: int) -> int:
         """Number of x-prefixes x^stage (stage = -1 gives the empty prefix)."""
@@ -271,7 +263,7 @@ def full_joint_source(source: SourceModel) -> np.ndarray:
     result sums to 1 within 1e-10 for a valid source.
     """
     al = source.alphabets
-    budget = al.horizon.entry_budget
+    budget = al.entry_budget
     if al.x_trajectories() > budget:
         raise ResourceBudgetError(
             f"source trajectory table needs {al.x_trajectories()} entries, "
@@ -371,7 +363,7 @@ class DistortionSpec:
         """Dense d(x^n, y^n) over full trajectory codes (budget permitting)."""
         al = self.alphabets
         nx, ny = al.x_trajectories(), al.y_trajectories()
-        if nx * ny > al.horizon.entry_budget:
+        if nx * ny > al.entry_budget:
             raise ResourceBudgetError("total distortion table exceeds entry budget")
         total = np.zeros((nx, ny))
         for i in range(al.n_stages):
@@ -482,19 +474,18 @@ def validate_policy(policy: CausalPolicy) -> list[RowViolation]:
 # Source factories
 # ---------------------------------------------------------------------------
 
-def iid_source(px, n_stages: int, y_size=None, entry_budget=DEFAULT_ENTRY_BUDGET) -> SourceModel:
+def iid_source(px, n_stages: int, y_size=None) -> SourceModel:
     """IID source with per-stage law ``px``; reproduction alphabet of
     ``y_size`` symbols (defaults to len(px))."""
     px = np.asarray(px, dtype=float)
     sx = px.shape[0]
     sy = sx if y_size is None else int(y_size)
-    al = StageAlphabets(Horizon(n_stages, entry_budget), [sx] * n_stages, [sy] * n_stages)
+    al = StageAlphabets(n_stages, [sx] * n_stages, [sy] * n_stages)
     kernels = [px[None, :]] * n_stages
     return SourceModel(al, kernels, memory=0)
 
 
-def markov_source(init, transition, n_stages: int, y_size=None,
-                  entry_budget=DEFAULT_ENTRY_BUDGET) -> SourceModel:
+def markov_source(init, transition, n_stages: int, y_size=None) -> SourceModel:
     """First-order homogeneous Markov source with initial law ``init`` and
     row-stochastic ``transition``."""
     init = np.asarray(init, dtype=float)
@@ -503,16 +494,15 @@ def markov_source(init, transition, n_stages: int, y_size=None,
     if transition.shape != (sx, sx):
         raise InvalidArgumentError("transition must be square and match init")
     sy = sx if y_size is None else int(y_size)
-    al = StageAlphabets(Horizon(n_stages, entry_budget), [sx] * n_stages, [sy] * n_stages)
+    al = StageAlphabets(n_stages, [sx] * n_stages, [sy] * n_stages)
     kernels = [init[None, :]] + [transition] * (n_stages - 1)
     return SourceModel(al, kernels, memory=1)
 
 
-def binary_symmetric_markov(flip: float, n_stages: int,
-                            entry_budget=DEFAULT_ENTRY_BUDGET) -> SourceModel:
+def binary_symmetric_markov(flip: float, n_stages: int) -> SourceModel:
     """Binary Markov chain flipping with probability ``flip``, uniform start."""
     t = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
-    return markov_source([0.5, 0.5], t, n_stages, entry_budget=entry_budget)
+    return markov_source([0.5, 0.5], t, n_stages)
 
 
 def hamming_distortion(alphabets: StageAlphabets) -> DistortionSpec:

@@ -34,6 +34,10 @@ from .measures import MarginalProcess, directed_information, lagrangian_value
 from .model import (CausalPolicy, DistortionSpec, SourceModel,
                     decode_history, full_joint_source)
 
+RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
+CURVE_TOL = 1e-9             # rate rise and chord excess a curve's checks allow
+STATIONARITY_EPSILON = 1e-3  # verify_stationarity: step toward each random kernel
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -53,9 +57,9 @@ class SolverConfig:
     max_sweeps: int = 10_000
 
     def __post_init__(self):
-        if self.s > 0:
-            raise InvalidArgumentError("multiplier s must be <= 0")
-        if self.fp_tol <= 0:
+        if not -math.inf < self.s <= 0:              # also refuses nan
+            raise InvalidArgumentError("multiplier s must be a finite number <= 0")
+        if not self.fp_tol > 0:
             raise InvalidArgumentError("fp_tol must be positive")
         if self.max_sweeps < 1:
             raise InvalidArgumentError("max_sweeps must be >= 1")
@@ -213,8 +217,8 @@ class _Passes:
         return tables, masses, dist, bracket
 
     def policy(self, q) -> CausalPolicy:
-        return CausalPolicy(self.al, [np.ascontiguousarray(k.transpose(2, 1, 0)) for k in q],
-                            validate=False)
+        """The kernels ``q`` as a policy, each a view of its y-major table."""
+        return CausalPolicy(self.al, [k.transpose(2, 1, 0) for k in q], validate=False)
 
 
 def _kernels(policy: CausalPolicy):     # in the y-major layout of _Passes
@@ -352,8 +356,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
                        sweeps_used=sweeps, converged=converged, residual=residual)
 
 
-def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True,
-                      check_tol=1e-6):
+def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True):
     """Closed-form block rate s*D_total - sum_i E[g_i + log Z_i].  With
     ``check`` it is compared with the directed information of the policy on
     the dense laws, which only a fixed point makes equal."""
@@ -362,10 +365,10 @@ def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True,
         rate = 0.0
     if check:
         gap = abs(rate - directed_information(full_joint_source(source), policy))
-        if gap > check_tol:
+        if not gap <= RATE_CHECK_TOL:                # a nan gap fails too
             raise InternalConsistencyError(
                 f"closed-form rate and directed information differ by {gap:.3e} "
-                f"(tolerance {check_tol:.1e}); the fixed point looks broken")
+                f"(tolerance {RATE_CHECK_TOL:.1e}); the fixed point looks broken")
     return rate
 
 
@@ -458,13 +461,13 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
     return curve
 
 
-def _check_curve(curve: RdCurve, n_stages: int, tol: float = 1e-9):
+def _check_curve(curve: RdCurve, n_stages: int):
     good = [p for p in curve.points if p.converged and math.isfinite(p.rate_total_nats)]
     for a, b in zip(good, good[1:]):
         drop = b.rate_total_nats - a.rate_total_nats
         if drop > curve.monotone_worst:
             curve.monotone_worst = drop
-    curve.monotone_ok = curve.monotone_worst <= tol
+    curve.monotone_ok = curve.monotone_worst <= CURVE_TOL
     for a, b, c in zip(good, good[1:], good[2:]):
         da, db, dc = (p.distortion_per_symbol for p in (a, b, c))
         if dc - da < 1e-12:
@@ -474,7 +477,7 @@ def _check_curve(curve: RdCurve, n_stages: int, tol: float = 1e-9):
         excess = b.rate_total_nats - chord
         if excess > curve.convex_worst:
             curve.convex_worst = excess
-    curve.convex_ok = curve.convex_worst <= tol
+    curve.convex_ok = curve.convex_worst <= CURVE_TOL
     rel = []
     for a, b, c in zip(good, good[1:], good[2:]):
         dd = (c.distortion_per_symbol - a.distortion_per_symbol) * n_stages
@@ -486,21 +489,18 @@ def _check_curve(curve: RdCurve, n_stages: int, tol: float = 1e-9):
 
 
 def rate_limit_estimate(source_family: Callable[[int], SourceModel],
-                        spec_family, d_target: float,
+                        rho, d_target: float,
                         horizons: Sequence[int], **solver_kwargs) -> list:
-    """Per-symbol rates of the target-distortion solve across horizons.
-
-    ``spec_family`` is either a DistortionSpec factory ``horizon -> spec`` or
-    a single-letter table reused at every horizon.  The trend is reported, not
-    asserted.
+    """Per-symbol rates of the target-distortion solve across horizons,
+    under the single-letter distortion table ``rho`` at every horizon.  The
+    trend is reported, not asserted.
     """
     if list(horizons) != sorted(horizons):
         raise InvalidArgumentError("horizons must be ascending")
     rates = []
     for h in horizons:
         src = source_family(int(h))
-        spec = (spec_family(int(h)) if callable(spec_family)
-                else DistortionSpec.single_letter(src.alphabets, spec_family))
+        spec = DistortionSpec.single_letter(src.alphabets, rho)
         res = solve_for_target_distortion(src, spec, d_target, **solver_kwargs)
         rates.append(res.rate_nats / src.alphabets.n_stages)
     return rates
@@ -512,12 +512,12 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
 
 def verify_stationarity(source: SourceModel, spec: DistortionSpec,
                         result: SolveResult, n_perturbations: int = 100,
-                        epsilon: float = 1e-3, seed: int = 0) -> float:
+                        seed: int = 0) -> float:
     """Largest Lagrangian decrease over random feasible kernel perturbations.
 
     Directions are per-stage rows redrawn uniformly on the simplex; the probe
-    policy is q* + epsilon (q_random - q*).  At a first-order optimum the
-    returned value is nonpositive up to o(epsilon).
+    policy is q* + eps (q_random - q*) with eps = STATIONARITY_EPSILON.  At a
+    first-order optimum the returned value is nonpositive up to o(eps).
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")
@@ -529,7 +529,7 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
         ks = []
         for i, k in enumerate(result.policy.kernels):
             rand = rng.dirichlet(np.ones(k.shape[-1]), size=k.shape[:-1])
-            ks.append((1.0 - epsilon) * k + epsilon * rand)
+            ks.append((1.0 - STATIONARITY_EPSILON) * k + STATIONARITY_EPSILON * rand)
         probe = CausalPolicy(al, ks, validate=False)
         worst = max(worst, base - lagrangian_value(source, spec, probe, result.s))
     return worst if n_perturbations else 0.0

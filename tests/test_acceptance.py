@@ -92,7 +92,7 @@ def crit2_solves():
         s = float(rng.uniform(-4.0, -0.2))
         res = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12,
                                                         max_sweeps=500_000))
-        ba = blahut_arimoto(px, rho, s, tol=1e-12, max_iters=500_000)
+        ba = blahut_arimoto(px, rho, s, tol=1e-12)
         out.append((src, spec, s, res, ba))
     return out
 
@@ -308,7 +308,7 @@ def test_criterion_7_first_order_optimality():
     checked = 0
     for c in crit3_solves():
         dec = verify_stationarity(c["src"], c["spec"], c["res"],
-                                  n_perturbations=100, epsilon=1e-3, seed=11)
+                                  n_perturbations=100, seed=11)
         worst = max(worst, dec)
         checked += 1
 
@@ -321,8 +321,7 @@ def test_criterion_7_first_order_optimality():
                             nu=r.nu, g=r.g, rate_nats=0.0, distortion_total=0.0,
                             distortion_per_symbol=0.0, sweeps_used=0,
                             converged=True, residual=0.0)
-    control = verify_stationarity(src, spec, corrupted, n_perturbations=100,
-                                  epsilon=1e-3, seed=11)
+    control = verify_stationarity(src, spec, corrupted, n_perturbations=100, seed=11)
 
     ok = worst <= 1e-8 and control > 1e-4
     assert report(7, "first-order optimality", ok,

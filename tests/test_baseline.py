@@ -188,7 +188,7 @@ def test_target_search_stops_at_the_multiplier_cap(monkeypatch):
 def test_block_rdf_search_stops_at_the_multiplier_cap(monkeypatch):
     probes = []
 
-    def fake(px, rho, s, tol=1e-11, max_iters=500_000):
+    def fake(px, rho, s, tol=1e-11):
         probes.append(s)
         return BaPoint(s, 1.0, 0.4, 1, True)       # total distortion, above 0.2
 

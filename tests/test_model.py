@@ -4,7 +4,6 @@ import pytest
 from causalrd.errors import InvalidArgumentError, ResourceBudgetError
 from causalrd.model import (
     DistortionSpec,
-    Horizon,
     SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
@@ -46,9 +45,29 @@ def test_encode_decode_roundtrip_exhaustive():
 
 def test_horizon_validation():
     with pytest.raises(InvalidArgumentError):
-        Horizon(0)
+        StageAlphabets(0, [], [])
     with pytest.raises(ResourceBudgetError):
-        StageAlphabets(Horizon(2, entry_budget=10), [2, 2], [2, 2])
+        StageAlphabets(2, [2, 2], [2, 2], entry_budget=10)
+    with pytest.raises(ResourceBudgetError):       # 4**10_000 entries, never formed
+        StageAlphabets(10_000, [2] * 10_000, [2] * 10_000)
+
+
+@pytest.mark.parametrize("n_stages, x_sizes, y_sizes", [
+    (2, [2.5, 2], [2, 2]),
+    (2, [2, 2], [2, True]),
+    (True, [2], [2]),
+    (2.5, [2, 2], [2, 2]),
+    (2, [2, float("nan")], [2, 2]),
+], ids=["x-fraction", "y-bool", "n-bool", "n-fraction", "x-nan"])
+def test_stage_alphabets_reject_non_integral_counts(n_stages, x_sizes, y_sizes):
+    with pytest.raises(InvalidArgumentError):
+        StageAlphabets(n_stages, x_sizes, y_sizes)
+
+
+def test_stage_alphabets_accept_integral_floats():
+    al = StageAlphabets(2.0, [2.0, np.int64(3)], [np.float64(2), 2])
+    assert (al.n_stages, al.x_sizes, al.y_sizes) == (2, [2, 3], [2, 2])
+    assert all(type(c) is int for c in [al.n_stages, *al.x_sizes, *al.y_sizes])
 
 
 def test_validate_source_clean():
@@ -171,11 +190,11 @@ def test_distortion_rejects_negative_and_nonfinite():
 
 
 def test_total_table_budget_guard():
-    al = StageAlphabets(Horizon(2, entry_budget=20), [2, 2], [2, 2])
+    al = StageAlphabets(2, [2, 2], [2, 2], entry_budget=20)
     spec = hamming_distortion(al)
     assert spec.total_table().shape == (4, 4)
     with pytest.raises(ResourceBudgetError):
-        StageAlphabets(Horizon(3, entry_budget=20), [2, 2, 2], [2, 2, 2])
+        StageAlphabets(3, [2, 2, 2], [2, 2, 2], entry_budget=20)
 
 
 def test_renormalization_on_ingestion():

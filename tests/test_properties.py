@@ -1,10 +1,13 @@
 """Property tests: invariants checked on randomly drawn problems."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalrd.baseline import blahut_arimoto
-from causalrd.model import DistortionSpec, iid_source
+from causalrd.baseline import blahut_arimoto, classical_block_rdf
+from causalrd.measures import directed_information, joint_law, markov_chain_check
+from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
+                            iid_source)
+from causalrd.oracle import exhaustive_directed_info
 from causalrd.solver import SolverConfig, fixed_point_solve
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
@@ -38,3 +41,44 @@ def test_blahut_arimoto_matches_the_one_stage_causal_solve(problem):
     assert ba.converged and r.converged
     assert abs(r.rate_nats - ba.rate_nats) <= 1e-9
     assert abs(r.distortion_per_symbol - ba.distortion) <= 1e-9
+
+
+def _row(nx):
+    """A probability row over ``nx`` symbols, zero entries allowed."""
+    return (st.lists(st.integers(0, 4), min_size=nx, max_size=nx)
+            .filter(lambda w: sum(w) > 0)
+            .map(lambda w: np.asarray(w, dtype=float) / sum(w)))
+
+
+@st.composite
+def causal_problems(draw):
+    """(source, single-letter spec, s): n and |X|, |Y| in 1..3, memory
+    "full", 0 or 1, rho in [0, 2] with ties, s in [-6, -0.25]."""
+    n = draw(st.integers(1, 3))
+    nx = draw(st.integers(1, 3))
+    ny = draw(st.integers(1, 3))
+    memory = draw(st.sampled_from(["full", 0, 1]))
+    al = StageAlphabets(n, [nx] * n, [ny] * n)
+    window = [i if memory == "full" else min(memory, i) for i in range(n)]
+    kernels = [np.array(draw(st.lists(_row(nx), min_size=nx ** w, max_size=nx ** w)))
+               for w in window]
+    rho = np.asarray(draw(st.lists(RHO_ENTRY, min_size=nx * ny, max_size=nx * ny)),
+                     dtype=float).reshape(nx, ny)
+    src = SourceModel(al, kernels, memory=memory)
+    return src, DistortionSpec.single_letter(al, rho), draw(st.floats(-6.0, -0.25))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(causal_problems())
+def test_solved_rate_is_the_directed_information_of_a_causal_policy(problem):
+    src, spec, s = problem
+    r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12))
+    assume(r.converged)
+    mu = full_joint_source(src)
+    joint = joint_law(mu, r.policy)
+    assert abs(r.rate_nats - directed_information(mu, r.policy)) <= 1e-8
+    if src.alphabets.n_stages <= 2:
+        assert abs(r.rate_nats - exhaustive_directed_info(joint)) <= 1e-8
+    # the classical block rate is a lower bound, within the CLI's dominance tolerance
+    assert classical_block_rdf(mu, spec, r.distortion_per_symbol) <= r.rate_nats + 1e-9
+    assert max(markov_chain_check(joint, v) for v in (1, 2, 3, 4)) <= 1e-10

@@ -505,6 +505,15 @@ def test_trace_curve_records_a_failed_point_and_checks_the_rest(monkeypatch):
         assert getattr(curve, key) == getattr(good, key)
 
 
+@pytest.mark.parametrize("settings", [
+    dict(s=0.5), dict(s=math.nan), dict(s=-math.inf), dict(s=-1.0, fp_tol=0.0),
+    dict(s=-1.0, fp_tol=math.nan), dict(s=-1.0, max_sweeps=0),
+], ids=["s-positive", "s-nan", "s-inf", "fp_tol-0", "fp_tol-nan", "max_sweeps-0"])
+def test_solver_config_rejects_out_of_range_settings(settings):
+    with pytest.raises(InvalidArgumentError):
+        SolverConfig(**settings)
+
+
 def test_trace_curve_empty_rejected():
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
@@ -556,7 +565,7 @@ def test_verify_stationarity_converged_optimum():
     src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-3.0, fp_tol=1e-12))
-    dec = verify_stationarity(src, spec, r, n_perturbations=100, epsilon=1e-3, seed=1)
+    dec = verify_stationarity(src, spec, r, n_perturbations=100, seed=1)
     assert dec <= 1e-8
 
 
@@ -570,5 +579,5 @@ def test_verify_stationarity_corrupted_negative_control():
                       nu=r.nu, g=r.g, rate_nats=0.0, distortion_total=0.0,
                       distortion_per_symbol=0.0, sweeps_used=0, converged=True,
                       residual=0.0)
-    dec = verify_stationarity(src, spec, bad, n_perturbations=100, epsilon=1e-3, seed=1)
+    dec = verify_stationarity(src, spec, bad, n_perturbations=100, seed=1)
     assert dec > 1e-4
