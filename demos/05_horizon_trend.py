@@ -3,6 +3,8 @@
 For a stationary, consistent source the per-symbol block rate settles as the
 horizon grows; the solver exposes the trend without asserting the limit.
 Short horizons overpay because the reproduction has less past to lean on.
+The solver's passes run over the source's one-symbol memory window rather
+than the whole source history, which keeps horizon 10 within a few seconds.
 """
 import numpy as np
 
@@ -11,7 +13,7 @@ from causalrd import binary_symmetric_markov, rate_limit_estimate
 HAMMING = 1.0 - np.eye(2)
 
 print("=== 0.3-flip binary Markov source, target distortion 0.1 ===")
-horizons = [1, 2, 3, 4, 5, 6]
+horizons = [1, 2, 3, 4, 5, 6, 8, 10]
 rates = rate_limit_estimate(lambda h: binary_symmetric_markov(0.3, h),
                             HAMMING, 0.1, horizons)
 print(f"  {'stages':>7} {'rate/symbol (nats)':>20} {'drop':>10}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -103,16 +104,19 @@ class StageAlphabets:
     def __init__(self, n_stages, x_sizes, y_sizes, entry_budget=DEFAULT_ENTRY_BUDGET):
         self.n_stages = n = _count(n_stages, "n_stages")
         self.entry_budget = _count(entry_budget, "entry_budget")
-        self.x_sizes = [_count(c, "x_sizes entry") for c in x_sizes]
-        self.y_sizes = [_count(c, "y_sizes entry") for c in y_sizes]
-        if len(self.x_sizes) != n or len(self.y_sizes) != n:
+        x_sizes, y_sizes = list(x_sizes), list(y_sizes)
+        if len(x_sizes) != n or len(y_sizes) != n:
             raise InvalidArgumentError(
-                f"need {n} per-stage sizes, got {len(self.x_sizes)} x / {len(self.y_sizes)} y")
+                f"need {n} per-stage sizes, got {len(x_sizes)} x / {len(y_sizes)} y")
         # pair table (|X^{n-1}| * |Y^{n-1}|) is the largest derived table;
-        # stop at the budget so a long horizon forms no huge integer
+        # sizes are counted and multiplied stage by stage, so a long horizon
+        # is refused at the first stage past the budget, before the rest is read
+        self.x_sizes, self.y_sizes = [], []
         entries = 1
-        for c in self.x_sizes + self.y_sizes:
-            entries *= c
+        for cx, cy in zip(x_sizes, y_sizes):
+            self.x_sizes.append(_count(cx, "x_sizes entry"))
+            self.y_sizes.append(_count(cy, "y_sizes entry"))
+            entries *= self.x_sizes[-1] * self.y_sizes[-1]
             if entries > self.entry_budget:
                 raise ResourceBudgetError(
                     f"full-history pair table of {n} stages needs more than "
@@ -234,15 +238,17 @@ class SourceModel:
         w = self.window_len(stage)
         return math.prod(self.alphabets.x_sizes[stage - w: stage])
 
-    def stage_rows(self, stage: int) -> np.ndarray:
-        """Kernel rows expanded to full-history indexing: shape
-        ``(x_hist_size(stage-1), x_sizes[stage])``."""
+    def stage_rows(self, stage: int, n_hist: Optional[int] = None) -> np.ndarray:
+        """Kernel rows expanded to ``n_hist`` history codes, each read modulo
+        the kernel's own row count: shape ``(n_hist, x_sizes[stage])``.  The
+        default is full-history indexing, ``n_hist = x_hist_size(stage-1)``;
+        any suffix window at least as long as the kernel's works the same."""
         k = self.kernels[stage]
-        full = self.alphabets.x_hist_size(stage - 1)
-        if k.shape[0] == full:
+        if n_hist is None:
+            n_hist = self.alphabets.x_hist_size(stage - 1)
+        if k.shape[0] == n_hist:
             return k
-        idx = np.arange(full) % k.shape[0]
-        return k[idx]
+        return k[np.arange(n_hist) % k.shape[0]]
 
 
 def validate_source(source: SourceModel) -> list[RowViolation]:

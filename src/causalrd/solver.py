@@ -9,9 +9,18 @@ recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
 sweeps of two passes until nu is stable: a backward pass yields g, log Z and
 the kernels q, a forward pass over the weights P(x^i, y^{i-1}) yields nu, and
-one more pair at the stable nu yields the distortion and the block rate.  The
-rate of a converged solve is cross-checked against the directed information of
-the solved policy, computed on the dense laws of :mod:`causalrd.measures`.
+one more pair at the stable nu yields the distortion and the block rate.
+
+Both passes run over (x-window, y^{i-1}) states.  For a source of integer
+memory m under a single-letter rho, the window at stage i is the last
+min(i+1, max(m, 1)) source symbols, because g_i and log Z_i depend on x^i
+through no more; otherwise it is all of x^i.  A stage-i table then has
+|Y| * |X|^{k_i} * |Y|^i entries, and the solved kernels and g tables are
+expanded to full x-history codes once, after the loop.  The rate of a
+converged solve is cross-checked against the directed information of the
+solved policy, computed on the dense full-history laws of
+:mod:`causalrd.measures`, so the entry budget of the alphabets still bounds
+every solve.
 
 All exponentials are evaluated in log space with max shifting; rates are in
 nats; ``s <= 0`` throughout.
@@ -134,36 +143,63 @@ class RdCurve:
 class _Passes:
     """The backward and forward pass of one sweep at multiplier ``s``.
 
-    A stage-i table over (x^i, y^i) is held y-major, as (y_i, x^i, y^{i-1}):
-    with the short y_i axis outermost, the max shift, the normalization and
-    the broadcasts all run along long contiguous rows.  In 4-D form
-    (y_i, x^{i-1}, x_i, y^{i-1}) a single-letter rho broadcasts as
-    rho[x_i, y_i], so no dense stage table is built.
+    Stage-i tables are indexed by (x-window, y^i) rather than (x^i, y^i).
+    With a source of integer memory m and a single-letter rho, g_i and
+    log Z_i depend on x^i only through its last k_i = min(i+1, max(m, 1))
+    symbols (by induction from g_{n-1} = 0: g_{i-1} averages log Z_i over a
+    source row that reads at most m symbols), so the window holds those.  In
+    every other case (``memory="full"``, stage tables, no spec, or
+    ``full=True`` for caller-supplied full tables) it holds all of x^i.  A
+    window code is the full code modulo the window size, so source rows,
+    policies and g tables expand to full-history codes by that modulo.  Once
+    the window is full its oldest symbol drops out between stages: the
+    forward pass sums it out, the backward pass keeps it as an axis of
+    g_{i-1}.
+
+    A stage-i table is held y-major, as (y_i, window_i, y^{i-1}), of
+    |Y| * |X|^{k_i} * |Y|^i entries: with the short y_i axis outermost, the
+    max shift, the normalization and the broadcasts all run along long
+    contiguous rows.  In 4-D form (y_i, window_i without x_i, x_i, y^{i-1})
+    a single-letter rho broadcasts as rho[x_i, y_i], so no dense stage table
+    is built.
     """
 
     def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
-                 s: float = 0.0):
+                 s: float = 0.0, full: bool = False):
         al = source.alphabets
+        n = al.n_stages
+        m = source.memory
+        windowed = (not full and spec is not None and spec.mode == "single_letter"
+                    and m != "full")
+        k = [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
         self.al = al
-        self.shapes = [(al.y_sizes[i], al.x_hist_size(i - 1), al.x_sizes[i],
-                        al.y_hist_size(i - 1)) for i in range(al.n_stages)]
+        self.win = [math.prod(al.x_sizes[i + 1 - k[i]: i + 1]) for i in range(n)]
+        self.shapes = [(al.y_sizes[i], self.win[i] // al.x_sizes[i], al.x_sizes[i],
+                        al.y_hist_size(i - 1)) for i in range(n)]
         self.rho = self.s_rho = None                  # no spec: forward pass only
         if spec is not None:
-            self.rho = ([spec.rho.T[:, None, :, None]] * al.n_stages
+            self.rho = ([spec.rho.T[:, None, :, None]] * n
                         if spec.mode == "single_letter"
                         else [self._y_major(t, i) for i, t in enumerate(spec.tables)])
             self.s_rho = [s * r for r in self.rho]
+        # P(x_0), then P(x_i | window_{i-1}) as (dropped symbol, rest of window_{i-1}, x_i)
         self.rows = [source.kernels[0][0][:, None]] + [
-            source.stage_rows(i) for i in range(1, al.n_stages)]
+            source.stage_rows(i, self.win[i - 1]).reshape(-1, self.shapes[i][1], al.x_sizes[i])
+            for i in range(1, n)]
 
     def _y_major(self, t, i):
-        """4-D y-major view of a stage-i table indexed (x^i, y^i)."""
+        """4-D y-major view of a stage-i table indexed (window_i, y^i)."""
         sy, xp, sx, yp = self.shapes[i]
         return t.reshape(xp, sx, yp, sy).transpose(3, 0, 1, 2)
 
+    def _full(self, t, i, axis):
+        """Stage-i table ``t`` with its window axis expanded to x^i codes."""
+        size = self.al.x_hist_size(i)
+        return t if size == self.win[i] else np.take(t, np.arange(size) % self.win[i], axis)
+
     def tilt(self, i, g, nu):
         """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
-        log Z_i(x^i, y^{i-1}), from one exponent and one max shift."""
+        log Z_i(window_i, y^{i-1}), from one exponent and one max shift."""
         sy, xp, sx, yp = self.shapes[i]
         e = np.subtract(self.s_rho[i] + masked_log(nu.T)[:, None, None, :], self._y_major(g, i),
                         order="C")
@@ -171,33 +207,32 @@ class _Passes:
         if logz.min() == -np.inf:
             _, xh, yh = np.nonzero(np.isneginf(logz))
             raise DegenerateMarginalError(
-                i, int(yh[0]), f"tilted normalizer vanished for x-history {int(xh[0])}")
+                i, int(yh[0]), f"tilted normalizer vanished for x-window {int(xh[0])}")
         return q, logz[0]
 
     def backward(self, nu_tables):
         """g tables, log normalizers and kernels, from the last stage down."""
-        al = self.al
-        n = al.n_stages
+        n = self.al.n_stages
         g, logz, q = [None] * n, [None] * n, [None] * n
-        g[n - 1] = np.zeros((al.x_hist_size(n - 1), al.y_hist_size(n - 1)))
+        g[n - 1] = np.zeros((self.win[n - 1], self.al.y_hist_size(n - 1)))
         for i in range(n - 1, -1, -1):
             q[i], logz[i] = self.tilt(i, g[i], nu_tables[i])
             if i > 0:
                 _, xp, sx, yp = self.shapes[i]
-                g[i - 1] = -np.einsum('ab,abc->ac', self.rows[i],
-                                      logz[i].reshape(xp, sx, yp))
+                g[i - 1] = -np.einsum('abx,bxc->abc', self.rows[i],
+                                      logz[i].reshape(xp, sx, yp)).reshape(-1, yp)
         return g, logz, q
 
     def forward(self, q, g=None, logz=None):
         """Output marginals nu_i and prefix masses P(y^{i-1}) induced by the
-        kernels ``q``, from the weights P(x^i, y^{i-1}) carried stage to
+        kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
         stage.  With ``g`` and ``logz`` it also returns the total distortion
         and sum_i E[g_i + log Z_i]; otherwise those two are None."""
         tables, masses = [], []
         dist = bracket = None if g is None else 0.0
         w = self.rows[0]                              # P(x^0, y^{-1})
         for i, (sy, xp, sx, yp) in enumerate(self.shapes):
-            joint = q[i] * w                          # P(y_i, x^i, y^{i-1})
+            joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
             py = joint.sum(axis=1).T                  # P(y^{i-1}, y_i)
             mass = py.sum(axis=1)
             tables.append(np.divide(py, mass[:, None], out=np.full((yp, sy), 1.0 / sy),
@@ -208,17 +243,27 @@ class _Passes:
                 dist += float(np.sum(j4 * self.rho[i]))
                 bracket += float(np.sum(j4 * self._y_major(g[i], i)) + np.vdot(w, logz[i]))
             if i + 1 < len(self.shapes):
-                # P(x^{i+1}, y^i), written with y_i innermost as its code requires
+                # P(window_{i+1}, y^i), written with y_i innermost as its code requires
                 rows = self.rows[i + 1]
-                w = np.empty((xp * sx, rows.shape[1], yp, sy))
-                for k in range(sy):
-                    np.multiply(joint[k][:, None, :], rows[:, :, None], out=w[..., k])
+                drop, xn, sxn = rows.shape
+                if drop > 1:                          # sum the oldest symbol out
+                    w = np.einsum('yabc,abx->bxcy', joint.reshape(sy, drop, xn, yp), rows)
+                else:
+                    w = np.empty((xn, sxn, yp, sy))
+                    for k in range(sy):
+                        np.multiply(joint[k][:, None, :], rows[0][:, :, None], out=w[..., k])
                 w = w.reshape(-1, yp * sy)
         return tables, masses, dist, bracket
 
     def policy(self, q) -> CausalPolicy:
-        """The kernels ``q`` as a policy, each a view of its y-major table."""
-        return CausalPolicy(self.al, [k.transpose(2, 1, 0) for k in q], validate=False)
+        """The kernels ``q`` as a policy over full x-histories, each a
+        transposed view of its y-major table (expanded first if windowed)."""
+        return CausalPolicy(self.al, [self._full(k, i, 1).transpose(2, 1, 0)
+                                      for i, k in enumerate(q)], validate=False)
+
+    def full_g(self, g) -> list:
+        """The g tables over full x-histories."""
+        return [self._full(t, i, 0) for i, t in enumerate(g)]
 
 
 def _kernels(policy: CausalPolicy):     # in the y-major layout of _Passes
@@ -236,7 +281,8 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
-    return _Passes(source, spec, s).backward(nu.tables)[0]
+    passes = _Passes(source, spec, s)
+    return passes.full_g(passes.backward(nu.tables)[0])
 
 
 def tilted_policy(source: SourceModel, spec: DistortionSpec,
@@ -248,7 +294,7 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
     unchanged (the normalizer absorbs it); at the terminal stage g is zero and
     the kernel reduces to the pure single-stage tilt.
     """
-    passes = _Passes(source, spec, s)
+    passes = _Passes(source, spec, s, full=True)
     return passes.policy([passes.tilt(i, g[i], nu.tables[i])[0]
                           for i in range(source.alphabets.n_stages)])
 
@@ -314,11 +360,9 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     """
     al = source.alphabets
     s = float(config.s)
-    passes = _Passes(source, spec, s)
-
     if s == 0.0:
         dmax, policy = d_max_policy(source, spec)
-        tables, masses, _, _ = passes.forward(_kernels(policy))
+        tables, masses, _, _ = _Passes(source).forward(_kernels(policy))
         g = [np.zeros((al.x_hist_size(i), al.y_hist_size(i))) for i in range(al.n_stages)]
         return SolveResult(s=0.0, policy=policy, g=g,
                            nu=MarginalProcess(al, tables, prefix_mass=masses),
@@ -333,6 +377,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     else:
         raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
 
+    passes = _Passes(source, spec, s)
     converged = False
     for sweeps in range(1, config.max_sweeps + 1):      # max_sweeps >= 1
         nxt, masses, _, _ = passes.forward(passes.backward(tables)[2])
@@ -350,7 +395,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     _, _, dist, bracket = passes.forward(q, g_tabs, logz)
     policy = passes.policy(q)
     rate = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
-    return SolveResult(s=s, policy=policy, nu=nu, g=g_tabs, rate_nats=rate,
+    return SolveResult(s=s, policy=policy, nu=nu, g=passes.full_g(g_tabs), rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged, residual=residual)
@@ -381,7 +426,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     (they coincide at an exact fixed point) and raises
     :class:`InternalConsistencyError` beyond 1e-6.
     """
-    passes = _Passes(source, spec, s)
+    passes = _Passes(source, spec, s, full=True)
     logz = [passes.tilt(i, g[i], nu.tables[i])[1] for i in range(source.alphabets.n_stages)]
     _, _, dist, bracket = passes.forward(_kernels(policy), g, logz)
     if distortion_total is None:

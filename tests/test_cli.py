@@ -239,11 +239,12 @@ STAGE_TABLES = {"stage_tables": [[[0, 1], [1, 0]],
     (dict(source={"type": "general", "x_sizes": [2.5, 2],
                   "kernels": [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}), "$.source"),
     (dict(output={"path": ["out.csv"]}), "$.output.path"),
+    (dict(horizon=10 ** 6), "$.source"),
 ], ids=["sweep-stage-tables", "negative-D", "fp_tol-0", "damping-2", "max_sweeps-0",
         "horizon-0", "fp_tol-string", "s-string", "s_values-string", "horizons-string",
         "rho-shape", "max_sweeps-huge", "horizons-over-budget", "damping-half",
         "memory-float", "horizon-bool", "schema_version-bool", "horizon-huge",
-        "x_sizes-fraction", "output-path-list"])
+        "x_sizes-fraction", "output-path-list", "horizon-over-budget"])
 def test_bad_config_exits_config_before_any_solve(tmp_path, capsys, overrides, field):
     out = tmp_path / "out.csv"
     assert run(write_config(tmp_path, **overrides), out=str(out)) == EXIT_CONFIG

@@ -1,8 +1,10 @@
 """Smoke test: the quick demos run to completion.
 
-Demos 01, 03, 04, 05 and 06 together take a few seconds, so they run here as
-subprocesses.  Demo 02 (Markov curve against the block rate) takes about 7 s
-on a 2-core host and stays manual:
+Demos 01, 03, 04, 05 and 06 together take about 8 s on a 2-core host, so they
+run here as subprocesses; demo 05, which solves a distortion target at
+horizons up to 10 (`rate_limit_estimate` at n=10 alone takes about 2 s),
+takes about 4 s of that.  Demo 02 (Markov curve against the block rate)
+takes about 8 s and stays manual:
 ``PYTHONPATH=src python demos/02_markov_causal_curve.py``.
 """
 import os

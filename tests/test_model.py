@@ -64,6 +64,22 @@ def test_stage_alphabets_reject_non_integral_counts(n_stages, x_sizes, y_sizes):
         StageAlphabets(n_stages, x_sizes, y_sizes)
 
 
+def test_budget_refuses_a_long_horizon_before_reading_its_later_stages(monkeypatch):
+    from causalrd import model
+    counted = []
+
+    def counting(v, what):
+        counted.append(what)
+        return real_count(v, what)
+
+    real_count = model._count
+    monkeypatch.setattr(model, "_count", counting)
+    # 4**13 < 1e8 < 4**14: the 14th stage passes the budget
+    with pytest.raises(ResourceBudgetError):
+        iid_source([0.5, 0.5], 10**6)
+    assert counted == ["n_stages", "entry_budget"] + ["x_sizes entry", "y_sizes entry"] * 14
+
+
 def test_stage_alphabets_accept_integral_floats():
     al = StageAlphabets(2.0, [2.0, np.int64(3)], [np.float64(2), 2])
     assert (al.n_stages, al.x_sizes, al.y_sizes) == (2, [2, 3], [2, 2])

@@ -8,7 +8,7 @@ from causalrd.measures import directed_information, joint_law, markov_chain_chec
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
                             iid_source)
 from causalrd.oracle import exhaustive_directed_info
-from causalrd.solver import SolverConfig, fixed_point_solve
+from causalrd.solver import SolverConfig, fixed_point_solve, trace_curve
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -82,3 +82,16 @@ def test_solved_rate_is_the_directed_information_of_a_causal_policy(problem):
     # the classical block rate is a lower bound, within the CLI's dominance tolerance
     assert classical_block_rdf(mu, spec, r.distortion_per_symbol) <= r.rate_nats + 1e-9
     assert max(markov_chain_check(joint, v) for v in (1, 2, 3, 4)) <= 1e-10
+
+
+# the checks read converged points only; a point that loses output support
+# converges slowly (ROADMAP item 2), so the sweep cap keeps the test short
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(causal_problems(), st.lists(st.floats(-6.0, -0.25), min_size=3, max_size=5,
+                                   unique=True))
+def test_traced_curve_is_monotone_and_convex(problem, s_values):
+    src, spec, _ = problem
+    curve = trace_curve(src, spec, s_values, fp_tol=1e-12, max_sweeps=2000)
+    assume(sum(p.converged for p in curve.points) >= 3)
+    assert curve.monotone_ok, curve.monotone_worst
+    assert curve.convex_ok, curve.convex_worst

@@ -336,6 +336,59 @@ def test_fused_passes_match_dense_measures(mode, memory):
 
 
 # ---------------------------------------------------------------------------
+# passes over the source's memory window against the full-history passes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sx, sy, n, memory, mode", [
+    (2, 2, 8, 1, "single_letter"),
+    (3, 3, 5, 2, "single_letter"),
+    (2, 3, 4, 0, "single_letter"),
+    (2, 2, 3, 5, "single_letter"),     # memory past the horizon: never full
+    (2, 2, 4, 1, "stage_tables"),      # rho over whole prefixes: full path
+], ids=["binary-m1", "ternary-m2", "m0-x2-y3", "m5-n3", "m1-stage-tables"])
+def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
+    rng = np.random.default_rng([23, sx, sy, n, memory, len(mode)])
+    al = StageAlphabets(n, [sx] * n, [sy] * n)
+    src = SourceModel(al, [rng.dirichlet(np.ones(sx), size=sx ** min(memory, i))
+                           for i in range(n)], memory=memory)
+    full = SourceModel(al, [src.kernels[0]] + [src.stage_rows(i) for i in range(1, n)])
+    if mode == "single_letter":
+        spec = DistortionSpec.single_letter(al, rng.uniform(0, 2, size=(sx, sy)))
+        window = [min(i + 1, max(memory, 1)) for i in range(n)]
+    else:
+        spec = DistortionSpec.stage_tables(
+            al, [rng.uniform(0, 2, size=(al.x_hist_size(i), al.y_hist_size(i)))
+                 for i in range(n)])
+        window = [i + 1 for i in range(n)]
+    nu = MarginalProcess(al, [rng.dirichlet(np.ones(sy), size=sy ** i) for i in range(n)])
+    s = -5.0
+
+    # one pass at a fixed nu
+    for a, b in zip(backward_g(src, spec, nu, s), backward_g(full, spec, nu, s)):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+    outs = []
+    for source in (src, full):
+        passes = solver_module._Passes(source, spec, s)
+        g, logz, q = passes.backward(nu.tables)
+        outs.append((passes.policy(q), passes.forward(q, g, logz)))
+        if source is src:
+            assert [k.shape for k in q] == [(sy, sx ** window[i], sy ** i) for i in range(n)]
+    (pol_w, (nu_w, mass_w, d_w, br_w)), (pol_f, (nu_f, mass_f, d_f, br_f)) = outs
+    for a, b in zip(pol_w.kernels + nu_w + mass_w, pol_f.kernels + nu_f + mass_f):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+    assert abs(d_w - d_f) <= 1e-12 and abs(br_w - br_f) <= 1e-12
+
+    # whole solves
+    rw, rf = (fixed_point_solve(x, spec, SolverConfig(s=s, fp_tol=1e-12)) for x in (src, full))
+    assert rw.converged and rf.converged
+    assert abs(rw.rate_nats - rf.rate_nats) <= 1e-9
+    assert abs(rw.distortion_total - rf.distortion_total) <= 1e-9
+    assert abs(rw.sweeps_used - rf.sweeps_used) <= 1
+    for a, b in zip(rw.g, rf.g):
+        assert a.shape == b.shape
+
+
+# ---------------------------------------------------------------------------
 # closed-form rate
 # ---------------------------------------------------------------------------
 
