@@ -173,6 +173,7 @@ class _Passes:
                     and m != "full")
         k = [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
         self.al = al
+        self.k = k
         self.win = [math.prod(al.x_sizes[i + 1 - k[i]: i + 1]) for i in range(n)]
         self.shapes = [(al.y_sizes[i], self.win[i] // al.x_sizes[i], al.x_sizes[i],
                         al.y_hist_size(i - 1)) for i in range(n)]
@@ -207,7 +208,8 @@ class _Passes:
         if logz.min() == -np.inf:
             _, xh, yh = np.nonzero(np.isneginf(logz))
             raise DegenerateMarginalError(
-                i, int(yh[0]), f"tilted normalizer vanished for x-window {int(xh[0])}")
+                i, int(yh[0]), f"tilted normalizer vanished for x-history code {int(xh[0])}"
+                f" (and every x-history sharing its last {self.k[i]} of {i + 1} symbols)")
         return q, logz[0]
 
     def backward(self, nu_tables):
@@ -243,15 +245,16 @@ class _Passes:
                 dist += float(np.sum(j4 * self.rho[i]))
                 bracket += float(np.sum(j4 * self._y_major(g[i], i)) + np.vdot(w, logz[i]))
             if i + 1 < len(self.shapes):
-                # P(window_{i+1}, y^i), written with y_i innermost as its code requires
+                # P(window_{i+1}, y^i), written with y_i innermost as its code
+                # requires; a full window's oldest symbol (axis a) is summed out.
+                # One y_i slice at a time reads joint contiguously and writes w
+                # in place, where a single einsum over all y_i would need a copy.
                 rows = self.rows[i + 1]
                 drop, xn, sxn = rows.shape
-                if drop > 1:                          # sum the oldest symbol out
-                    w = np.einsum('yabc,abx->bxcy', joint.reshape(sy, drop, xn, yp), rows)
-                else:
-                    w = np.empty((xn, sxn, yp, sy))
-                    for k in range(sy):
-                        np.multiply(joint[k][:, None, :], rows[0][:, :, None], out=w[..., k])
+                jd = joint.reshape(sy, drop, xn, yp)
+                w = np.empty((xn, sxn, yp, sy))
+                for k in range(sy):
+                    np.einsum('abc,abx->bxc', jd[k], rows, out=w[..., k])
                 w = w.reshape(-1, yp * sy)
         return tables, masses, dist, bracket
 

@@ -267,6 +267,9 @@ def test_fixed_point_zero_mass_nu_init_names_stage_and_row():
     with pytest.raises(DegenerateMarginalError, match="stage 2, y-history code 3") as err:
         fixed_point_solve(src, spec, cfg)
     assert (err.value.stage, err.value.y_history) == (2, 3)
+    # the memory-1 solve's tables read one symbol of x^2: the message says so
+    assert "x-history code 0 (and every x-history sharing its last 1 of 3 symbols)" \
+        in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +387,8 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
     assert abs(rw.rate_nats - rf.rate_nats) <= 1e-9
     assert abs(rw.distortion_total - rf.distortion_total) <= 1e-9
     assert abs(rw.sweeps_used - rf.sweeps_used) <= 1
-    for a, b in zip(rw.g, rf.g):
-        assert a.shape == b.shape
+    for a, b in zip(rw.g + rw.policy.kernels, rf.g + rf.policy.kernels):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
