@@ -35,6 +35,7 @@ from .model import (
     markov_source,
 )
 from .solver import (
+    CURVE_TOL,
     CurvePoint,
     SolverConfig,
     fixed_point_solve,
@@ -312,7 +313,7 @@ def _run_checks(names, solves, curve, seed: int):
                          for src, spec, r in solved), default=None)
             ok = value is None or value <= tol
         elif name == "convexity":
-            tol = 1e-9
+            tol = CURVE_TOL
             if curve is None:
                 value, ok, note = None, True, "no curve in this mode"
             else:

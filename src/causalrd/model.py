@@ -484,10 +484,11 @@ def iid_source(px, n_stages: int, y_size=None) -> SourceModel:
     """IID source with per-stage law ``px``; reproduction alphabet of
     ``y_size`` symbols (defaults to len(px))."""
     px = np.asarray(px, dtype=float)
+    n = _count(n_stages, "n_stages")
     sx = px.shape[0]
-    sy = sx if y_size is None else int(y_size)
-    al = StageAlphabets(n_stages, [sx] * n_stages, [sy] * n_stages)
-    kernels = [px[None, :]] * n_stages
+    sy = sx if y_size is None else y_size
+    al = StageAlphabets(n, [sx] * n, [sy] * n)
+    kernels = [px[None, :]] * n
     return SourceModel(al, kernels, memory=0)
 
 
@@ -499,9 +500,10 @@ def markov_source(init, transition, n_stages: int, y_size=None) -> SourceModel:
     sx = init.shape[0]
     if transition.shape != (sx, sx):
         raise InvalidArgumentError("transition must be square and match init")
-    sy = sx if y_size is None else int(y_size)
-    al = StageAlphabets(n_stages, [sx] * n_stages, [sy] * n_stages)
-    kernels = [init[None, :]] + [transition] * (n_stages - 1)
+    n = _count(n_stages, "n_stages")
+    sy = sx if y_size is None else y_size
+    al = StageAlphabets(n, [sx] * n, [sy] * n)
+    kernels = [init[None, :]] + [transition] * (n - 1)
     return SourceModel(al, kernels, memory=1)
 
 

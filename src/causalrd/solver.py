@@ -9,7 +9,11 @@ recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
 sweeps of two passes until nu is stable: a backward pass yields g, log Z and
 the kernels q, a forward pass over the weights P(x^i, y^{i-1}) yields nu, and
-one more pair at the stable nu yields the distortion and the block rate.
+one more pair at the stable nu yields the distortion D and the block rate
+R = s D - E[log Z_0(X_0)]: in s D - sum_i E[g_i + log Z_i] each E[g_{i-1}]
+cancels E[log Z_i], as g_{i-1} averages -log Z_i over X_i and a causal
+policy keeps X_i independent of Y^{i-1} given X^{i-1}.  At s = 0 the sweeps
+start from the D_max trajectory's output law, which the first one confirms.
 
 Both passes run over (x-window, y^{i-1}) states.  For a source of integer
 memory m under a single-letter rho, the window at stage i is the last
@@ -39,8 +43,9 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .measures import MarginalProcess, directed_information, lagrangian_value
-from .model import (CausalPolicy, DistortionSpec, SourceModel,
+from .measures import (MarginalProcess, directed_information, expected_distortion,
+                       lagrangian_value)
+from .model import (CausalPolicy, DistortionSpec, SourceModel, _count,
                     decode_history, full_joint_source)
 
 RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
@@ -148,13 +153,13 @@ class _Passes:
     log Z_i depend on x^i only through its last k_i = min(i+1, max(m, 1))
     symbols (by induction from g_{n-1} = 0: g_{i-1} averages log Z_i over a
     source row that reads at most m symbols), so the window holds those.  In
-    every other case (``memory="full"``, stage tables, no spec, or
-    ``full=True`` for caller-supplied full tables) it holds all of x^i.  A
-    window code is the full code modulo the window size, so source rows,
-    policies and g tables expand to full-history codes by that modulo.  Once
-    the window is full its oldest symbol drops out between stages: the
-    forward pass sums it out, the backward pass keeps it as an axis of
-    g_{i-1}.
+    every other case (``memory="full"``, stage tables, or no spec) it holds
+    all of x^i.  A window code is the full code modulo the window size, so
+    source rows, policies and g tables expand to full-history codes by that
+    modulo; the tilt reads the x-axis length off its g table, so it also
+    takes full-history tables.  Once the window is full its oldest symbol
+    drops out between stages: the forward pass sums it out, the backward
+    pass keeps it as an axis of g_{i-1}.
 
     A stage-i table is held y-major, as (y_i, window_i, y^{i-1}), of
     |Y| * |X|^{k_i} * |Y|^i entries: with the short y_i axis outermost, the
@@ -165,12 +170,11 @@ class _Passes:
     """
 
     def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
-                 s: float = 0.0, full: bool = False):
+                 s: float = 0.0):
         al = source.alphabets
         n = al.n_stages
         m = source.memory
-        windowed = (not full and spec is not None and spec.mode == "single_letter"
-                    and m != "full")
+        windowed = spec is not None and spec.mode == "single_letter" and m != "full"
         k = [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
         self.al = al
         self.k = k
@@ -189,22 +193,22 @@ class _Passes:
             for i in range(1, n)]
 
     def _y_major(self, t, i):
-        """4-D y-major view of a stage-i table indexed (window_i, y^i)."""
-        sy, xp, sx, yp = self.shapes[i]
-        return t.reshape(xp, sx, yp, sy).transpose(3, 0, 1, 2)
+        """4-D y-major view of a stage-i table indexed (window_i or x^i, y^i)."""
+        sy, _, sx, yp = self.shapes[i]
+        return t.reshape(-1, sx, yp, sy).transpose(3, 0, 1, 2)
 
     def _full(self, t, i, axis):
         """Stage-i table ``t`` with its window axis expanded to x^i codes."""
         size = self.al.x_hist_size(i)
-        return t if size == self.win[i] else np.take(t, np.arange(size) % self.win[i], axis)
+        return t if t.shape[axis] == size else np.take(t, np.arange(size) % self.win[i], axis)
 
     def tilt(self, i, g, nu):
         """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
         log Z_i(window_i, y^{i-1}), from one exponent and one max shift."""
-        sy, xp, sx, yp = self.shapes[i]
+        sy, _, _, yp = self.shapes[i]
         e = np.subtract(self.s_rho[i] + masked_log(nu.T)[:, None, None, :], self._y_major(g, i),
                         order="C")
-        logz, q = log_normalize(e.reshape(sy, xp * sx, yp), axis=0)
+        logz, q = log_normalize(e.reshape(sy, -1, yp), axis=0)
         if logz.min() == -np.inf:
             _, xh, yh = np.nonzero(np.isneginf(logz))
             raise DegenerateMarginalError(
@@ -225,13 +229,12 @@ class _Passes:
                                       logz[i].reshape(xp, sx, yp)).reshape(-1, yp)
         return g, logz, q
 
-    def forward(self, q, g=None, logz=None):
+    def forward(self, q, distortion=False):
         """Output marginals nu_i and prefix masses P(y^{i-1}) induced by the
         kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
-        stage.  With ``g`` and ``logz`` it also returns the total distortion
-        and sum_i E[g_i + log Z_i]; otherwise those two are None."""
+        stage, and with ``distortion`` the total distortion (else None)."""
         tables, masses = [], []
-        dist = bracket = None if g is None else 0.0
+        dist = 0.0 if distortion else None
         w = self.rows[0]                              # P(x^0, y^{-1})
         for i, (sy, xp, sx, yp) in enumerate(self.shapes):
             joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
@@ -240,10 +243,8 @@ class _Passes:
             tables.append(np.divide(py, mass[:, None], out=np.full((yp, sy), 1.0 / sy),
                                     where=mass[:, None] > 0))
             masses.append(mass)
-            if g is not None:
-                j4 = joint.reshape(sy, xp, sx, yp)
-                dist += float(np.sum(j4 * self.rho[i]))
-                bracket += float(np.sum(j4 * self._y_major(g[i], i)) + np.vdot(w, logz[i]))
+            if distortion:
+                dist += float(np.sum(joint.reshape(sy, xp, sx, yp) * self.rho[i]))
             if i + 1 < len(self.shapes):
                 # P(window_{i+1}, y^i), written with y_i innermost as its code
                 # requires; a full window's oldest symbol (axis a) is summed out.
@@ -256,7 +257,7 @@ class _Passes:
                 for k in range(sy):
                     np.einsum('abc,abx->bxc', jd[k], rows, out=w[..., k])
                 w = w.reshape(-1, yp * sy)
-        return tables, masses, dist, bracket
+        return tables, masses, dist
 
     def policy(self, q) -> CausalPolicy:
         """The kernels ``q`` as a policy over full x-histories, each a
@@ -267,10 +268,6 @@ class _Passes:
     def full_g(self, g) -> list:
         """The g tables over full x-histories."""
         return [self._full(t, i, 0) for i, t in enumerate(g)]
-
-
-def _kernels(policy: CausalPolicy):     # in the y-major layout of _Passes
-    return [k.transpose(2, 1, 0) for k in policy.kernels]
 
 
 def backward_g(source: SourceModel, spec: DistortionSpec,
@@ -297,7 +294,7 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
     unchanged (the normalizer absorbs it); at the terminal stage g is zero and
     the kernel reduces to the pure single-stage tilt.
     """
-    passes = _Passes(source, spec, s, full=True)
+    passes = _Passes(source, spec, s)
     return passes.policy([passes.tilt(i, g[i], nu.tables[i])[0]
                           for i in range(source.alphabets.n_stages)])
 
@@ -305,7 +302,8 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
 def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProcess:
     """Output marginal process induced by the source and a policy (the
     consistency map whose fixed point the solver seeks)."""
-    tables, masses, _, _ = _Passes(source).forward(_kernels(policy))
+    tables, masses, _ = _Passes(source).forward([k.transpose(2, 1, 0)   # y-major
+                                                 for k in policy.kernels])
     return MarginalProcess(source.alphabets, tables, prefix_mass=masses)
 
 
@@ -356,34 +354,28 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     """Solve the stationary system (backward pass -> tilted kernels -> induced
     marginal) at fixed multiplier ``config.s``.
 
-    At ``s = 0`` every source-blind policy is stationary; the canonical
-    representative returned is the distortion-minimizing one (the limit of the
-    s -> 0 optimizers), so the reported point is the curve endpoint
-    (D_max, 0).  Non-convergence is reported in the result, not raised.
+    At ``s = 0`` every source-blind policy is stationary; the solve starts,
+    whatever ``nu_init``, from the output law of the distortion-minimizing one
+    (the limit of the s -> 0 optimizers), and one sweep confirms the curve
+    endpoint (D_max, 0).  Non-convergence is reported in the result, not raised.
     """
     al = source.alphabets
-    s = float(config.s)
-    if s == 0.0:
-        dmax, policy = d_max_policy(source, spec)
-        tables, masses, _, _ = _Passes(source).forward(_kernels(policy))
-        g = [np.zeros((al.x_hist_size(i), al.y_hist_size(i))) for i in range(al.n_stages)]
-        return SolveResult(s=0.0, policy=policy, g=g,
-                           nu=MarginalProcess(al, tables, prefix_mass=masses),
-                           rate_nats=0.0, distortion_total=dmax * al.n_stages,
-                           distortion_per_symbol=dmax, sweeps_used=1,
-                           converged=True, residual=0.0)
-
-    if config.nu_init == "uniform":
+    s = float(config.s) + 0.0                          # -0.0 -> 0.0
+    nu_init = config.nu_init
+    if nu_init == "uniform":
         tables = MarginalProcess.uniform(al).tables
-    elif isinstance(config.nu_init, MarginalProcess):
-        tables = config.nu_init.tables
+    elif isinstance(nu_init, MarginalProcess) and nu_init.alphabets.y_sizes == al.y_sizes:
+        tables = nu_init.tables
     else:
-        raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
+        raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess over "
+                                   "the source's stages and reproduction alphabets")
+    if s == 0.0:
+        tables = [k[:, 0] for k in d_max_policy(source, spec)[1].kernels]
 
     passes = _Passes(source, spec, s)
     converged = False
     for sweeps in range(1, config.max_sweeps + 1):      # max_sweeps >= 1
-        nxt, masses, _, _ = passes.forward(passes.backward(tables)[2])
+        nxt, masses, _ = passes.forward(passes.backward(tables)[2])
         # sup-norm change over the rows of positive prefix mass
         residual = max((float(np.abs(new - old)[m > 0].max())
                         for new, old, m in zip(nxt, tables, masses) if (m > 0).any()),
@@ -395,20 +387,20 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
 
     nu = MarginalProcess(al, tables, prefix_mass=masses)
     g_tabs, logz, q = passes.backward(tables)
-    _, _, dist, bracket = passes.forward(q, g_tabs, logz)
+    dist = passes.forward(q, distortion=True)[2]
     policy = passes.policy(q)
-    rate = _closed_form_rate(source, policy, s, dist, bracket, check=converged)
+    rate = _closed_form_rate(source, policy, s, dist, logz[0], check=converged)
     return SolveResult(s=s, policy=policy, nu=nu, g=passes.full_g(g_tabs), rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged, residual=residual)
 
 
-def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True):
-    """Closed-form block rate s*D_total - sum_i E[g_i + log Z_i].  With
-    ``check`` it is compared with the directed information of the policy on
-    the dense laws, which only a fixed point makes equal."""
-    rate = s * distortion_total - bracket
+def _closed_form_rate(source, policy, s, distortion_total, logz0, check=True):
+    """Closed-form block rate s*D_total - E[log Z_0(X_0)], ``logz0`` of shape
+    (|X_0|, 1).  With ``check`` it is compared with the directed information
+    of the policy on the dense laws, which only a fixed point makes equal."""
+    rate = s * distortion_total - float(source.kernels[0][0] @ logz0[:, 0])
     if -1e-9 < rate < 0.0:
         rate = 0.0
     if check:
@@ -423,18 +415,16 @@ def _closed_form_rate(source, policy, s, distortion_total, bracket, check=True):
 def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
               nu: MarginalProcess, g: list, s: float,
               distortion_total: Optional[float] = None) -> float:
-    """Block rate in closed form at a converged fixed point.
-
-    Cross-checks the value against the directed information of the policy
-    (they coincide at an exact fixed point) and raises
-    :class:`InternalConsistencyError` beyond 1e-6.
+    """Block rate s*D_total - E[log Z_0(X_0)] in closed form at a converged
+    fixed point; only stage 0 is tilted, so ``g`` must be the backward tables
+    of (``nu``, ``s``).  D_total defaults to the dense expected distortion of
+    ``policy``.  Cross-checks the value against the directed information of
+    the policy and raises :class:`InternalConsistencyError` beyond 1e-6.
     """
-    passes = _Passes(source, spec, s, full=True)
-    logz = [passes.tilt(i, g[i], nu.tables[i])[1] for i in range(source.alphabets.n_stages)]
-    _, _, dist, bracket = passes.forward(_kernels(policy), g, logz)
+    logz0 = _Passes(source, spec, s).tilt(0, g[0], nu.tables[0])[1]
     if distortion_total is None:
-        distortion_total = dist
-    return _closed_form_rate(source, policy, s, distortion_total, bracket)
+        distortion_total = expected_distortion(full_joint_source(source), policy, spec).total
+    return _closed_form_rate(source, policy, s, distortion_total, logz0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +531,14 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
                         horizons: Sequence[int], **solver_kwargs) -> list:
     """Per-symbol rates of the target-distortion solve across horizons,
     under the single-letter distortion table ``rho`` at every horizon.  The
-    trend is reported, not asserted.
+    trend is reported, not asserted; every horizon is counted before any solve.
     """
-    if list(horizons) != sorted(horizons):
+    horizons = [_count(h, "horizons entry") for h in horizons]
+    if horizons != sorted(horizons):
         raise InvalidArgumentError("horizons must be ascending")
     rates = []
     for h in horizons:
-        src = source_family(int(h))
+        src = source_family(h)
         spec = DistortionSpec.single_letter(src.alphabets, rho)
         res = solve_for_target_distortion(src, spec, d_target, **solver_kwargs)
         rates.append(res.rate_nats / src.alphabets.n_stages)

@@ -61,6 +61,9 @@ def test_curve_mode_rows_and_checks(tmp_path):
     assert report["curve_checks"]["monotone_ok"]
     assert report["curve_checks"]["convex_ok"]
     assert all(c["pass"] for c in report["checks"])
+    # the reported tolerance is the one the curve's checks used
+    convexity = next(c for c in report["checks"] if c["check"] == "convexity")
+    assert convexity["tolerance"] == solver.CURVE_TOL
 
 
 def test_bad_kernel_row_exits_config(tmp_path):

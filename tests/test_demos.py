@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ])
 def test_demo_exits_zero(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # -W error: the suite's filterwarnings setting does not reach a subprocess
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -77,13 +77,29 @@ def test_budget_refuses_a_long_horizon_before_reading_its_later_stages(monkeypat
     # 4**13 < 1e8 < 4**14: the 14th stage passes the budget
     with pytest.raises(ResourceBudgetError):
         iid_source([0.5, 0.5], 10**6)
-    assert counted == ["n_stages", "entry_budget"] + ["x_sizes entry", "y_sizes entry"] * 14
+    # iid_source counts n_stages itself before it builds the size lists
+    assert counted == (["n_stages"] * 2 + ["entry_budget"]
+                       + ["x_sizes entry", "y_sizes entry"] * 14)
 
 
 def test_stage_alphabets_accept_integral_floats():
     al = StageAlphabets(2.0, [2.0, np.int64(3)], [np.float64(2), 2])
     assert (al.n_stages, al.x_sizes, al.y_sizes) == (2, [2, 3], [2, 2])
     assert all(type(c) is int for c in [al.n_stages, *al.x_sizes, *al.y_sizes])
+
+
+@pytest.mark.parametrize("factory", [
+    lambda n, **kw: iid_source([0.5, 0.5], n, **kw),
+    lambda n, **kw: markov_source([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], n, **kw),
+], ids=["iid", "markov"])
+def test_source_factories_count_stages_and_sizes(factory):
+    src = factory(2.0, y_size=np.float64(3))
+    want = factory(2, y_size=3)
+    assert (src.alphabets.n_stages, src.alphabets.y_sizes) == (2, [3, 3])
+    assert src.alphabets == want.alphabets
+    for bad in (dict(n=2.5), dict(n=True), dict(n=2, y_size=2.5), dict(n=2, y_size=True)):
+        with pytest.raises(InvalidArgumentError):
+            factory(**bad)
 
 
 def test_validate_source_clean():

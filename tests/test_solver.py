@@ -175,8 +175,9 @@ def test_fixed_point_zero_multiplier_endpoint():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=0.0))
-    assert r.converged and r.sweeps_used == 1
+    assert r.converged and r.sweeps_used == 1 and r.residual == 0.0
     assert r.rate_nats == 0.0
+    assert not any(t.any() for t in r.g)
     assert abs(r.distortion_per_symbol - 0.5) < 1e-12
     # q* ignores x
     for k in r.policy.kernels:
@@ -247,6 +248,8 @@ def test_unconverged_solve_skips_the_dense_check(monkeypatch):
     r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-14, max_sweeps=3))
     assert not r.converged and calls == []
     assert fixed_point_solve(src, spec, SolverConfig(s=-2.0)).converged and calls == [1]
+    # the s = 0 endpoint is a converged solve like any other
+    assert fixed_point_solve(src, spec, SolverConfig(s=0.0)).converged and calls == [1, 1]
 
 
 def test_fixed_point_nonconvergence_reported_not_raised():
@@ -270,6 +273,18 @@ def test_fixed_point_zero_mass_nu_init_names_stage_and_row():
     # the memory-1 solve's tables read one symbol of x^2: the message says so
     assert "x-history code 0 (and every x-history sharing its last 1 of 3 symbols)" \
         in str(err.value)
+
+
+@pytest.mark.parametrize("alphabets", [
+    StageAlphabets(2, [2, 2], [2, 2]),
+    StageAlphabets(3, [2] * 3, [3] * 3),
+], ids=["shorter-horizon", "other-y-size"])
+def test_fixed_point_rejects_nu_init_over_other_alphabets(alphabets):
+    src = binary_symmetric_markov(0.3, 3)
+    spec = hamming_distortion(src.alphabets)
+    cfg = SolverConfig(s=-2.0, nu_init=MarginalProcess.uniform(alphabets))
+    with pytest.raises(InvalidArgumentError, match="nu_init"):
+        fixed_point_solve(src, spec, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +353,30 @@ def test_fused_passes_match_dense_measures(mode, memory):
             assert abs(rdf_value(src, spec, r.policy, r.nu, r.g, s) - r.rate_nats) < 1e-12
 
 
+@pytest.mark.parametrize("mode", ["single_letter", "stage_tables"])
+@pytest.mark.parametrize("memory", ["full", 1, 2])
+def test_rate_bracket_telescopes_to_stage_zero(mode, memory):
+    # sum_i E[g_i + log Z_i] on the dense laws of the tilted policy equals
+    # E[log Z_0(X_0)] at any nu, not only at a fixed point
+    rng = np.random.default_rng([31, len(mode), 0 if memory == "full" else memory])
+    for _ in range(3):
+        src, spec = _random_fused_case(rng, mode, memory)
+        al = src.alphabets
+        nu = [rng.dirichlet(np.ones(al.y_sizes[i]), size=al.y_hist_size(i - 1))
+              for i in range(al.n_stages)]
+        passes = solver_module._Passes(src, spec, float(rng.uniform(-6, -0.5)))
+        g, logz, q = passes.backward(nu)
+        joint = joint_law(full_joint_source(src), passes.policy(q)).table
+        bracket = 0.0
+        for i in range(al.n_stages):
+            xh, yh = al.x_hist_size(i), al.y_hist_size(i)
+            pxy = joint.reshape(xh, -1, yh, joint.shape[1] // yh).sum(axis=(1, 3))
+            bracket += np.sum(pxy * passes._full(g[i], i, 0))
+            bracket += np.sum(pxy.reshape(xh, -1, al.y_sizes[i]).sum(axis=2)
+                              * passes._full(logz[i], i, 0))
+        assert abs(bracket - src.kernels[0][0] @ logz[0][:, 0]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # passes over the source's memory window against the full-history passes
 # ---------------------------------------------------------------------------
@@ -367,19 +406,23 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
     s = -5.0
 
     # one pass at a fixed nu
-    for a, b in zip(backward_g(src, spec, nu, s), backward_g(full, spec, nu, s)):
+    g_w, g_f = (backward_g(x, spec, nu, s) for x in (src, full))
+    for a, b in zip(g_w, g_f):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+    tilt_w, tilt_f = tilted_policy(src, spec, nu, g_w, s), tilted_policy(full, spec, nu, g_f, s)
+    for a, b in zip(tilt_w.kernels, tilt_f.kernels):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
     outs = []
     for source in (src, full):
         passes = solver_module._Passes(source, spec, s)
         g, logz, q = passes.backward(nu.tables)
-        outs.append((passes.policy(q), passes.forward(q, g, logz)))
+        outs.append((passes.policy(q), passes.forward(q, distortion=True), logz[0]))
         if source is src:
             assert [k.shape for k in q] == [(sy, sx ** window[i], sy ** i) for i in range(n)]
-    (pol_w, (nu_w, mass_w, d_w, br_w)), (pol_f, (nu_f, mass_f, d_f, br_f)) = outs
+    (pol_w, (nu_w, mass_w, d_w), lz_w), (pol_f, (nu_f, mass_f, d_f), lz_f) = outs
     for a, b in zip(pol_w.kernels + nu_w + mass_w, pol_f.kernels + nu_f + mass_f):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
-    assert abs(d_w - d_f) <= 1e-12 and abs(br_w - br_f) <= 1e-12
+    assert abs(d_w - d_f) <= 1e-12 and np.max(np.abs(lz_w - lz_f)) <= 1e-12
 
     # whole solves
     rw, rf = (fixed_point_solve(x, spec, SolverConfig(s=s, fp_tol=1e-12)) for x in (src, full))
@@ -604,6 +647,23 @@ def test_rate_limit_estimate_requires_ascending():
     rho = 1.0 - np.eye(2)
     with pytest.raises(InvalidArgumentError):
         rate_limit_estimate(lambda h: iid_source([0.5, 0.5], h), rho, 0.1, [3, 1])
+
+
+def test_rate_limit_estimate_counts_horizons_before_any_solve():
+    rho = 1.0 - np.eye(2)
+    seen = []
+
+    def family(h):
+        seen.append(h)
+        return iid_source([0.5, 0.5], h)
+
+    for bad in ([1.7, 2.2], [True], [1, 2.5]):
+        with pytest.raises(InvalidArgumentError, match="horizons"):
+            rate_limit_estimate(family, rho, 0.1, bad)
+    assert seen == []
+    assert (rate_limit_estimate(family, rho, 0.1, [1.0, np.int64(2)])
+            == rate_limit_estimate(family, rho, 0.1, [1, 2]))
+    assert seen == [1, 2, 1, 2] and all(type(h) is int for h in seen)
 
 
 # ---------------------------------------------------------------------------
