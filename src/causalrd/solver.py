@@ -21,10 +21,11 @@ min(i+1, max(m, 1)) source symbols, because g_i and log Z_i depend on x^i
 through no more; otherwise it is all of x^i.  A stage-i table then has
 |Y| * |X|^{k_i} * |Y|^i entries, and the solved kernels and g tables are
 expanded to full x-history codes once, after the loop.  The rate of a
-converged solve is cross-checked against the directed information of the
-solved policy, computed on the dense full-history laws of
-:mod:`causalrd.measures`, so the entry budget of the alphabets still bounds
-every solve.
+converged solve is cross-checked, to RATE_CHECK_TOL, against the directed
+information of the solved policy, which the last forward pass sums over the
+same windowed states; no solve builds the dense full-history laws of
+:mod:`causalrd.measures`, which stay the independent checking path of the
+tests, of :func:`rdf_value` and of the CLI's checks.
 
 All exponentials are evaluated in log space with max shifting; rates are in
 nats; ``s <= 0`` throughout.
@@ -230,11 +231,14 @@ class _Passes:
         return g, logz, q
 
     def forward(self, q, distortion=False):
-        """Output marginals nu_i and prefix masses P(y^{i-1}) induced by the
+        """Output marginals nu'_i and prefix masses P(y^{i-1}) induced by the
         kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
-        stage, and with ``distortion`` the total distortion (else None)."""
+        stage, and with ``distortion`` the total distortion and the directed
+        information sum_i E[log q_i / nu'_i] of the kernels (else None).  The
+        latter is exact on windowed states, as q_i reads x^i only through its
+        window, and sums only where P(y_i, window_i, y^{i-1}) > 0."""
         tables, masses = [], []
-        dist = 0.0 if distortion else None
+        dist = info = 0.0 if distortion else None
         w = self.rows[0]                              # P(x^0, y^{-1})
         for i, (sy, xp, sx, yp) in enumerate(self.shapes):
             joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
@@ -245,6 +249,9 @@ class _Passes:
             masses.append(mass)
             if distortion:
                 dist += float(np.sum(joint.reshape(sy, xp, sx, yp) * self.rho[i]))
+                pos = joint > 0
+                nu_new = np.broadcast_to(tables[-1].T[:, None, :], joint.shape)[pos]
+                info += float(joint[pos] @ (np.log(q[i][pos]) - np.log(nu_new)))
             if i + 1 < len(self.shapes):
                 # P(window_{i+1}, y^i), written with y_i innermost as its code
                 # requires; a full window's oldest symbol (axis a) is summed out.
@@ -257,7 +264,7 @@ class _Passes:
                 for k in range(sy):
                     np.einsum('abc,abx->bxc', jd[k], rows, out=w[..., k])
                 w = w.reshape(-1, yp * sy)
-        return tables, masses, dist
+        return tables, masses, dist, info
 
     def policy(self, q) -> CausalPolicy:
         """The kernels ``q`` as a policy over full x-histories, each a
@@ -302,8 +309,8 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
 def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProcess:
     """Output marginal process induced by the source and a policy (the
     consistency map whose fixed point the solver seeks)."""
-    tables, masses, _ = _Passes(source).forward([k.transpose(2, 1, 0)   # y-major
-                                                 for k in policy.kernels])
+    tables, masses = _Passes(source).forward([k.transpose(2, 1, 0)      # y-major
+                                              for k in policy.kernels])[:2]
     return MarginalProcess(source.alphabets, tables, prefix_mass=masses)
 
 
@@ -375,7 +382,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     passes = _Passes(source, spec, s)
     converged = False
     for sweeps in range(1, config.max_sweeps + 1):      # max_sweeps >= 1
-        nxt, masses, _ = passes.forward(passes.backward(tables)[2])
+        nxt, masses = passes.forward(passes.backward(tables)[2])[:2]
         # sup-norm change over the rows of positive prefix mass
         residual = max((float(np.abs(new - old)[m > 0].max())
                         for new, old, m in zip(nxt, tables, masses) if (m > 0).any()),
@@ -387,24 +394,27 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
 
     nu = MarginalProcess(al, tables, prefix_mass=masses)
     g_tabs, logz, q = passes.backward(tables)
-    dist = passes.forward(q, distortion=True)[2]
+    dist, info = passes.forward(q, distortion=True)[2:]
     policy = passes.policy(q)
-    rate = _closed_form_rate(source, policy, s, dist, logz[0], check=converged)
+    rate = _closed_form_rate(source, s, dist, logz[0], info, check=converged)
     return SolveResult(s=s, policy=policy, nu=nu, g=passes.full_g(g_tabs), rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged, residual=residual)
 
 
-def _closed_form_rate(source, policy, s, distortion_total, logz0, check=True):
+def _closed_form_rate(source, s, distortion_total, logz0, info, check=True):
     """Closed-form block rate s*D_total - E[log Z_0(X_0)], ``logz0`` of shape
-    (|X_0|, 1).  With ``check`` it is compared with the directed information
-    of the policy on the dense laws, which only a fixed point makes equal."""
+    (|X_0|, 1).  With ``check`` it is compared with ``info``, the directed
+    information of the tilted policy, which only a fixed point makes equal:
+    the closed form exceeds it by sum_i E_{P(y^{i-1})} KL(nu'_i || nu_i), nu'
+    the marginal the policy induces.  A solve passes the value of its final
+    forward pass; :func:`rdf_value` the one of the dense laws."""
     rate = s * distortion_total - float(source.kernels[0][0] @ logz0[:, 0])
     if -1e-9 < rate < 0.0:
         rate = 0.0
     if check:
-        gap = abs(rate - directed_information(full_joint_source(source), policy))
+        gap = abs(rate - info)
         if not gap <= RATE_CHECK_TOL:                # a nan gap fails too
             raise InternalConsistencyError(
                 f"closed-form rate and directed information differ by {gap:.3e} "
@@ -422,9 +432,11 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     the policy and raises :class:`InternalConsistencyError` beyond 1e-6.
     """
     logz0 = _Passes(source, spec, s).tilt(0, g[0], nu.tables[0])[1]
+    mu = full_joint_source(source)
     if distortion_total is None:
-        distortion_total = expected_distortion(full_joint_source(source), policy, spec).total
-    return _closed_form_rate(source, policy, s, distortion_total, logz0)
+        distortion_total = expected_distortion(mu, policy, spec).total
+    return _closed_form_rate(source, s, distortion_total, logz0,
+                             directed_information(mu, policy))
 
 
 # ---------------------------------------------------------------------------

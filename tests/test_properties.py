@@ -4,11 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalrd.baseline import blahut_arimoto, classical_block_rdf
-from causalrd.measures import directed_information, joint_law, markov_chain_check
+from causalrd.measures import (MarginalProcess, directed_information, joint_law,
+                               markov_chain_check)
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
                             iid_source)
 from causalrd.oracle import exhaustive_directed_info
-from causalrd.solver import SolverConfig, fixed_point_solve, trace_curve
+from causalrd.solver import (SolverConfig, backward_g, fixed_point_solve, tilted_policy,
+                             trace_curve)
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -95,3 +97,19 @@ def test_traced_curve_is_monotone_and_convex(problem, s_values):
     assume(sum(p.converged for p in curve.points) >= 3)
     assert curve.monotone_ok, curve.monotone_worst
     assert curve.convex_ok, curve.convex_worst
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(causal_problems(), st.integers(0, 2 ** 32 - 1))
+def test_tilted_policy_ignores_an_x_history_shift_of_g(problem, seed):
+    # the normalizer of each (x-history, y-history) row absorbs the shift
+    src, spec, s = problem
+    al = src.alphabets
+    rng = np.random.default_rng(seed)
+    nu = MarginalProcess(al, [rng.dirichlet(np.ones(al.y_sizes[i]), size=al.y_hist_size(i - 1))
+                              for i in range(al.n_stages)])
+    g = backward_g(src, spec, nu, s)
+    shifted = [t + rng.normal(scale=5.0, size=(t.shape[0], 1)) for t in g]
+    for a, b in zip(tilted_policy(src, spec, nu, g, s).kernels,
+                    tilted_policy(src, spec, nu, shifted, s).kernels):
+        assert np.max(np.abs(a - b)) <= 1e-12

@@ -234,22 +234,66 @@ def test_fixed_point_consistency_invariants():
         assert markov_chain_check(j, variant) < 1e-10
 
 
+def _windowed_info(src, spec, s, nu_tables):
+    """Directed information of the policy tilted at ``nu_tables``, as the
+    final forward pass of a solve computes it."""
+    passes = solver_module._Passes(src, spec, s)
+    return passes.forward(passes.backward(nu_tables)[2], distortion=True)[3]
+
+
 def test_unconverged_solve_skips_the_dense_check(monkeypatch):
-    # the dense directed-information check can only raise on a converged solve
+    # no solve builds the dense laws, converged or not, at s = 0 or below:
+    # the rate is checked against the directed information of the final
+    # windowed forward pass, and only when the solve converged
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return directed_information(*args)
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
 
-    monkeypatch.setattr(solver_module, "directed_information", counted)
-    src = binary_symmetric_markov(0.3, 2)
+    monkeypatch.setattr(solver_module, "directed_information", counted(directed_information))
+    monkeypatch.setattr(solver_module, "full_joint_source", counted(full_joint_source))
+    src = binary_symmetric_markov(0.3, 4)
     spec = hamming_distortion(src.alphabets)
-    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-14, max_sweeps=3))
-    assert not r.converged and calls == []
-    assert fixed_point_solve(src, spec, SolverConfig(s=-2.0)).converged and calls == [1]
-    # the s = 0 endpoint is a converged solve like any other
-    assert fixed_point_solve(src, spec, SolverConfig(s=0.0)).converged and calls == [1, 1]
+    assert fixed_point_solve(src, spec, SolverConfig(s=-2.0)).converged
+    assert not fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-14,
+                                                         max_sweeps=3)).converged
+    assert fixed_point_solve(src, spec, SolverConfig(s=0.0)).converged
+    # a stop at fp_tol 1e-2 (sweep 10) leaves the rate 1.1e-4 above the
+    # directed information: the windowed check still fires, with the gap of
+    # the dense laws, while its unconverged twin stopped at the same sweep
+    # is returned unchecked
+    twin = fixed_point_solve(src, spec, SolverConfig(s=-1.0, fp_tol=1e-14, max_sweeps=10))
+    assert not twin.converged and twin.residual <= 1e-2
+    with pytest.raises(InternalConsistencyError, match="directed information differ") as err:
+        fixed_point_solve(src, spec, SolverConfig(s=-1.0, fp_tol=1e-2))
+    assert fixed_point_solve(src, spec, SolverConfig(s=-1.0, fp_tol=1e-3)).converged
+    assert calls == []
+    gap = twin.rate_nats - directed_information(full_joint_source(src), twin.policy)
+    assert gap > solver_module.RATE_CHECK_TOL and f"differ by {gap:.3e}" in str(err.value)
+    windowed_gap = twin.rate_nats - _windowed_info(src, spec, -1.0, twin.nu.tables)
+    assert abs(windowed_gap - gap) <= 1e-12
+
+
+def test_solves_build_no_dense_law(monkeypatch):
+    # the dense laws of measures.py are the checking path, never the solve path
+    def refuse(*args):
+        raise AssertionError("a dense law was built on the solve path")
+
+    monkeypatch.setattr(solver_module, "full_joint_source", refuse)
+    monkeypatch.setattr(solver_module, "directed_information", refuse)
+    markov = binary_symmetric_markov(0.3, 6)
+    # a random binary full-history source, as perfbench's fullhist_source at n = 4
+    fullhist = random_source(np.random.default_rng(0), StageAlphabets(4, [2] * 4, [2] * 4))
+    for src in (markov, fullhist):
+        spec = hamming_distortion(src.alphabets)
+        assert fixed_point_solve(src, spec, SolverConfig(s=-2.0)).converged
+        curve = trace_curve(src, spec, [0.0, -1.0, -4.0])
+        assert all(p.error is None and p.converged for p in curve)
+        r = solve_for_target_distortion(src, spec, 0.1)
+        assert r.converged and r.target_met
 
 
 def test_fixed_point_nonconvergence_reported_not_raised():
@@ -332,6 +376,7 @@ def _assert_marginals_match(src, policy, tol=1e-12):
 @pytest.mark.parametrize("memory", ["full", 1, 2])
 def test_fused_passes_match_dense_measures(mode, memory):
     rng = np.random.default_rng([17, len(mode), 0 if memory == "full" else memory])
+    nu_rng = np.random.default_rng([19, len(mode), 0 if memory == "full" else memory])
     for _ in range(3):
         src, spec = _random_fused_case(rng, mode, memory)
         al = src.alphabets
@@ -349,8 +394,35 @@ def test_fused_passes_match_dense_measures(mode, memory):
             _assert_marginals_match(src, r.policy)
             assert abs(r.distortion_total
                        - expected_distortion(mu, r.policy, spec).total) < 1e-12
-            assert abs(r.rate_nats - directed_information(mu, r.policy)) < 1e-12
+            info = directed_information(mu, r.policy)
+            assert abs(r.rate_nats - info) < 1e-12
+            assert abs(_windowed_info(src, spec, s, r.nu.tables) - info) < 1e-12
             assert abs(rdf_value(src, spec, r.policy, r.nu, r.g, s) - r.rate_nats) < 1e-12
+        # away from a fixed point too, where the closed form exceeds it
+        nu = [nu_rng.dirichlet(np.ones(al.y_sizes[i]), size=al.y_hist_size(i - 1))
+              for i in range(al.n_stages)]
+        passes = solver_module._Passes(src, spec, -2.0)
+        q = passes.backward(nu)[2]
+        assert abs(passes.forward(q, distortion=True)[3]
+                   - directed_information(mu, passes.policy(q))) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["one-output", "deterministic-row", "s-near-cap"])
+def test_windowed_directed_information_edge_cases(case):
+    # |Y| = 1 (zero rate), a source row with a zero entry, and s = -5e5, near
+    # the 1e6 cap, where most kernel entries underflow to 0
+    al = StageAlphabets(3, [2] * 3, [1 if case == "one-output" else 2] * 3)
+    rows = [[1.0, 0.0], [0.2, 0.8]] if case == "deterministic-row" else [[0.7, 0.3], [0.3, 0.7]]
+    src = SourceModel(al, [np.array([[0.5, 0.5]])] + [np.array(rows)] * 2, memory=1)
+    spec = DistortionSpec.single_letter(al, np.array([[0.0, 1.0], [1.0, 0.0]])[:, :al.y_sizes[0]])
+    s = -5e5 if case == "s-near-cap" else -2.0
+    r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-13))
+    assert r.converged
+    if case == "s-near-cap":
+        assert any((k == 0).any() for k in r.policy.kernels)
+    info = _windowed_info(src, spec, s, r.nu.tables)
+    assert abs(info - directed_information(full_joint_source(src), r.policy)) <= 1e-12
+    assert abs(r.rate_nats - info) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["single_letter", "stage_tables"])
@@ -419,7 +491,7 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
         outs.append((passes.policy(q), passes.forward(q, distortion=True), logz[0]))
         if source is src:
             assert [k.shape for k in q] == [(sy, sx ** window[i], sy ** i) for i in range(n)]
-    (pol_w, (nu_w, mass_w, d_w), lz_w), (pol_f, (nu_f, mass_f, d_f), lz_f) = outs
+    (pol_w, (nu_w, mass_w, d_w, _), lz_w), (pol_f, (nu_f, mass_f, d_f, _), lz_f) = outs
     for a, b in zip(pol_w.kernels + nu_w + mass_w, pol_f.kernels + nu_f + mass_f):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
     assert abs(d_w - d_f) <= 1e-12 and np.max(np.abs(lz_w - lz_f)) <= 1e-12
