@@ -47,30 +47,57 @@ def masked_log(p: np.ndarray) -> np.ndarray:
 def search_multiplier(probe, distortion, target, tol, failed=lambda point: False):
     """Probe the multiplier for a distortion within ``tol`` of ``target``.
 
-    Doubles s from -1 until a probe's distortion is at most ``target``, then
-    bisects [s, 0] and returns the closest probe.  Returns the first probe
-    ``failed`` flags, and returns the last probe, unbisected, when the next
+    D(s) is nondecreasing in s.  Doubles s from -1 until a probe's distortion
+    is at most ``target``; the probe before it, or s = 0, closes the bracket.
+    The bracket is then narrowed by Illinois false position on
+    f(s) = D(s) - target (Dowell & Jarratt, BIT 11, 1971): each step probes
+    the secant point of the bracket's ends and halves the f of an end kept
+    for two steps in a row.  A step takes the midpoint instead while the
+    upper end is s = 0 (its f unknown), when the secant point is not strictly
+    inside the bracket, or when the bracket did not halve over the last two
+    steps.  Stops at the first probe within ``tol`` of the target and returns
+    the closest probe; no s is probed twice.  Returns the first probe
+    ``failed`` flags, and returns the last probe, unnarrowed, when the next
     doubling would pass |s| = S_MAGNITUDE_CAP.
     """
-    lo, hi = -1.0, 0.0
-    best = probe(lo)
-    while distortion(best) > target and not failed(best):
+    lo, hi, f_hi = -1.0, 0.0, None
+    point = probe(lo)
+    while distortion(point) > target and not failed(point):
         if -2.0 * lo > S_MAGNITUDE_CAP:
-            return best
+            return point
+        hi, f_hi, last = lo, distortion(point) - target, point
         lo *= 2.0
-        best = probe(lo)
+        point = probe(lo)
+    if failed(point):
+        return point
+    f_lo, side, widths = distortion(point) - target, 0, (math.inf, math.inf)
+    best = last if f_hi is not None and f_hi < -f_lo else point
     for _ in range(200):
-        if failed(best) or abs(distortion(best) - target) <= tol:
+        if abs(distortion(best) - target) <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        point = probe(mid)
+        s = 0.5 * (lo + hi)
+        if f_hi is not None and hi - lo <= 0.5 * widths[0]:
+            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if lo < secant < hi:
+                s = secant
+        if not lo < s < hi:                 # the bracket is two adjacent floats
+            break
+        widths = (widths[1], hi - lo)
+        point = probe(s)
         if failed(point):
             return point
-        if distortion(point) >= target:
-            hi = mid
+        f = distortion(point) - target
+        if f >= 0:
+            hi, f_hi = s, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
         else:
-            lo = mid
-        if abs(distortion(point) - target) < abs(distortion(best) - target):
+            lo, f_lo = s, f
+            if side < 0 and f_hi is not None:
+                f_hi *= 0.5
+            side = -1
+        if abs(f) < abs(distortion(best) - target):
             best = point
     return best
 
@@ -136,11 +163,11 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     """Classical block rate (total nats) at per-symbol distortion ``d_target``.
 
     Runs Blahut-Arimoto on the trajectory super-alphabets with the
-    stage-summed distortion, searching the multiplier until the achieved
-    distortion brackets the target, then evaluates the supporting line at the
-    exact target (second-order accurate on the convex curve).  When the search
-    stops at the multiplier cap short of the target, the line is a lower
-    bound on the rate.
+    stage-summed distortion, searching the multiplier by false position until
+    the achieved distortion is within 1e-9 of the target, then evaluates the
+    supporting line at the exact target (second-order accurate on the convex
+    curve).  When the search stops at the multiplier cap short of the target,
+    the line is a lower bound on the rate.
 
     Returns 0 for targets at or above the zero-rate distortion and ``inf``
     for targets below the minimum achievable distortion.

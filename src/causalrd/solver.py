@@ -396,29 +396,30 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     g_tabs, logz, q = passes.backward(tables)
     dist, info = passes.forward(q, distortion=True)[2:]
     policy = passes.policy(q)
-    rate = _closed_form_rate(source, s, dist, logz[0], info, check=converged)
+    why = f"after {sweeps} sweeps at fp_tol {config.fp_tol:.1e}; try a tighter fp_tol first"
+    rate = _closed_form_rate(source, s, dist, logz[0], info, why if converged else None)
     return SolveResult(s=s, policy=policy, nu=nu, g=passes.full_g(g_tabs), rate_nats=rate,
                        distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages,
                        sweeps_used=sweeps, converged=converged, residual=residual)
 
 
-def _closed_form_rate(source, s, distortion_total, logz0, info, check=True):
+def _closed_form_rate(source, s, distortion_total, logz0, info, why):
     """Closed-form block rate s*D_total - E[log Z_0(X_0)], ``logz0`` of shape
-    (|X_0|, 1).  With ``check`` it is compared with ``info``, the directed
+    (|X_0|, 1), compared, unless ``why`` is None, with ``info``, the directed
     information of the tilted policy, which only a fixed point makes equal:
     the closed form exceeds it by sum_i E_{P(y^{i-1})} KL(nu'_i || nu_i), nu'
-    the marginal the policy induces.  A solve passes the value of its final
-    forward pass; :func:`rdf_value` the one of the dense laws."""
+    the marginal the policy induces; ``why`` ends the error.  A solve passes
+    its final forward pass's value, :func:`rdf_value` that of the dense laws."""
     rate = s * distortion_total - float(source.kernels[0][0] @ logz0[:, 0])
     if -1e-9 < rate < 0.0:
         rate = 0.0
-    if check:
+    if why is not None:
         gap = abs(rate - info)
         if not gap <= RATE_CHECK_TOL:                # a nan gap fails too
             raise InternalConsistencyError(
                 f"closed-form rate and directed information differ by {gap:.3e} "
-                f"(tolerance {RATE_CHECK_TOL:.1e}); the fixed point looks broken")
+                f"(tolerance {RATE_CHECK_TOL:.1e}) {why}")
     return rate
 
 
@@ -436,7 +437,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     if distortion_total is None:
         distortion_total = expected_distortion(mu, policy, spec).total
     return _closed_form_rate(source, s, distortion_total, logz0,
-                             directed_information(mu, policy))
+                             directed_information(mu, policy), "so the fixed point looks broken")
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +450,12 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     """Solve at a per-symbol distortion target by searching the multiplier;
     ``settings`` are the :class:`SolverConfig` fields other than ``s``.
 
-    The multiplier bracket is grown by doubling from -1 until the achieved
-    distortion falls below the target, then bisected until the achieved
-    per-symbol distortion is within ``dist_tol``; when doubling would pass
-    |s| = 1e6 the last solve is returned.  A returned solve that misses the
-    target by more than ``dist_tol`` has ``target_met`` False.  Targets at
-    or above the zero-rate distortion return the s = 0 endpoint; targets
-    below the achievable floor return an infeasible sentinel with rate +inf.
+    The multiplier is found by :func:`~causalrd.baseline.search_multiplier`
+    (doubling from -1, then safeguarded false position) to within ``dist_tol``
+    of the per-symbol target.  A returned solve that misses the target by more
+    than ``dist_tol`` has ``target_met`` False.  Targets at or above the
+    zero-rate distortion return the s = 0 endpoint; targets below the
+    achievable floor return an infeasible sentinel with rate +inf.
     """
     if d_target < 0:
         raise InvalidArgumentError("d_target must be >= 0")

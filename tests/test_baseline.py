@@ -156,6 +156,39 @@ def test_block_rdf_never_exceeds_causal_rate():
         assert causal.rate_nats >= block - 1e-9
 
 
+def _counted(calls, f):
+    """``f``, recording each call's third argument (the config or s) in ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[2])
+        return f(*args, **kwargs)
+    return wrapper
+
+
+def test_target_search_probes_no_multiplier_twice(monkeypatch):
+    # the doubling stage hands its last probe above the target (s = -1) to
+    # the bracket, so the narrowing does not solve it again
+    probes = []
+    monkeypatch.setattr(solver, "fixed_point_solve", _counted(probes, fixed_point_solve))
+    src = binary_symmetric_markov(0.3, 4)
+    assert solve_for_target_distortion(src, hamming_distortion(src.alphabets), 0.2).target_met
+    s_values = [config.s for config in probes]
+    assert len(set(s_values)) == len(s_values), s_values
+
+
+def test_cli_verify_searches_solve_at_most_8_and_10_times(monkeypatch):
+    # the problem of the CLI's verify benchmark: Markov flip 0.3, n = 4, D = 0.2;
+    # bisection took 18 solves and 31 Blahut-Arimoto runs
+    solves, runs = [], []
+    monkeypatch.setattr(solver, "fixed_point_solve", _counted(solves, fixed_point_solve))
+    monkeypatch.setattr(baseline, "blahut_arimoto", _counted(runs, blahut_arimoto))
+    src = binary_symmetric_markov(0.3, 4)
+    spec = hamming_distortion(src.alphabets)
+    res = solve_for_target_distortion(src, spec, 0.2)
+    assert res.target_met and len(solves) <= 8
+    block = classical_block_rdf(full_joint_source(src), spec, res.distortion_per_symbol)
+    assert 0.0 < block <= res.rate_nats and len(runs) <= 10
+
+
 # A target at the distortion floor that no multiplier below the cap reaches:
 # the per-letter floor is 0.6 * 0.2 + 0.4 * 0.3 = 0.24, with an optimal
 # reproduction for x = 0 only 2e-6 cheaper than the other one.

@@ -1,9 +1,12 @@
 """Property tests: invariants checked on randomly drawn problems."""
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalrd.baseline import blahut_arimoto, classical_block_rdf
+from causalrd.baseline import (S_MAGNITUDE_CAP, blahut_arimoto, classical_block_rdf,
+                               search_multiplier)
 from causalrd.measures import (MarginalProcess, directed_information, joint_law,
                                markov_chain_check)
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
@@ -113,3 +116,85 @@ def test_tilted_policy_ignores_an_x_history_shift_of_g(problem, seed):
     for a, b in zip(tilted_policy(src, spec, nu, g, s).kernels,
                     tilted_policy(src, spec, nu, shifted, s).kernels):
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def _bisection_search(probe, distortion, target, tol):
+    """The multiplier search that false position replaced, kept as the
+    reference: double s from -1, then bisect [s, 0]."""
+    lo, hi = -1.0, 0.0
+    best = probe(lo)
+    while distortion(best) > target:
+        if -2.0 * lo > S_MAGNITUDE_CAP:
+            return best
+        lo *= 2.0
+        best = probe(lo)
+    for _ in range(200):
+        if abs(distortion(best) - target) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        point = probe(mid)
+        if distortion(point) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if abs(distortion(point) - target) < abs(distortion(best) - target):
+            best = point
+    return best
+
+
+@st.composite
+def distortion_curves(draw):
+    """(kind, D, target, tol): D(s) nondecreasing on s < 0 and smooth, with
+    flat steps, with a jump across the target, or with a kink: a jump whose
+    lower or upper edge is the target."""
+    scale = 10.0 ** draw(st.floats(-2.0, 4.0))
+    power = draw(st.floats(0.5, 4.0))
+    top = draw(st.floats(0.1, 10.0))
+
+    def smooth(s):
+        return top / (1.0 + (-s / scale) ** power)
+
+    kind = draw(st.sampled_from(["smooth", "steps", "jump", "kink"]))
+    target = draw(st.floats(0.0, top))
+    if kind == "smooth":
+        curve = smooth
+    elif kind == "steps":
+        levels = draw(st.integers(2, 50))
+
+        def curve(s):
+            return math.floor(smooth(s) / top * levels) * top / levels
+    else:
+        at = -(10.0 ** draw(st.floats(-3.0, 6.0)))
+        gap = draw(st.floats(0.2, 10.0))
+        edge = draw(st.floats(0.01, 0.99)) if kind == "jump" else draw(st.sampled_from([0, 1]))
+        target = smooth(at) + edge * gap
+
+        def curve(s):
+            return smooth(s) + (gap if s > at else 0.0)
+    return kind, curve, target, draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(distortion_curves())
+def test_false_position_search_beats_bisection_on_synthetic_curves(problem):
+    kind, curve, target, tol = problem
+
+    def run(search):
+        probes = []
+
+        def probe(s):
+            probes.append(s)
+            return s, curve(s)
+        return search(probe, lambda p: p[1], target, tol), probes
+
+    (_, d), probes = run(search_multiplier)
+    (_, d_ref), ref_probes = run(_bisection_search)
+    assert all(-S_MAGNITUDE_CAP <= s < 0.0 for s in probes)
+    assert len(set(probes)) == len(probes)
+    if abs(d_ref - target) <= tol:
+        assert abs(d - target) <= tol
+    # at a kink the within-tol set ends at the jump, where the far end's f
+    # stays large; the safeguard then halves the bracket every third probe,
+    # against bisection's every probe
+    if kind != "kink":
+        assert len(probes) <= 2 * len(ref_probes) + 1

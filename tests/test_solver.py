@@ -273,6 +273,9 @@ def test_unconverged_solve_skips_the_dense_check(monkeypatch):
     assert calls == []
     gap = twin.rate_nats - directed_information(full_joint_source(src), twin.policy)
     assert gap > solver_module.RATE_CHECK_TOL and f"differ by {gap:.3e}" in str(err.value)
+    # the message names the stopping rule, not a broken fixed point
+    assert "after 10 sweeps at fp_tol 1.0e-02" in str(err.value)
+    assert "try a tighter fp_tol first" in str(err.value)
     windowed_gap = twin.rate_nats - _windowed_info(src, spec, -1.0, twin.nu.tables)
     assert abs(windowed_gap - gap) <= 1e-12
 
