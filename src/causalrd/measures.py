@@ -52,9 +52,9 @@ class MarginalProcess:
     """Output conditional marginals nu_i(y_i | y^{i-1}).
 
     ``tables[i]`` has shape ``(y_hist_size(i-1), y_sizes[i])``; rows for
-    unreachable histories are filled uniform by convention.  When built from
-    a joint law, ``prefix_mass[i]`` holds P(y^{i-1}) so callers can tell
-    reachable rows apart.
+    unreachable histories are uniform by convention, where a solve's ``nu``
+    keeps its iterate's rows.  When built from a joint law, ``prefix_mass[i]``
+    holds P(y^{i-1}) so callers can tell reachable rows apart.
     """
 
     def __init__(self, alphabets: StageAlphabets, tables, prefix_mass=None):

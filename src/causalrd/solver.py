@@ -7,9 +7,9 @@ The optimal reproduction kernels have the tilted form
 where the value tables g_i integrate out the future stages through a backward
 recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
-sweeps of two passes until nu is stable: a backward pass yields g, log Z and
-the kernels q, a forward pass over the weights P(x^i, y^{i-1}) yields nu, and
-one more pair at the stable nu yields the distortion D and the block rate
+over-relaxed sweeps of two passes until nu is stable: a backward pass yields
+g, log Z and the kernels q, a forward pass over the weights P(x^i, y^{i-1})
+yields nu, and one more pair at the stable nu yields D and the block rate
 R = s D - E[log Z_0(X_0)]: in s D - sum_i E[g_i + log Z_i] each E[g_{i-1}]
 cancels E[log Z_i], as g_{i-1} averages -log Z_i over X_i and a causal
 policy keeps X_i independent of Y^{i-1} given X^{i-1}.  At s = 0 the sweeps
@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import log_normalize, masked_log, search_multiplier
+from .baseline import _relaxed_alternation, log_normalize, masked_log, search_multiplier
 from .errors import (
     DegenerateMarginalError,
     InternalConsistencyError,
@@ -63,8 +63,9 @@ class SolverConfig:
     """Fixed-point iteration parameters.
 
     ``s`` is the Lagrange multiplier (<= 0); ``nu_init`` is either the string
-    "uniform" or a :class:`MarginalProcess` to start from.  This class is the
-    one place each setting and its default is defined.
+    "uniform" or a :class:`MarginalProcess` to start from; a solve stops at
+    |nu' - nu| <= ``fp_tol`` or after ``max_sweeps`` forward passes.  This
+    class is the one place each setting and its default is defined.
     """
     s: float
     nu_init: Union[str, MarginalProcess] = "uniform"
@@ -86,9 +87,12 @@ class SolveResult:
 
     ``g`` holds the backward-recursion value tables, one per stage: ``g[i]``
     has shape ``(x_hist_size(i), y_hist_size(i))`` and the terminal table is
-    identically zero.  ``target_met`` is False when a distortion-target solve
-    returns a point whose per-symbol distortion misses the target by more
-    than its tolerance, or no point (an infeasible target).
+    identically zero.  A sweep steps nu <- nu' (nu' / nu)^(lam - 1) per row,
+    lam = min(2 / (2 - rho), 1.95) from the residuals' contraction rho, and
+    keeps the step only if J = -E[log Z_0] does not rise, else pays one more
+    backward pass for nu' (:func:`~causalrd.baseline._relaxed_alternation`):
+    ``sweeps_used`` counts forward passes, ``nu`` is the last nu'.  A missed
+    distortion target, or an infeasible one, sets ``target_met`` False.
     """
     s: Optional[float]
     policy: Optional[CausalPolicy]
@@ -230,10 +234,11 @@ class _Passes:
                                       logz[i].reshape(xp, sx, yp)).reshape(-1, yp)
         return g, logz, q
 
-    def forward(self, q, distortion=False):
+    def forward(self, q, distortion=False, fill=None):
         """Output marginals nu'_i and prefix masses P(y^{i-1}) induced by the
         kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
-        stage, and with ``distortion`` the total distortion and the directed
+        stage, with ``fill``'s rows (or uniform ones) where P(y^{i-1}) = 0;
+        with ``distortion`` also the total distortion and the directed
         information sum_i E[log q_i / nu'_i] of the kernels (else None).  The
         latter is exact on windowed states, as q_i reads x^i only through its
         window, and sums only where P(y_i, window_i, y^{i-1}) > 0."""
@@ -244,8 +249,8 @@ class _Passes:
             joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
             py = joint.sum(axis=1).T                  # P(y^{i-1}, y_i)
             mass = py.sum(axis=1)
-            tables.append(np.divide(py, mass[:, None], out=np.full((yp, sy), 1.0 / sy),
-                                    where=mass[:, None] > 0))
+            out = np.full((yp, sy), 1.0 / sy) if fill is None else fill[i].copy()
+            tables.append(np.divide(py, mass[:, None], out=out, where=mass[:, None] > 0))
             masses.append(mass)
             if distortion:
                 dist += float(np.sum(joint.reshape(sy, xp, sx, yp) * self.rho[i]))
@@ -380,18 +385,15 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
         tables = [k[:, 0] for k in d_max_policy(source, spec)[1].kernels]
 
     passes = _Passes(source, spec, s)
-    converged = False
-    for sweeps in range(1, config.max_sweeps + 1):      # max_sweeps >= 1
-        nxt, masses = passes.forward(passes.backward(tables)[2])[:2]
-        # sup-norm change over the rows of positive prefix mass
-        residual = max((float(np.abs(new - old)[m > 0].max())
-                        for new, old, m in zip(nxt, tables, masses) if (m > 0).any()),
-                       default=0.0)
-        tables = nxt
-        if residual <= config.fp_tol:
-            converged = True
-            break
 
+    def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
+        _, logz, q = passes.backward(nu_tables)
+        return -float(source.kernels[0][0] @ logz[0][:, 0]), (q, nu_tables)
+
+    # a row of zero prefix mass keeps nu's row, so the residual is over live rows
+    tables, masses, sweeps, residual, converged = _relaxed_alternation(
+        backward, lambda state: passes.forward(state[0], fill=state[1])[:2], tables,
+        config.fp_tol, config.max_sweeps)
     nu = MarginalProcess(al, tables, prefix_mass=masses)
     g_tabs, logz, q = passes.backward(tables)
     dist, info = passes.forward(q, distortion=True)[2:]

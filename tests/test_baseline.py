@@ -12,6 +12,7 @@ from causalrd import baseline, solver
 from causalrd.baseline import (
     S_MAGNITUDE_CAP,
     BaPoint,
+    _relaxed_alternation,
     blahut_arimoto,
     classical_block_rdf,
     log_normalize,
@@ -69,6 +70,34 @@ def test_ba_sweep_monotone_convex():
         t = (b.distortion - a.distortion) / (c.distortion - a.distortion)
         chord = (1 - t) * a.rate_nats + t * c.rate_nats
         assert b.rate_nats <= chord + 1e-9
+
+
+def test_ba_markov_block_takes_at_most_1300_iterations():
+    # the plain map took 2,237 iterations on this block at s = -1
+    src = binary_symmetric_markov(0.3, 4)
+    spec = hamming_distortion(src.alphabets)
+    p = blahut_arimoto(full_joint_source(src), spec.total_table(), -1.0, tol=1e-12)
+    assert p.converged and p.iterations <= 1300
+
+
+def test_relaxed_alternation_falls_back_on_a_step_that_raises_j():
+    # p <- 0.3 - 0.5 (p - 0.3) overshoots its fixed point, so an over-relaxed
+    # step can overshoot further and raise J = (p - 0.3)^2, which the plain
+    # step never raises; each such step costs a second backward pass
+    backward_at = []
+
+    def backward(nu):
+        backward_at.append(nu[0][0, 0])
+        return (nu[0][0, 0] - 0.3) ** 2, nu[0][0, 0]
+
+    def forward(p):
+        q = 0.3 - 0.5 * (p - 0.3)
+        return [np.array([[q, 1.0 - q]])], None
+
+    (nu,), _, sweeps, residual, converged = _relaxed_alternation(
+        backward, forward, [np.array([[0.9, 0.1]])], 1e-12, 200)
+    assert converged and residual <= 1e-12 and abs(nu[0, 0] - 0.3) <= 1e-12
+    assert len(backward_at) > sweeps + 10          # the rejected steps
 
 
 def test_log_normalize_matches_direct_sums_and_handles_dead_slices():
