@@ -19,8 +19,8 @@ S_MAGNITUDE_CAP = 1e6
 BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
 BLOCK_BA_TOL = 1e-12        # classical_block_rdf: Blahut-Arimoto tolerance
 BA_MAX_ITERS = 500_000      # blahut_arimoto: iterations before it reports no convergence
-RELAX_CAP = 1.95            # largest over-relaxation factor of a marginal step
-_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+AA_DEPTH = 5                # differences an Anderson step of a marginal combines
+_EPS = np.finfo(float).eps
 
 
 def log_normalize(a: np.ndarray, axis: int):
@@ -46,41 +46,55 @@ def masked_log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
 
 
-def _relaxed_alternation(backward, forward, tables, tol, max_sweeps):
+def _accelerated_alternation(backward, forward, tables, tol, max_sweeps):
     """Sweep ``backward`` then ``forward`` on output marginal ``tables`` (2-D,
     one distribution per row) until the sup-norm residual |nu' - nu| <= ``tol``.
 
     ``backward(nu)`` returns (J(nu), state), J = -E[log Z_0] the objective
     that the plain map nu <- nu' never raises; ``forward(state)`` returns
-    (nu', aux).  Each sweep over-relaxes the map (Yu, IEEE Trans. IT 56(7),
-    2010): nu <- nu' (nu' / nu)^(lam - 1) renormalized per row, nu' where nu
-    is 0 or subnormal, with lam = min(2 / (2 - rho), RELAX_CAP) and rho in
-    [0, 1] the plain map's contraction, estimated as 1 - (1 - r_k / r_{k-1})
-    / lam_{k-1} from the last two residuals.  A step that raises J beyond
-    rounding is replaced by nu' (lam = 1) at the cost of a second backward
-    pass.  Returns the last (nu', aux), the forward-pass count, the residual
-    and whether it met ``tol``.
+    (nu', aux).  Each sweep takes a type-II Anderson step (Walker & Ni, SIAM
+    J. Numer. Anal. 49, 2011) on nu as one flat vector: nu <- nu' - (dX + dF) g,
+    dX, dF the last AA_DEPTH differences of nu and of f = nu' - nu, and
+    (dF'dF + 1e-10 tr(dF'dF) I) g = dF'f, shrunk toward nu' to keep each entry
+    above half of min(nu, nu') (the map never revives a zero), rows renormalized.
+    A step that raises J beyond rounding is replaced by nu', at one more
+    backward pass, and clears the history.  Returns the last (nu', aux), the
+    forward-pass count, the residual and whether it met ``tol``.
     """
+    x = np.concatenate([t.ravel() for t in tables])
+    ends = np.cumsum([t.size for t in tables]).tolist()
+    widths = np.concatenate([np.full(len(t), t.shape[1]) for t in tables])    # row lengths
+    starts = np.cumsum(widths) - widths
+    dx, df = np.empty((AA_DEPTH, x.size)), np.empty((AA_DEPTH, x.size))   # rings
+    kept, f_last = -1, 0.0                  # differences held (the first sweep's is void)
     objective, state = backward(tables)
-    lam, last = 1.0, math.inf                           # so the first sweep has lam = 1
     for sweep in range(1, max_sweeps + 1):              # max_sweeps >= 1
         new, aux = forward(state)
-        residual = max(float(np.abs(a - b).max()) for a, b in zip(new, tables))
+        y = np.concatenate([t.ravel() for t in new])
+        f = y - x
+        residual = float(np.abs(f).max())
         if residual <= tol:
             return new, aux, sweep, residual, True
-        rho = min(max(1.0 - (1.0 - residual / last) / lam, 0.0), 1.0)
-        lam, last = min(2.0 / (2.0 - rho), RELAX_CAP), residual
-        if lam > 1.0:
-            step = [np.divide(b, a, out=np.ones(a.shape), where=a >= _TINY) ** (lam - 1.0) * b
-                    for a, b in zip(tables, new)]
-            step = [t / t.sum(axis=1, keepdims=True) for t in step]
-            step_objective, step_state = backward(step)
+        np.subtract(f, f_last, out=df[kept % AA_DEPTH])
+        kept += 1
+        f_last, m = f, min(kept, AA_DEPTH)
+        gram = df[:m] @ df[:m].T
+        if (trace := np.trace(gram)) > 0:               # 0 with no history
+            gram.flat[::m + 1] += 1e-10 * trace
+            step = y - np.linalg.solve(gram, df[:m] @ f) @ (dx[:m] + df[:m])
+            floor = 0.5 * np.minimum(x, y)
+            if (low := step < floor).any():
+                step = y + ((y - floor)[low] / (y - step)[low]).min() * (step - y)
+            step /= np.add.reduceat(step, starts).repeat(widths)        # rows sum to 1
+            step_objective, step_state = backward(
+                [step[b - t.size:b].reshape(t.shape) for b, t in zip(ends, new)])
             if step_objective <= objective + 8 * _EPS * abs(objective):    # J to rounding
-                tables, objective, state = step, step_objective, step_state
+                np.subtract(step, x, out=dx[kept % AA_DEPTH])
+                x, objective, state = step, step_objective, step_state
                 continue
-            lam = 1.0
-        tables = new
-        objective, state = backward(new)
+            kept = 0
+        np.subtract(y, x, out=dx[kept % AA_DEPTH])
+        x, (objective, state) = y, backward(new)
     return new, aux, max_sweeps, residual, False
 
 
@@ -161,11 +175,12 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     """Parametric Blahut-Arimoto point at multiplier ``s``.
 
     Alternates the tilted conditional q(y|x) ~ nu(y) exp(s rho(x,y)), one
-    log-sum-exp per step, with the output marginal nu = px @ q, over-relaxed
-    by :func:`_relaxed_alternation`, until nu is stable in sup norm; the
-    iteration count is that of forward steps.  At ``s = 0`` the zero-tilt
-    family is degenerate and the distortion-minimizing source-blind
-    reproduction (rate 0) is returned.
+    log-sum-exp per step, with the output marginal nu = px @ q, until nu is
+    stable in sup norm, by the Anderson steps of :func:`_accelerated_alternation`
+    (shrunk to stay above half of min(nu, nu'), kept only where J = -E[log Z]
+    does not rise); the iteration count is that of forward steps.  At
+    ``s = 0`` the zero-tilt family is degenerate and the distortion-minimizing
+    source-blind reproduction (rate 0) is returned.
     """
     px = np.asarray(px, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -188,7 +203,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
         ln_z, q = log_normalize(s_rho + masked_log(nu[0][0]), axis=1)
         return -float(px @ ln_z[:, 0]), q
 
-    (nu,), _, it, _, converged = _relaxed_alternation(
+    (nu,), _, it, _, converged = _accelerated_alternation(
         backward, lambda q: ([(px @ q)[None, :]], None), [np.full((1, ny), 1.0 / ny)],
         tol, BA_MAX_ITERS)
     ln_z, q = log_normalize(s_rho + masked_log(nu[0]), axis=1)

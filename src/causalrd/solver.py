@@ -7,7 +7,7 @@ The optimal reproduction kernels have the tilted form
 where the value tables g_i integrate out the future stages through a backward
 recursion (g at the terminal stage is identically zero) and nu is the output
 marginal process the policy itself induces.  The solver closes that system by
-over-relaxed sweeps of two passes until nu is stable: a backward pass yields
+Anderson-accelerated sweeps of two passes until nu is stable: a backward pass yields
 g, log Z and the kernels q, a forward pass over the weights P(x^i, y^{i-1})
 yields nu, and one more pair at the stable nu yields D and the block rate
 R = s D - E[log Z_0(X_0)]: in s D - sum_i E[g_i + log Z_i] each E[g_{i-1}]
@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .baseline import _relaxed_alternation, log_normalize, masked_log, search_multiplier
+from .baseline import _accelerated_alternation, log_normalize, masked_log, search_multiplier
 from .errors import (
     DegenerateMarginalError,
     InternalConsistencyError,
@@ -87,10 +87,10 @@ class SolveResult:
 
     ``g`` holds the backward-recursion value tables, one per stage: ``g[i]``
     has shape ``(x_hist_size(i), y_hist_size(i))`` and the terminal table is
-    identically zero.  A sweep steps nu <- nu' (nu' / nu)^(lam - 1) per row,
-    lam = min(2 / (2 - rho), 1.95) from the residuals' contraction rho, and
-    keeps the step only if J = -E[log Z_0] does not rise, else pays one more
-    backward pass for nu' (:func:`~causalrd.baseline._relaxed_alternation`):
+    identically zero.  A sweep takes an Anderson step from nu' over the last
+    AA_DEPTH steps, shrunk toward nu' to keep every entry above half of
+    min(nu, nu'), and keeps it only if J = -E[log Z_0] does not rise, else pays
+    one more backward pass for nu' (:func:`~causalrd.baseline._accelerated_alternation`):
     ``sweeps_used`` counts forward passes, ``nu`` is the last nu'.  A missed
     distortion target, or an infeasible one, sets ``target_met`` False.
     """
@@ -391,7 +391,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
         return -float(source.kernels[0][0] @ logz[0][:, 0]), (q, nu_tables)
 
     # a row of zero prefix mass keeps nu's row, so the residual is over live rows
-    tables, masses, sweeps, residual, converged = _relaxed_alternation(
+    tables, masses, sweeps, residual, converged = _accelerated_alternation(
         backward, lambda state: passes.forward(state[0], fill=state[1])[:2], tables,
         config.fp_tol, config.max_sweeps)
     nu = MarginalProcess(al, tables, prefix_mass=masses)

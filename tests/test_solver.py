@@ -533,6 +533,27 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-9
 
 
+def test_near_tie_converges_instead_of_drifting():
+    # rho differs by 1e-9 between the two outputs, so the plain map moves nu
+    # toward y = 0 by a factor of about 1 - 1e-9 per sweep and its residual
+    # stalls near 2.5e-10; the Anderson step extrapolates the drift
+    src = iid_source([1.0], 1, y_size=2)
+    spec = DistortionSpec.single_letter(src.alphabets, np.array([[0.0, 1e-9]]))
+    r = fixed_point_solve(src, spec, SolverConfig(s=-1.0, fp_tol=1e-12, max_sweeps=100_000))
+    assert r.converged and r.sweeps_used <= 50
+    assert r.rate_nats <= 1e-15 and r.distortion_total <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [32, 279])
+def test_slow_full_history_sources_converge_within_3000_sweeps(seed):
+    # perfbench's full-history generator; the over-relaxed loop took 7,234 and
+    # 6,487 sweeps on these two, the plain map more than 10,000
+    al = StageAlphabets(5, [2] * 5, [2] * 5)
+    src = random_source(np.random.default_rng(seed), al)
+    r = fixed_point_solve(src, hamming_distortion(al), SolverConfig(s=-2.0))
+    assert r.converged and r.sweeps_used <= 3000, r.sweeps_used
+
+
 # ---------------------------------------------------------------------------
 # closed-form rate
 # ---------------------------------------------------------------------------
