@@ -230,7 +230,7 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     n = al.n_stages
     if mu.shape != (al.x_trajectories(),):
         raise InvalidArgumentError("mu does not match the trajectory alphabet")
-    if d_target < 0:
+    if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
     dmat = spec.total_table()      # budget-guarded
     target_total = d_target * n

@@ -12,8 +12,11 @@ g, log Z and the kernels q, a forward pass over the weights P(x^i, y^{i-1})
 yields nu, and one more pair at the stable nu yields D and the block rate
 R = s D - E[log Z_0(X_0)]: in s D - sum_i E[g_i + log Z_i] each E[g_{i-1}]
 cancels E[log Z_i], as g_{i-1} averages -log Z_i over X_i and a causal
-policy keeps X_i independent of Y^{i-1} given X^{i-1}.  At s = 0 the sweeps
-start from the D_max trajectory's output law, which the first one confirms.
+policy keeps X_i independent of Y^{i-1} given X^{i-1}.  Both distortion
+endpoints are the s -> -inf limit of the same backward pass, a min in place
+of each tilt: the floor directly, and D_max when rho_i + g_i is first averaged
+over the window law, so the kernel ignores x.  At s = 0 the sweeps start from
+the output law of that D_max trajectory, which the first one confirms.
 
 Both passes run over (x-window, y^{i-1}) states.  For a source of integer
 memory m under a single-letter rho, the window at stage i is the last
@@ -39,15 +42,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .baseline import _accelerated_alternation, log_normalize, masked_log, search_multiplier
-from .errors import (
-    DegenerateMarginalError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-)
+from .errors import DegenerateMarginalError, InternalConsistencyError, InvalidArgumentError
 from .measures import (MarginalProcess, directed_information, expected_distortion,
                        lagrangian_value)
-from .model import (CausalPolicy, DistortionSpec, SourceModel, _count,
-                    decode_history, full_joint_source)
+from .model import CausalPolicy, DistortionSpec, SourceModel, _count, full_joint_source
 
 RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
 CURVE_TOL = 1e-9             # rate rise and chord excess a curve's checks allow
@@ -75,10 +73,11 @@ class SolverConfig:
     def __post_init__(self):
         if not -math.inf < self.s <= 0:              # also refuses nan
             raise InvalidArgumentError("multiplier s must be a finite number <= 0")
-        if not self.fp_tol > 0:
+        if isinstance(self.fp_tol, bool) or not self.fp_tol > 0:
             raise InvalidArgumentError("fp_tol must be positive")
-        if self.max_sweeps < 1:
-            raise InvalidArgumentError("max_sweeps must be >= 1")
+        self.max_sweeps = _count(self.max_sweeps, "max_sweeps")
+        if not isinstance(self.nu_init, MarginalProcess) and self.nu_init != "uniform":
+            raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
 
 
 @dataclass
@@ -221,13 +220,24 @@ class _Passes:
                 f" (and every x-history sharing its last {self.k[i]} of {i + 1} symbols)")
         return q, logz[0]
 
-    def backward(self, nu_tables):
-        """g tables, log normalizers and kernels, from the last stage down."""
-        n = self.al.n_stages
+    def least(self, i, g, pw=None):
+        """The s -> -inf limit of :meth:`tilt`: the one-hot kernel on the least
+        rho_i + g_i (ties to the lowest y_i) and minus that least for log Z_i;
+        averaged first over ``pw`` = P(window_i), the least over x-blind kernels."""
+        sy, _, _, yp = self.shapes[i]
+        e = (self.rho[i] + self._y_major(g, i)).reshape(sy, -1, yp)
+        if pw is not None:
+            e = np.broadcast_to(np.einsum('awc,w->ac', e, pw[:, 0])[:, None], e.shape)
+        return (e.argmin(axis=0) == np.arange(sy)[:, None, None]).astype(float), -e.min(axis=0)
+
+    def backward(self, laws, rule=None):
+        """g tables, log normalizers and kernels, from the last stage down, by
+        the stage ``rule`` (default :meth:`tilt`) given each stage's ``laws``."""
+        n, rule = self.al.n_stages, rule or self.tilt
         g, logz, q = [None] * n, [None] * n, [None] * n
         g[n - 1] = np.zeros((self.win[n - 1], self.al.y_hist_size(n - 1)))
         for i in range(n - 1, -1, -1):
-            q[i], logz[i] = self.tilt(i, g[i], nu_tables[i])
+            q[i], logz[i] = rule(i, g[i], None if laws is None else laws[i])
             if i > 0:
                 _, xp, sx, yp = self.shapes[i]
                 g[i - 1] = -np.einsum('abx,bxc->abc', self.rows[i],
@@ -281,6 +291,16 @@ class _Passes:
         """The g tables over full x-histories."""
         return [self._full(t, i, 0) for i, t in enumerate(g)]
 
+    def zero_rate(self):
+        """D_max, the least total distortion of a policy that ignores x, and
+        the one-hot kernels of its trajectory: :meth:`least` given P(window_i)."""
+        laws = [self.rows[0]]
+        for rows in self.rows[1:]:
+            drop, xn, _ = rows.shape
+            laws.append(np.einsum('ab,abx->bx', laws[-1].reshape(drop, xn), rows).reshape(-1, 1))
+        _, logz, q = self.backward(laws, self.least)
+        return -float(logz[0][0, 0]), q
+
 
 def backward_g(source: SourceModel, spec: DistortionSpec,
                nu: MarginalProcess, s: float) -> list:
@@ -320,41 +340,29 @@ def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProces
 
 
 # ---------------------------------------------------------------------------
-# Zero-rate endpoint
+# Distortion endpoints
 # ---------------------------------------------------------------------------
 
 def d_max_policy(source: SourceModel, spec: DistortionSpec):
     """Best source-blind reproduction: the deterministic trajectory minimizing
     expected distortion, its per-symbol value, and the policy emitting it.
 
-    This is the distortion at which the rate-distortion curve hits zero.
+    This is the distortion at which the rate-distortion curve hits zero.  The
+    trajectory is built stage by stage from the backward pass's least rule,
+    so ties go to the lowest code only up to rounding.
     """
-    al = source.alphabets
-    px = source.kernels[0][0]                                # P(x^i)
-    acc = np.zeros(al.y_trajectories())
-    for i in range(al.n_stages):
-        if i > 0:
-            px = (px[:, None] * source.stage_rows(i)).reshape(-1)
-        term = px @ spec.stage_table(i)                      # (y_hist(i),)
-        ydiv = math.prod(al.y_sizes[i + 1:])
-        acc += term[np.arange(al.y_trajectories()) // ydiv]
-    best = int(np.argmin(acc))                               # ties -> lowest code
-    policy = CausalPolicy.constant(al, decode_history(best, al.y_sizes))
-    return float(acc[best]) / al.n_stages, policy
+    passes = _Passes(source, spec)
+    d_max, q = passes.zero_rate()
+    return d_max / source.alphabets.n_stages, passes.policy(q)
 
 
 def min_achievable_distortion(source: SourceModel, spec: DistortionSpec) -> float:
-    """Per-symbol distortion floor over all causal policies (deterministic
-    dynamic program; the s -> -inf limit of the solver)."""
-    al = source.alphabets
-    n = al.n_stages
-    v = np.zeros((al.x_hist_size(n - 1), al.y_hist_size(n - 1)))
-    for i in range(n - 1, 0, -1):
-        best = (spec.stage_table(i) + v).reshape(
-            al.x_hist_size(i), al.y_hist_size(i - 1), al.y_sizes[i]).min(axis=2)
-        v = np.einsum('ab,abc->ac', source.stage_rows(i),
-                      best.reshape(al.x_hist_size(i - 1), al.x_sizes[i], -1))
-    return float(source.kernels[0][0] @ (spec.stage_table(0) + v).min(axis=1)) / n
+    """Per-symbol distortion floor over all causal policies: the s -> -inf
+    limit of the backward pass, a min over y_i of rho_i + g_i at each state
+    (ties, which do not move the floor, to the lowest code up to rounding)."""
+    passes = _Passes(source, spec)
+    logz0 = passes.backward(None, passes.least)[1][0]
+    return -float(source.kernels[0][0] @ logz0[:, 0]) / source.alphabets.n_stages
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +376,19 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
 
     At ``s = 0`` every source-blind policy is stationary; the solve starts,
     whatever ``nu_init``, from the output law of the distortion-minimizing one
-    (the limit of the s -> 0 optimizers), and one sweep confirms the curve
-    endpoint (D_max, 0).  Non-convergence is reported in the result, not raised.
+    (the s -> 0 limit of the optimizers, by :meth:`_Passes.zero_rate`), and one
+    sweep confirms the endpoint (D_max, 0).  Non-convergence is reported, not raised.
     """
     al = source.alphabets
     s = float(config.s) + 0.0                          # -0.0 -> 0.0
-    nu_init = config.nu_init
-    if nu_init == "uniform":
-        tables = MarginalProcess.uniform(al).tables
-    elif isinstance(nu_init, MarginalProcess) and nu_init.alphabets.y_sizes == al.y_sizes:
-        tables = nu_init.tables
-    else:
-        raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess over "
-                                   "the source's stages and reproduction alphabets")
-    if s == 0.0:
-        tables = [k[:, 0] for k in d_max_policy(source, spec)[1].kernels]
-
+    uniform = isinstance(config.nu_init, str)
+    if not uniform and config.nu_init.alphabets.y_sizes != al.y_sizes:
+        raise InvalidArgumentError("nu_init must be a MarginalProcess over the source's "
+                                   "stages and reproduction alphabets")
+    tables = MarginalProcess.uniform(al).tables if uniform else config.nu_init.tables
     passes = _Passes(source, spec, s)
+    if s == 0.0:
+        tables = [k[:, 0].T for k in passes.zero_rate()[1]]
 
     def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
         _, logz, q = passes.backward(nu_tables)
@@ -397,13 +401,12 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     nu = MarginalProcess(al, tables, prefix_mass=masses)
     g_tabs, logz, q = passes.backward(tables)
     dist, info = passes.forward(q, distortion=True)[2:]
-    policy = passes.policy(q)
     why = f"after {sweeps} sweeps at fp_tol {config.fp_tol:.1e}; try a tighter fp_tol first"
     rate = _closed_form_rate(source, s, dist, logz[0], info, why if converged else None)
-    return SolveResult(s=s, policy=policy, nu=nu, g=passes.full_g(g_tabs), rate_nats=rate,
-                       distortion_total=dist,
-                       distortion_per_symbol=dist / al.n_stages,
-                       sweeps_used=sweeps, converged=converged, residual=residual)
+    return SolveResult(s=s, policy=passes.policy(q), nu=nu, g=passes.full_g(g_tabs),
+                       rate_nats=rate, distortion_total=dist,
+                       distortion_per_symbol=dist / al.n_stages, sweeps_used=sweeps,
+                       converged=converged, residual=residual)
 
 
 def _closed_form_rate(source, s, distortion_total, logz0, info, why):
@@ -459,24 +462,26 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     zero-rate distortion return the s = 0 endpoint; targets below the
     achievable floor return an infeasible sentinel with rate +inf.
     """
-    if d_target < 0:
+    if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
+    if not 0 < dist_tol < math.inf:
+        raise InvalidArgumentError("dist_tol must be a finite number > 0")
+
+    config = SolverConfig(s=0.0, **settings)         # a bad setting raises here
 
     def solve_at(s):
-        return fixed_point_solve(source, spec, SolverConfig(s=s, **settings))
+        return fixed_point_solve(source, spec, replace(config, s=s))
 
-    endpoint = solve_at(0.0)
-    if d_target >= endpoint.distortion_per_symbol - 1e-12:
-        return endpoint
+    d_max = _Passes(source, spec).zero_rate()[0] / source.alphabets.n_stages
+    if d_target >= d_max - 1e-12:
+        return solve_at(0.0)
 
     floor = min_achievable_distortion(source, spec)
     if d_target < floor - 1e-12:
-        return SolveResult(s=None, policy=None, nu=None, g=None,
-                           rate_nats=math.inf, distortion_total=floor *
-                           source.alphabets.n_stages,
-                           distortion_per_symbol=floor, sweeps_used=0,
-                           converged=True, residual=0.0, feasible=False,
-                           target_met=False)
+        return SolveResult(s=None, policy=None, nu=None, g=None, rate_nats=math.inf,
+                           distortion_total=floor * source.alphabets.n_stages,
+                           distortion_per_symbol=floor, sweeps_used=0, converged=True,
+                           residual=0.0, feasible=False, target_met=False)
 
     best = search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
                              dist_tol, failed=lambda r: not r.converged)
@@ -516,27 +521,20 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
 def _check_curve(curve: RdCurve, n_stages: int):
     good = [p for p in curve.points if p.converged and math.isfinite(p.rate_total_nats)]
     for a, b in zip(good, good[1:]):
-        drop = b.rate_total_nats - a.rate_total_nats
-        if drop > curve.monotone_worst:
-            curve.monotone_worst = drop
+        curve.monotone_worst = max(curve.monotone_worst, b.rate_total_nats - a.rate_total_nats)
     curve.monotone_ok = curve.monotone_worst <= CURVE_TOL
-    for a, b, c in zip(good, good[1:], good[2:]):
-        da, db, dc = (p.distortion_per_symbol for p in (a, b, c))
-        if dc - da < 1e-12:
-            continue
-        t = (db - da) / (dc - da)
-        chord = (1 - t) * a.rate_total_nats + t * c.rate_total_nats
-        excess = b.rate_total_nats - chord
-        if excess > curve.convex_worst:
-            curve.convex_worst = excess
-    curve.convex_ok = curve.convex_worst <= CURVE_TOL
     rel = []
     for a, b, c in zip(good, good[1:], good[2:]):
-        dd = (c.distortion_per_symbol - a.distortion_per_symbol) * n_stages
-        if abs(dd) < 1e-12 or b.s == 0.0:
-            continue
-        slope = (c.rate_total_nats - a.rate_total_nats) / dd
-        rel.append(abs(slope - b.s) / abs(b.s))
+        da, db, dc = (p.distortion_per_symbol for p in (a, b, c))
+        if dc - da >= 1e-12:
+            t = (db - da) / (dc - da)
+            excess = b.rate_total_nats - ((1 - t) * a.rate_total_nats + t * c.rate_total_nats)
+            curve.convex_worst = max(curve.convex_worst, excess)
+        dd = (dc - da) * n_stages
+        if abs(dd) >= 1e-12 and b.s != 0.0:
+            slope = (c.rate_total_nats - a.rate_total_nats) / dd
+            rel.append(abs(slope - b.s) / abs(b.s))
+    curve.convex_ok = curve.convex_worst <= CURVE_TOL
     curve.slope_worst_rel_err = max(rel) if rel else None
 
 
@@ -574,11 +572,13 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")
+    if n_perturbations != 0 or isinstance(n_perturbations, bool):
+        n_perturbations = _count(n_perturbations, "n_perturbations")
     rng = np.random.default_rng(seed)
     al = source.alphabets
     base = lagrangian_value(source, spec, result.policy, result.s)
     worst = -math.inf
-    for _ in range(n_perturbations):
+    for _ in range(int(n_perturbations)):
         ks = []
         for i, k in enumerate(result.policy.kernels):
             rand = rng.dirichlet(np.ones(k.shape[-1]), size=k.shape[:-1])

@@ -133,3 +133,50 @@ def bsc_policy(alphabets, eps) -> CausalPolicy:
         k[:, :, 1] = np.where(last == 0, eps, 1 - eps)
         ks.append(k)
     return CausalPolicy(alphabets, ks)
+
+
+def stage_rho(spec, i, xs, ys) -> float:
+    """rho_i(x^i, y^i) read off the spec's own tables, for whole prefixes."""
+    al = spec.alphabets
+    if spec.mode == "single_letter":
+        return float(spec.rho[xs[i], ys[i]])
+    return float(spec.tables[i][code_of(xs[: i + 1], al.x_sizes),
+                                code_of(ys[: i + 1], al.y_sizes)])
+
+
+def _next_prob(source, xs, x) -> float:
+    """P(X_i = x | x^{i-1} = xs), i = len(xs)."""
+    al = source.alphabets
+    i = len(xs)
+    w = source.window_len(i)
+    return source.kernels[i][code_of(xs[i - w: i], al.x_sizes[i - w: i]), x]
+
+
+def enum_causal_floor(source, spec) -> float:
+    """Least total expected distortion over causal policies, by the plain
+    recursion V(x^i, y^{i-1}) = min over y_i of rho_i + E[V(x^{i+1}, y^i) | x^i]."""
+    al = source.alphabets
+    n = al.n_stages
+
+    def value(xs, ys):
+        i = len(ys)
+        best = math.inf
+        for y in range(al.y_sizes[i]):
+            cost = stage_rho(spec, i, xs, ys + [y])
+            if i + 1 < n:
+                cost += sum(_next_prob(source, xs, x) * value(xs + [x], ys + [y])
+                            for x in range(al.x_sizes[i + 1]))
+            best = min(best, cost)
+        return best
+
+    return sum(_next_prob(source, [], x) * value([x], []) for x in range(al.x_sizes[0]))
+
+
+def enum_trajectory_costs(source, spec) -> dict:
+    """sum over x^n of P(x^n) d(x^n, y^n), for every y-trajectory y^n (a tuple);
+    the least of them is the zero-rate distortion D_max (total)."""
+    al = source.alphabets
+    laws = [(list(xs), source_prob(source, list(xs))) for xs in trajectories(al.x_sizes)]
+    return {ys: sum(p * sum(stage_rho(spec, i, xs, ys) for i in range(al.n_stages))
+                    for xs, p in laws)
+            for ys in trajectories(al.y_sizes)}

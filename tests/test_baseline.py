@@ -334,3 +334,10 @@ def test_target_search_at_the_floor_reports_the_missed_target():
     assert 1e-7 < res.distortion_per_symbol - 0.24 < 1e-6
     assert res.target_met is False
     assert solve_for_target_distortion(src, spec, 0.24).target_met is True
+
+
+def test_block_rdf_refuses_a_nan_target():
+    # n = 2: a nan target used to run 201 Blahut-Arimoto solves and return nan
+    src = binary_symmetric_markov(0.3, 2)
+    with pytest.raises(InvalidArgumentError, match="d_target"):
+        classical_block_rdf(full_joint_source(src), hamming_distortion(src.alphabets), math.nan)

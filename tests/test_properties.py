@@ -12,8 +12,11 @@ from causalrd.measures import (MarginalProcess, directed_information, joint_law,
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
                             hamming_distortion, iid_source)
 from causalrd.oracle import exhaustive_directed_info
-from causalrd.solver import (SolverConfig, _Passes, backward_g, fixed_point_solve,
-                             tilted_policy, trace_curve)
+from causalrd.solver import (SolverConfig, _Passes, backward_g, d_max_policy,
+                             fixed_point_solve, min_achievable_distortion, tilted_policy,
+                             trace_curve)
+
+from helpers import code_of, enum_causal_floor, enum_trajectory_costs
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -280,3 +283,55 @@ def test_false_position_search_beats_bisection_on_synthetic_curves(problem):
     # against bisection's every probe
     if kind != "kink":
         assert len(probes) <= 2 * len(ref_probes) + 1
+
+
+@st.composite
+def endpoint_problems(draw):
+    """(source, spec): n in 1..4, |X|, |Y| in 1..3; a single-letter rho with
+    ties over a source of memory 0, 1, 2 or "full", or integer stage tables
+    over whole prefixes, with per-stage alphabet sizes."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([0, 1, 2, "full", "tables"]))
+    if kind == "tables":
+        al = StageAlphabets(n, draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                            draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        memory = "full"
+    else:
+        nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        al = StageAlphabets(n, [nx] * n, [ny] * n)
+        memory = kind
+    window = [i if memory == "full" else min(memory, i) for i in range(n)]
+    rows = [math.prod(al.x_sizes[i - w: i]) for i, w in enumerate(window)]
+    kernels = [np.array(draw(st.lists(_row(al.x_sizes[i]), min_size=r, max_size=r)))
+               for i, r in enumerate(rows)]
+    src = SourceModel(al, kernels, memory=memory)
+    if kind == "tables":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return src, DistortionSpec.stage_tables(al, [
+            rng.integers(0, 3, (al.x_hist_size(i), al.y_hist_size(i))).astype(float)
+            for i in range(n)])
+    rho = draw(st.lists(RHO_ENTRY, min_size=nx * ny, max_size=nx * ny))
+    return src, DistortionSpec.single_letter(al, np.reshape(rho, (nx, ny)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(endpoint_problems())
+@example(DETERMINISTIC_ROWS[:2])
+@example(UNDERFLOW[:2])
+def test_both_distortion_endpoints_match_plain_loops(problem):
+    src, spec = problem
+    al = src.alphabets
+    n = al.n_stages
+    costs = enum_trajectory_costs(src, spec)
+    d_max = min(costs.values())
+    assert abs(min_achievable_distortion(src, spec) * n - enum_causal_floor(src, spec)) <= 1e-12
+    assert abs(d_max_policy(src, spec)[0] * n - d_max) <= 1e-12
+    r = fixed_point_solve(src, spec, SolverConfig(s=0.0))
+    assert r.converged and abs(r.rate_nats) <= 1e-12
+    assert abs(r.distortion_total - d_max) <= 1e-12
+    ys = []                                 # the one trajectory the s = 0 policy emits
+    for i, k in enumerate(r.policy.kernels):
+        rows = k[code_of(ys, al.y_sizes)]
+        ys.append(int(np.argmax(rows[0])))
+        assert np.allclose(rows[:, ys[-1]], 1.0)
+    assert abs(costs[tuple(ys)] - d_max) <= 1e-12

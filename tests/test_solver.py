@@ -733,6 +733,77 @@ def test_solver_config_rejects_out_of_range_settings(settings):
         SolverConfig(**settings)
 
 
+@pytest.mark.parametrize("settings", [
+    dict(max_sweeps=2.5), dict(max_sweeps=True), dict(fp_tol=True), dict(nu_init="zeros"),
+], ids=["max_sweeps-fraction", "max_sweeps-bool", "fp_tol-bool", "nu_init-name"])
+def test_solver_config_rejects_settings_of_the_wrong_kind(settings):
+    with pytest.raises(InvalidArgumentError):
+        SolverConfig(s=-1.0, **settings)
+
+
+def test_infeasible_target_still_checks_the_settings():
+    src = iid_source([0.5, 0.5], 2)
+    spec = DistortionSpec.single_letter(src.alphabets, [[1.0, 2.0], [3.0, 1.0]])
+    assert not solve_for_target_distortion(src, spec, 0.5).feasible     # floor is 1.0
+    with pytest.raises(InvalidArgumentError, match="nu_init"):
+        solve_for_target_distortion(src, spec, 0.5, nu_init="zeros")
+
+
+def test_solver_config_takes_an_integral_float_count_as_an_int():
+    src = binary_symmetric_markov(0.3, 2)
+    config = SolverConfig(s=-1.0, fp_tol=1e-14, max_sweeps=3.0)
+    r = fixed_point_solve(src, hamming_distortion(src.alphabets), config)
+    assert type(config.max_sweeps) is int and r.sweeps_used == 3 and not r.converged
+
+
+@pytest.mark.parametrize("target, dist_tol", [
+    (math.nan, 1e-6), (0.2, math.nan), (0.2, -1.0), (0.2, 0.0), (0.2, math.inf),
+], ids=["target-nan", "tol-nan", "tol-negative", "tol-0", "tol-inf"])
+def test_target_solve_refuses_a_nan_target_or_a_bad_tolerance(target, dist_tol):
+    src = binary_symmetric_markov(0.3, 3)
+    with pytest.raises(InvalidArgumentError):
+        solve_for_target_distortion(src, hamming_distortion(src.alphabets), target,
+                                    dist_tol=dist_tol)
+
+
+def _count_endpoint_work(monkeypatch):
+    """Counters of s = 0 solves and of dense stage-table builds."""
+    calls = {"s0": 0, "stage_table": 0}
+    solve, stage_table = solver_module.fixed_point_solve, DistortionSpec.stage_table
+
+    def counted_solve(source, spec, config):
+        calls["s0"] += config.s == 0.0
+        return solve(source, spec, config)
+
+    def counted_stage_table(self, stage):
+        calls["stage_table"] += 1
+        return stage_table(self, stage)
+
+    monkeypatch.setattr(solver_module, "fixed_point_solve", counted_solve)
+    monkeypatch.setattr(DistortionSpec, "stage_table", counted_stage_table)
+    return calls
+
+
+def test_target_search_runs_no_zero_rate_solve_and_no_dense_stage_table(monkeypatch):
+    calls = _count_endpoint_work(monkeypatch)
+    src = binary_symmetric_markov(0.3, 4)
+    r = solve_for_target_distortion(src, hamming_distortion(src.alphabets), 0.2)
+    assert r.target_met and r.s < 0
+    assert calls == {"s0": 0, "stage_table": 0}
+
+
+@pytest.mark.parametrize("above", [0.0, 0.1])
+def test_target_at_or_above_d_max_runs_one_zero_rate_solve(monkeypatch, above):
+    calls = _count_endpoint_work(monkeypatch)
+    src = binary_symmetric_markov(0.3, 4)
+    spec = hamming_distortion(src.alphabets)
+    d_max = d_max_policy(src, spec)[0]
+    r = solve_for_target_distortion(src, spec, d_max + above)
+    assert r.s == 0.0 and r.rate_nats == 0.0 and r.target_met
+    assert r.distortion_per_symbol == pytest.approx(d_max, abs=1e-12)
+    assert calls == {"s0": 1, "stage_table": 0}
+
+
 def test_trace_curve_empty_rejected():
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
@@ -795,6 +866,15 @@ def test_verify_stationarity_zero_perturbations():
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
     assert verify_stationarity(src, spec, r, n_perturbations=0) == 0.0
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True, math.nan])
+def test_verify_stationarity_refuses_a_bad_perturbation_count(count):
+    src = iid_source([0.5, 0.5], 1)
+    spec = hamming_distortion(src.alphabets)
+    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
+    with pytest.raises(InvalidArgumentError, match="n_perturbations"):
+        verify_stationarity(src, spec, r, n_perturbations=count)
 
 
 def test_verify_stationarity_converged_optimum():
