@@ -365,6 +365,8 @@ def run(config_path: str, mode: Optional[str] = None, out: Optional[str] = None,
         for c in checks:
             if c not in CHECKS:
                 raise ConfigError(f"--check must be among {'|'.join(CHECKS)}")
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

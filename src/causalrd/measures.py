@@ -169,11 +169,8 @@ def output_marginal(joint: JointLaw) -> MarginalProcess:
 
 def policy_from_marginals(nu: MarginalProcess) -> CausalPolicy:
     """Source-independent policy q_i(y_i | y^{i-1}, x^i) := nu_i(y_i | y^{i-1})."""
-    al = nu.alphabets
-    ks = [np.broadcast_to(t[:, None, :],
-                          (t.shape[0], al.x_hist_size(i), t.shape[1])).copy()
-          for i, t in enumerate(nu.tables)]
-    return CausalPolicy(al, ks, validate=False)
+    return CausalPolicy(nu.alphabets, [t[:, None, :].copy() for t in nu.tables],
+                        validate=False)
 
 
 def mix_policies(a: CausalPolicy, b: CausalPolicy, lam: float) -> CausalPolicy:

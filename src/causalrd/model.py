@@ -178,6 +178,16 @@ def _check_rows(kind: str, stage: int, rows: np.ndarray) -> list[RowViolation]:
     ]
 
 
+def _expand_window(t: np.ndarray, n_hist: int, axis: int = 0) -> np.ndarray:
+    """``t``, whose ``axis`` is indexed by the code of a suffix window of a
+    history, over ``n_hist`` longer-history codes.  By the mixed-radix
+    contract the window code of a history is its code modulo the window size,
+    so row h of the result is row h % t.shape[axis]; ``t`` itself when the
+    sizes agree."""
+    w = t.shape[axis]
+    return t if w == n_hist else np.take(t, np.arange(n_hist) % w, axis=axis)
+
+
 def _renormalize(rows: np.ndarray) -> np.ndarray:
     out = np.asarray(rows, dtype=float).copy()
     out /= out.sum(axis=1, keepdims=True)
@@ -239,16 +249,11 @@ class SourceModel:
         return math.prod(self.alphabets.x_sizes[stage - w: stage])
 
     def stage_rows(self, stage: int, n_hist: Optional[int] = None) -> np.ndarray:
-        """Kernel rows expanded to ``n_hist`` history codes, each read modulo
-        the kernel's own row count: shape ``(n_hist, x_sizes[stage])``.  The
-        default is full-history indexing, ``n_hist = x_hist_size(stage-1)``;
-        any suffix window at least as long as the kernel's works the same."""
-        k = self.kernels[stage]
+        """Kernel rows over ``n_hist`` codes of a suffix window at least as long
+        as the kernel's, by default all of x^{stage-1}: :func:`_expand_window`."""
         if n_hist is None:
             n_hist = self.alphabets.x_hist_size(stage - 1)
-        if k.shape[0] == n_hist:
-            return k
-        return k[np.arange(n_hist) % k.shape[0]]
+        return _expand_window(self.kernels[stage], n_hist)
 
 
 def validate_source(source: SourceModel) -> list[RowViolation]:
@@ -360,10 +365,8 @@ class DistortionSpec:
         if self.mode == "stage_tables":
             return self.tables[stage]
         al = self.alphabets
-        sx, sy = al.x_sizes[stage], al.y_sizes[stage]
-        xi = np.arange(al.x_hist_size(stage)) % sx
-        yi = np.arange(al.y_hist_size(stage)) % sy
-        return self.rho[np.ix_(xi, yi)]
+        rows = _expand_window(self.rho, al.x_hist_size(stage))
+        return _expand_window(rows, al.y_hist_size(stage), axis=1)
 
     def total_table(self) -> np.ndarray:
         """Dense d(x^n, y^n) over full trajectory codes (budget permitting)."""
@@ -401,8 +404,13 @@ def distortion_lookup(spec: DistortionSpec, stage: int, x_hist: int, y_hist: int
 class CausalPolicy:
     """Reproduction kernels q_i(y_i | y^{i-1}, x^i), the optimization variable.
 
-    ``kernels[i]`` has shape ``(y_hist_size(i-1), x_hist_size(i), y_sizes[i])``
-    and each row along the last axis is a probability vector.
+    A kernel may read x^i through any suffix window, down to the empty one:
+    ``tables[i]`` has shape ``(y_hist_size(i-1), w_i, y_sizes[i])`` with w_i
+    the number of codes of the last k symbols of x^i for some k in 0..i+1
+    (w_i = 1 for a kernel that ignores x), and each row along the last axis
+    is a probability vector.  ``kernels[i]``, of shape ``(y_hist_size(i-1),
+    x_hist_size(i), y_sizes[i])``, is the same kernel over full x-histories,
+    expanded by :func:`_expand_window` when first read.
     """
 
     def __init__(self, alphabets: StageAlphabets, kernels, validate=True):
@@ -410,68 +418,61 @@ class CausalPolicy:
         n = alphabets.n_stages
         if len(kernels) != n:
             raise InvalidArgumentError(f"need {n} kernels, got {len(kernels)}")
-        ks = []
+        ts = []
         for i, k in enumerate(kernels):
             k = np.asarray(k, dtype=float)
-            want = (alphabets.y_hist_size(i - 1), alphabets.x_hist_size(i),
-                    alphabets.y_sizes[i])
-            if k.shape != want:
+            yh, sy = alphabets.y_hist_size(i - 1), alphabets.y_sizes[i]
+            windows = sorted({math.prod(alphabets.x_sizes[j: i + 1]) for j in range(i + 2)})
+            if k.ndim != 3 or (k.shape[0], k.shape[2]) != (yh, sy) or k.shape[1] not in windows:
                 raise InvalidArgumentError(
-                    f"policy kernel {i} has shape {k.shape}, expected {want}")
-            ks.append(k)
-        self.kernels = ks
+                    f"policy kernel {i} has shape {k.shape}, expected ({yh}, w, {sy}) "
+                    f"with w among the suffix-window sizes {windows}")
+            ts.append(k)
+        self.tables = ts
+        self._kernels = None
         if validate:
             report = validate_policy(self)
             if report:
                 raise InvalidArgumentError(
                     "invalid policy kernels: " + "; ".join(str(v) for v in report))
-            self.kernels = [
-                _renormalize(k.reshape(-1, k.shape[-1])).reshape(k.shape)
-                for k in self.kernels
-            ]
+            self.tables = [_renormalize(k.reshape(-1, k.shape[-1])).reshape(k.shape)
+                           for k in self.tables]
+
+    @property
+    def kernels(self) -> list:
+        """The kernels over full x-histories, expanded from ``tables`` once."""
+        if self._kernels is None:
+            self._kernels = [_expand_window(k, self.alphabets.x_hist_size(i), axis=1)
+                             for i, k in enumerate(self.tables)]
+        return self._kernels
 
     @classmethod
     def identity(cls, alphabets: StageAlphabets):
         """Deterministic y_i := x_i (needs y_sizes >= x_sizes per stage)."""
-        ks = []
-        for i in range(alphabets.n_stages):
-            sx, sy = alphabets.x_sizes[i], alphabets.y_sizes[i]
-            if sy < sx:
-                raise InvalidArgumentError("identity policy needs |Y_i| >= |X_i|")
-            yh = alphabets.y_hist_size(i - 1)
-            xh = alphabets.x_hist_size(i)
-            k = np.zeros((yh, xh, sy))
-            last = np.arange(xh) % sx
-            k[:, np.arange(xh), last] = 1.0
-            ks.append(k)
-        return cls(alphabets, ks, validate=False)
+        sizes = list(zip(alphabets.x_sizes, alphabets.y_sizes))
+        if any(sy < sx for sx, sy in sizes):
+            raise InvalidArgumentError("identity policy needs |Y_i| >= |X_i|")
+        return cls(alphabets, [np.tile(np.eye(sx, sy), (alphabets.y_hist_size(i - 1), 1, 1))
+                               for i, (sx, sy) in enumerate(sizes)], validate=False)
 
     @classmethod
     def constant(cls, alphabets: StageAlphabets, symbols):
         """Deterministic policy emitting ``symbols[i]`` at stage i, ignoring x."""
-        ks = []
-        for i in range(alphabets.n_stages):
-            k = np.zeros((alphabets.y_hist_size(i - 1), alphabets.x_hist_size(i),
-                          alphabets.y_sizes[i]))
-            k[:, :, int(symbols[i])] = 1.0
-            ks.append(k)
-        return cls(alphabets, ks, validate=False)
+        return cls(alphabets, [np.tile(np.eye(alphabets.y_sizes[i])[int(symbols[i])],
+                                       (alphabets.y_hist_size(i - 1), 1, 1))
+                               for i in range(alphabets.n_stages)], validate=False)
 
     @classmethod
     def uniform(cls, alphabets: StageAlphabets):
-        ks = []
-        for i in range(alphabets.n_stages):
-            sy = alphabets.y_sizes[i]
-            k = np.full((alphabets.y_hist_size(i - 1), alphabets.x_hist_size(i), sy),
-                        1.0 / sy)
-            ks.append(k)
-        return cls(alphabets, ks, validate=False)
+        return cls(alphabets, [np.full((alphabets.y_hist_size(i - 1), 1, alphabets.y_sizes[i]),
+                                       1.0 / alphabets.y_sizes[i])
+                               for i in range(alphabets.n_stages)], validate=False)
 
 
 def validate_policy(policy: CausalPolicy) -> list[RowViolation]:
-    """Report every policy row that is not a probability vector."""
+    """Report every row of the policy's tables that is not a probability vector."""
     report = []
-    for i, k in enumerate(policy.kernels):
+    for i, k in enumerate(policy.tables):
         report.extend(_check_rows("policy", i, k.reshape(-1, k.shape[-1])))
     return report
 

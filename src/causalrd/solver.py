@@ -22,9 +22,8 @@ Both passes run over (x-window, y^{i-1}) states.  For a source of integer
 memory m under a single-letter rho, the window at stage i is the last
 min(i+1, max(m, 1)) source symbols, because g_i and log Z_i depend on x^i
 through no more; otherwise it is all of x^i.  A stage-i table then has
-|Y| * |X|^{k_i} * |Y|^i entries, and the solved kernels and g tables are
-expanded to full x-history codes once, after the loop.  The rate of a
-converged solve is cross-checked, to RATE_CHECK_TOL, against the directed
+|Y| * |X|^{k_i} * |Y|^i entries, and a result keeps its kernels and g tables
+on those windows.  The rate of a converged solve is cross-checked, to RATE_CHECK_TOL, against the directed
 information of the solved policy, which the last forward pass sums over the
 same windowed states; no solve builds the dense full-history laws of
 :mod:`causalrd.measures`, which stay the independent checking path of the
@@ -85,8 +84,9 @@ class SolveResult:
     """Converged (or diagnostic) output of one fixed-point solve.
 
     ``g`` holds the backward-recursion value tables, one per stage: ``g[i]``
-    has shape ``(x_hist_size(i), y_hist_size(i))`` and the terminal table is
-    identically zero.  A sweep takes an Anderson step from nu' over the last
+    has shape ``(w_i, y_hist_size(i))`` over the solve's window of x^i (see
+    :class:`_Passes`), as do the tables of ``policy``, and the terminal table
+    is identically zero.  A sweep takes an Anderson step from nu' over the last
     AA_DEPTH steps, shrunk toward nu' to keep every entry above half of
     min(nu, nu'), and keeps it only if J = -E[log Z_0] does not rise, else pays
     one more backward pass for nu' (:func:`~causalrd.baseline._accelerated_alternation`):
@@ -158,10 +158,10 @@ class _Passes:
     symbols (by induction from g_{n-1} = 0: g_{i-1} averages log Z_i over a
     source row that reads at most m symbols), so the window holds those.  In
     every other case (``memory="full"``, stage tables, or no spec) it holds
-    all of x^i.  A window code is the full code modulo the window size, so
-    source rows, policies and g tables expand to full-history codes by that
-    modulo; the tilt reads the x-axis length off its g table, so it also
-    takes full-history tables.  Once the window is full its oldest symbol
+    all of x^i.  A window code is the full code modulo the window size
+    (:func:`~causalrd.model._expand_window`); the tilt reads the x-axis
+    length off its g table, so it also takes g over any longer window, full
+    x-histories included.  Once the window is full its oldest symbol
     drops out between stages: the forward pass sums it out, the backward
     pass keeps it as an axis of g_{i-1}.
 
@@ -200,11 +200,6 @@ class _Passes:
         """4-D y-major view of a stage-i table indexed (window_i or x^i, y^i)."""
         sy, _, sx, yp = self.shapes[i]
         return t.reshape(-1, sx, yp, sy).transpose(3, 0, 1, 2)
-
-    def _full(self, t, i, axis):
-        """Stage-i table ``t`` with its window axis expanded to x^i codes."""
-        size = self.al.x_hist_size(i)
-        return t if t.shape[axis] == size else np.take(t, np.arange(size) % self.win[i], axis)
 
     def tilt(self, i, g, nu):
         """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
@@ -282,14 +277,9 @@ class _Passes:
         return tables, masses, dist, info
 
     def policy(self, q) -> CausalPolicy:
-        """The kernels ``q`` as a policy over full x-histories, each a
-        transposed view of its y-major table (expanded first if windowed)."""
-        return CausalPolicy(self.al, [self._full(k, i, 1).transpose(2, 1, 0)
-                                      for i, k in enumerate(q)], validate=False)
-
-    def full_g(self, g) -> list:
-        """The g tables over full x-histories."""
-        return [self._full(t, i, 0) for i, t in enumerate(g)]
+        """The kernels ``q`` as a policy over their x-windows, each a
+        transposed view of its y-major table."""
+        return CausalPolicy(self.al, [k.transpose(2, 1, 0) for k in q], validate=False)
 
     def zero_rate(self):
         """D_max, the least total distortion of a policy that ignores x, and
@@ -305,7 +295,7 @@ class _Passes:
 def backward_g(source: SourceModel, spec: DistortionSpec,
                nu: MarginalProcess, s: float) -> list:
     """Backward value tables for multiplier ``s`` under marginal process ``nu``,
-    one array per stage, of shape ``(x_hist_size(i), y_hist_size(i))``.
+    one array per stage over (x-window, y^i), as in :attr:`SolveResult.g`.
 
     The recursion integrates, stage by stage from the end, the log of the
     tilted mass the next stage can reach, averaged over the next source
@@ -313,8 +303,7 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     """
     if s > 0:
         raise InvalidArgumentError("multiplier s must be <= 0")
-    passes = _Passes(source, spec, s)
-    return passes.full_g(passes.backward(nu.tables)[0])
+    return _Passes(source, spec, s).backward(nu.tables)[0]
 
 
 def tilted_policy(source: SourceModel, spec: DistortionSpec,
@@ -386,6 +375,11 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
         raise InvalidArgumentError("nu_init must be a MarginalProcess over the source's "
                                    "stages and reproduction alphabets")
     tables = MarginalProcess.uniform(al).tables if uniform else config.nu_init.tables
+    for i, t in enumerate(tables):                    # the map never revives a zero
+        bad = ~(((t > 0) & (t < np.inf)).all(axis=1) | (t == 0).all(axis=1))
+        if bad.any():                                 # (an all-zero row fails in the tilt)
+            raise InvalidArgumentError(f"nu_init row at stage {i}, y-history code "
+                                       f"{int(np.argmax(bad))} is neither all finite > 0 nor all 0")
     passes = _Passes(source, spec, s)
     if s == 0.0:
         tables = [k[:, 0].T for k in passes.zero_rate()[1]]
@@ -403,7 +397,7 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     dist, info = passes.forward(q, distortion=True)[2:]
     why = f"after {sweeps} sweeps at fp_tol {config.fp_tol:.1e}; try a tighter fp_tol first"
     rate = _closed_form_rate(source, s, dist, logz[0], info, why if converged else None)
-    return SolveResult(s=s, policy=passes.policy(q), nu=nu, g=passes.full_g(g_tabs),
+    return SolveResult(s=s, policy=passes.policy(q), nu=nu, g=g_tabs,
                        rate_nats=rate, distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages, sweeps_used=sweeps,
                        converged=converged, residual=residual)
@@ -572,6 +566,8 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if n_perturbations != 0 or isinstance(n_perturbations, bool):
         n_perturbations = _count(n_perturbations, "n_perturbations")
     rng = np.random.default_rng(seed)

@@ -336,3 +336,15 @@ def test_curve_mode_failed_point_reads_nan_and_exits_numerical(tmp_path, monkeyp
     points = json.loads((tmp_path / "c.csv.json").read_text())["points"]
     assert [p["target_met"] for p in points if "error" not in p] == [True, True]
     assert [p["s"] for p in points if "error" in p and "target_met" not in p] == [-1.0]
+
+
+def test_negative_seed_exits_config_before_any_solve(tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad --seed")
+
+    monkeypatch.setattr(cli, "fixed_point_solve", solve)
+    path = write_config(tmp_path, mode="verify")
+    out = tmp_path / "v.csv"
+    assert main(["run", path, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "v.csv.json").exists()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from causalrd.errors import InvalidArgumentError, ResourceBudgetError
+from causalrd.measures import MarginalProcess, policy_from_marginals
 from causalrd.model import (
+    CausalPolicy,
     DistortionSpec,
     SourceModel,
     StageAlphabets,
@@ -233,3 +235,66 @@ def test_renormalization_on_ingestion():
     al = StageAlphabets(1, [2], [2])
     src = SourceModel(al, [np.array([[0.5 + 4e-13, 0.5]])])
     assert abs(src.kernels[0].sum() - 1.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# policy kernels over suffix windows of x^i
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x_sizes, stage, windows", [
+    ([2, 2, 2], 2, [1, 2, 4, 8]),
+    ([2, 3, 2], 2, [1, 2, 6, 12]),
+    ([2, 3], 1, [1, 3, 6]),
+])
+def test_policy_accepts_every_suffix_window_and_expands_by_modulo(x_sizes, stage, windows):
+    n = len(x_sizes)
+    al = StageAlphabets(n, x_sizes, [2] * n)
+    rng = np.random.default_rng(stage)
+    xh, yh = al.x_hist_size(stage), al.y_hist_size(stage - 1)
+    for w in windows:
+        ks = [np.full((al.y_hist_size(i - 1), 1, 2), 0.5) for i in range(n)]
+        ks[stage] = rng.dirichlet(np.ones(2), size=(yh, w))
+        pol = CausalPolicy(al, ks)
+        assert pol.tables[stage].shape == (yh, w, 2)
+        full = pol.kernels[stage]
+        assert full.shape == (yh, xh, 2)
+        for h in range(xh):
+            assert np.array_equal(full[:, h], pol.tables[stage][:, h % w])
+
+
+@pytest.mark.parametrize("x_sizes, stage, width", [
+    ([2, 2, 2], 2, 3),          # not a power of the binary alphabet
+    ([2, 3, 2], 2, 3),          # the size of x_1, which is not a suffix of x^2
+    ([2, 3], 1, 2),             # the size of x_0, a prefix
+    ([2, 2], 1, 8),             # longer than x^1
+])
+def test_policy_refuses_a_width_that_is_no_suffix_window(x_sizes, stage, width):
+    n = len(x_sizes)
+    al = StageAlphabets(n, x_sizes, [2] * n)
+    ks = [np.full((al.y_hist_size(i - 1), 1, 2), 0.5) for i in range(n)]
+    ks[stage] = np.full((al.y_hist_size(stage - 1), width, 2), 0.5)
+    with pytest.raises(InvalidArgumentError, match=f"policy kernel {stage}"):
+        CausalPolicy(al, ks)
+
+
+def test_policy_factories_read_back_their_full_history_kernels():
+    al = StageAlphabets(2, [2, 2], [3, 3])
+    third = 1.0 / 3.0
+    e0, e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    nu = MarginalProcess(al, [np.array([[0.2, 0.3, 0.5]]),
+                              np.array([[0.1, 0.1, 0.8], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])])
+    want = {
+        "identity": ([[e0, e1]], [[e0, e1, e0, e1]] * 3),
+        "constant": ([[e2, e2]], [[e1, e1, e1, e1]] * 3),
+        "uniform": ([[[third] * 3] * 2], [[[third] * 3] * 4] * 3),
+        "marginals": ([[[0.2, 0.3, 0.5]] * 2],
+                      [[[0.1, 0.1, 0.8]] * 4, [[0.5, 0.5, 0.0]] * 4, [[0.25, 0.25, 0.5]] * 4]),
+    }
+    got = {"identity": CausalPolicy.identity(al),
+           "constant": CausalPolicy.constant(al, [2, 1]),
+           "uniform": CausalPolicy.uniform(al),
+           "marginals": policy_from_marginals(nu)}
+    for name, pol in got.items():
+        for k, w in zip(pol.kernels, want[name]):
+            assert np.array_equal(k, np.array(w)), name
+        assert sum(t.size for t in pol.tables) < sum(k.size for k in pol.kernels)

@@ -22,6 +22,7 @@ from causalrd.model import (
     DistortionSpec,
     SourceModel,
     StageAlphabets,
+    _expand_window,
     binary_symmetric_markov,
     full_joint_source,
     hamming_distortion,
@@ -346,6 +347,36 @@ def test_fixed_point_zero_mass_nu_init_names_stage_and_row():
         in str(err.value)
 
 
+@pytest.mark.parametrize("stage, code, row", [
+    (0, 0, [1.2, -0.2]),
+    (0, 0, [math.nan, 1.0]),
+    (0, 0, [1.0, 0.0]),
+    (2, 3, [0.0, math.inf]),
+])
+def test_fixed_point_refuses_a_nu_init_row_the_map_cannot_leave(stage, code, row):
+    # from [1, 0] at stage 0 the solve "converged" to R = 0.65625, D = 0.23762,
+    # against R = 0.98468, D = 0.10217 from the uniform start
+    src = binary_symmetric_markov(0.3, 3)
+    spec = hamming_distortion(src.alphabets)
+    tables = [t.copy() for t in uniform_nu(src.alphabets).tables]
+    tables[stage][code] = row
+    cfg = SolverConfig(s=-2.0, nu_init=MarginalProcess(src.alphabets, tables))
+    with pytest.raises(InvalidArgumentError, match=f"stage {stage}, y-history code {code}"):
+        fixed_point_solve(src, spec, cfg)
+
+
+def test_solved_tables_stay_on_the_source_window():
+    # memory 1: each stage's kernel and g table read one symbol of x^i, so the
+    # result holds 2 x-rows per stage where full histories take up to 1,024
+    src = binary_symmetric_markov(0.3, 10)
+    al = src.alphabets
+    r = fixed_point_solve(src, hamming_distortion(al), SolverConfig(s=-4.0))
+    assert sum(t.nbytes for t in r.policy.tables) < 2 ** 20
+    assert sum(t.nbytes for t in r.g) < 2 ** 20
+    assert [k.shape for k in r.policy.kernels] == [
+        (al.y_hist_size(i - 1), al.x_hist_size(i), 2) for i in range(al.n_stages)]
+
+
 @pytest.mark.parametrize("alphabets", [
     StageAlphabets(2, [2, 2], [2, 2]),
     StageAlphabets(3, [2] * 3, [3] * 3),
@@ -470,9 +501,9 @@ def test_rate_bracket_telescopes_to_stage_zero(mode, memory):
         for i in range(al.n_stages):
             xh, yh = al.x_hist_size(i), al.y_hist_size(i)
             pxy = joint.reshape(xh, -1, yh, joint.shape[1] // yh).sum(axis=(1, 3))
-            bracket += np.sum(pxy * passes._full(g[i], i, 0))
+            bracket += np.sum(pxy * _expand_window(g[i], xh))
             bracket += np.sum(pxy.reshape(xh, -1, al.y_sizes[i]).sum(axis=2)
-                              * passes._full(logz[i], i, 0))
+                              * _expand_window(logz[i], xh))
         assert abs(bracket - src.kernels[0][0] @ logz[0][:, 0]) <= 1e-12
 
 
@@ -506,7 +537,8 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
 
     # one pass at a fixed nu
     g_w, g_f = (backward_g(x, spec, nu, s) for x in (src, full))
-    for a, b in zip(g_w, g_f):
+    for i, (a, b) in enumerate(zip(g_w, g_f)):
+        a = _expand_window(a, al.x_hist_size(i))
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
     tilt_w, tilt_f = tilted_policy(src, spec, nu, g_w, s), tilted_policy(full, spec, nu, g_f, s)
     for a, b in zip(tilt_w.kernels, tilt_f.kernels):
@@ -529,7 +561,8 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
     assert abs(rw.rate_nats - rf.rate_nats) <= 1e-9
     assert abs(rw.distortion_total - rf.distortion_total) <= 1e-9
     assert abs(rw.sweeps_used - rf.sweeps_used) <= 1
-    for a, b in zip(rw.g + rw.policy.kernels, rf.g + rf.policy.kernels):
+    g_w = [_expand_window(t, al.x_hist_size(i)) for i, t in enumerate(rw.g)]
+    for a, b in zip(g_w + rw.policy.kernels, rf.g + rf.policy.kernels):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -875,6 +908,14 @@ def test_verify_stationarity_refuses_a_bad_perturbation_count(count):
     r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
     with pytest.raises(InvalidArgumentError, match="n_perturbations"):
         verify_stationarity(src, spec, r, n_perturbations=count)
+
+
+def test_verify_stationarity_refuses_a_negative_seed():
+    src = iid_source([0.5, 0.5], 1)
+    spec = hamming_distortion(src.alphabets)
+    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0))
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        verify_stationarity(src, spec, r, seed=-1)
 
 
 def test_verify_stationarity_converged_optimum():
