@@ -22,8 +22,6 @@ from .model import (
     SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
-    decode_history,
-    distortion_lookup,
     encode_history,
     full_joint_source,
     hamming_distortion,
@@ -38,12 +36,9 @@ from .measures import (
     expected_distortion,
     joint_law,
     markov_chain_check,
-    mix_policies,
-    mutual_information,
     output_marginal,
-    policy_from_marginals,
 )
-from .oracle import GridSpec, brute_force_lagrangian_min, exhaustive_directed_info
+from .oracle import GridSpec, brute_force_lagrangian_min
 from .solver import (
     CurvePoint,
     RdCurve,

@@ -186,7 +186,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     rho = np.asarray(rho, dtype=float)
     if px.ndim != 1 or rho.shape[0] != px.shape[0]:
         raise InvalidArgumentError("px and rho have inconsistent shapes")
-    if (px < 0).any() or abs(px.sum() - 1.0) > 1e-10:
+    if (px < 0).any() or not abs(px.sum() - 1.0) <= 1e-10:     # a nan sum too
         raise InvalidArgumentError("px is not a probability vector")
     if not np.isfinite(rho).all() or (rho < 0).any():
         raise InvalidArgumentError("rho must be finite and nonnegative")
@@ -230,9 +230,11 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     n = al.n_stages
     if mu.shape != (al.x_trajectories(),):
         raise InvalidArgumentError("mu does not match the trajectory alphabet")
+    if (mu < 0).any() or not abs(mu.sum() - 1.0) <= 1e-10:     # a nan sum too
+        raise InvalidArgumentError("mu is not a probability vector")
     if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
-    dmat = spec.total_table()      # budget-guarded
+    dmat = spec.total_table()
     target_total = d_target * n
 
     dmax_total = _zero_rate_distortion(mu, dmat)

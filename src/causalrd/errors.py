@@ -10,7 +10,7 @@ class InvalidArgumentError(CausalRdError, ValueError):
 
 
 class ResourceBudgetError(CausalRdError):
-    """A dense table or enumeration would exceed the configured entry budget."""
+    """A dense table or enumeration would exceed its entry budget."""
 
 
 class DegenerateMarginalError(CausalRdError):

@@ -87,44 +87,20 @@ class MarginalProcess:
             v = (v[:, None] * self.tables[i]).reshape(-1)
         return v
 
-    def sup_distance(self, other: "MarginalProcess", reachable=None) -> float:
-        """Sup-norm difference across rows; restricted to reachable rows when
-        ``reachable`` (list of boolean masks per stage) is given."""
-        worst = 0.0
-        for i, (a, b) in enumerate(zip(self.tables, other.tables)):
-            d = np.abs(a - b)
-            if reachable is not None:
-                if not reachable[i].any():
-                    continue
-                d = d[reachable[i]]
-            if d.size:
-                worst = max(worst, float(d.max()))
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
 
-def _prefix_channels(policy: CausalPolicy):
-    """Yield the prefix channels Q(y^i | x^i) = prod_{j<=i} q_j, as dense
-    (x_hist_size(i), y_hist_size(i)) tables, for i = 0 .. n-1."""
+def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
+    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
     al = policy.alphabets
     t = policy.kernels[0][0]                       # (x_hist(0), sy0)
-    yield t
     for i in range(1, al.n_stages):
-        xh = al.x_hist_size(i - 1)
-        yh = al.y_hist_size(i - 1)
+        xh, yh = al.x_hist_size(i - 1), al.y_hist_size(i - 1)
         sx, sy = al.x_sizes[i], al.y_sizes[i]
         q = policy.kernels[i].reshape(yh, xh, sx, sy)
         t = np.einsum('ab,bacd->acbd', t, q).reshape(xh * sx, yh * sy)
-        yield t
-
-
-def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
-    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
-    for t in _prefix_channels(policy):
-        pass
     return t
 
 
@@ -167,47 +143,6 @@ def output_marginal(joint: JointLaw) -> MarginalProcess:
     return MarginalProcess(al, tables, prefix_mass=masses)
 
 
-def policy_from_marginals(nu: MarginalProcess) -> CausalPolicy:
-    """Source-independent policy q_i(y_i | y^{i-1}, x^i) := nu_i(y_i | y^{i-1})."""
-    return CausalPolicy(nu.alphabets, [t[:, None, :].copy() for t in nu.tables],
-                        validate=False)
-
-
-def mix_policies(a: CausalPolicy, b: CausalPolicy, lam: float) -> CausalPolicy:
-    """Convex combination lam*Q_a + (1-lam)*Q_b of the joint causal kernels,
-    refactored into per-stage kernels.
-
-    Mixing happens at the level of Q(y^n | x^n); the per-stage kernels of the
-    mixture are conditional ratios of the mixed prefix channels, not convex
-    combinations of the per-stage kernels.
-    """
-    al = a.alphabets
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidArgumentError("lam must be in [0, 1]")
-    if al != b.alphabets:
-        raise InvalidArgumentError("policies must share alphabets")
-
-    ks = []
-    prev = None      # mixed prefix channel M_{i-1}(x^{i-1}; y^{i-1})
-    for i, (cur_a, cur_b) in enumerate(zip(_prefix_channels(a), _prefix_channels(b))):
-        mix = lam * cur_a + (1.0 - lam) * cur_b    # (x_hist(i), y_hist(i))
-        sy = al.y_sizes[i]
-        num = mix.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
-        if prev is None:
-            den = np.ones((al.x_hist_size(i), al.y_hist_size(i - 1)))
-        else:
-            parent = np.arange(al.x_hist_size(i)) // al.x_sizes[i]
-            den = prev[parent]                     # (x_hist(i), y_hist(i-1))
-        k = np.full((al.y_hist_size(i - 1), al.x_hist_size(i), sy), 1.0 / sy)
-        ok = den > 0
-        ratio = np.zeros_like(num)
-        ratio[ok] = num[ok] / den[ok][:, None]
-        k[:, :, :] = np.where(ok.T[:, :, None], np.swapaxes(ratio, 0, 1), k)
-        ks.append(k)
-        prev = mix
-    return CausalPolicy(al, ks, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # Information functionals
 # ---------------------------------------------------------------------------
@@ -231,17 +166,6 @@ def directed_information(mu: np.ndarray, policy: CausalPolicy) -> float:
     mask = j > 0
     log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0)
     val = float(np.sum(j[mask] * (log_q[mask] - np.broadcast_to(log_chain, j.shape)[mask])))
-    return max(val, 0.0)
-
-
-def mutual_information(joint: JointLaw) -> float:
-    """Block mutual information I(X^n; Y^n) of a joint trajectory law, in nats."""
-    j = joint.table
-    px = j.sum(axis=1)
-    py = j.sum(axis=0)
-    mask = j > 0
-    outer = px[:, None] * py[None, :]
-    val = float(np.sum(j[mask] * (np.log(j[mask]) - np.log(outer[mask]))))
     return max(val, 0.0)
 
 

@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceBudgetError
 
-DEFAULT_ENTRY_BUDGET = 10**8
+# Bound on the entries of the largest dense full-history table, the
+# (x^{n-1}, y^{n-1}) pair table; StageAlphabets refuses alphabets past it.
+ENTRY_BUDGET = 10**8
 
 # Tolerance for a stored probability row to be accepted before renormalization.
 ROW_SUM_TOL = 1e-12
@@ -54,21 +56,6 @@ def encode_history(symbols, sizes) -> int:
     return code
 
 
-def decode_history(code: int, sizes) -> list[int]:
-    """Invert :func:`encode_history` for a prefix spanning all of ``sizes``."""
-    total = 1
-    for c in sizes:
-        total *= int(c)
-    if not 0 <= code < total:
-        raise InvalidArgumentError(f"history code {code} out of range (< {total})")
-    out = [0] * len(sizes)
-    for j in range(len(sizes) - 1, -1, -1):
-        c = int(sizes[j])
-        out[j] = code % c
-        code //= c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Alphabets
 # ---------------------------------------------------------------------------
@@ -93,17 +80,15 @@ class StageAlphabets:
         Number of stages (time indices 0..n_stages-1).
     x_sizes, y_sizes : sequence of int
         Alphabet sizes |X_i| and |Y_i|, one per stage.
-    entry_budget : int
-        Bound on the scalar entries of any dense full-history table derived
-        from these alphabets; constructions that would exceed it raise
-        :class:`ResourceBudgetError`.
 
     Counts and sizes must be integers (an integral float is accepted).
+    Alphabets whose pair table |X^{n-1}| * |Y^{n-1}| would exceed
+    ``ENTRY_BUDGET`` entries raise :class:`ResourceBudgetError`, so every
+    dense full-history table derived from them fits the budget.
     """
 
-    def __init__(self, n_stages, x_sizes, y_sizes, entry_budget=DEFAULT_ENTRY_BUDGET):
+    def __init__(self, n_stages, x_sizes, y_sizes):
         self.n_stages = n = _count(n_stages, "n_stages")
-        self.entry_budget = _count(entry_budget, "entry_budget")
         x_sizes, y_sizes = list(x_sizes), list(y_sizes)
         if len(x_sizes) != n or len(y_sizes) != n:
             raise InvalidArgumentError(
@@ -117,10 +102,10 @@ class StageAlphabets:
             self.x_sizes.append(_count(cx, "x_sizes entry"))
             self.y_sizes.append(_count(cy, "y_sizes entry"))
             entries *= self.x_sizes[-1] * self.y_sizes[-1]
-            if entries > self.entry_budget:
+            if entries > ENTRY_BUDGET:
                 raise ResourceBudgetError(
                     f"full-history pair table of {n} stages needs more than "
-                    f"{self.entry_budget} entries (the budget)")
+                    f"{ENTRY_BUDGET} entries (the budget)")
 
     def x_hist_size(self, stage: int) -> int:
         """Number of x-prefixes x^stage (stage = -1 gives the empty prefix)."""
@@ -160,7 +145,7 @@ class RowViolation:
 
     def __str__(self):
         parts = [f"{self.kind} row at stage {self.stage}, history code {self.history}"]
-        if abs(self.deficit) > ROW_SUM_TOL:
+        if not abs(self.deficit) <= ROW_SUM_TOL:         # a nan sum too
             parts.append(f"sums to {self.row_sum:.12g} (deficit {self.deficit:.12g})")
         if self.min_entry < 0:
             parts.append(f"has negative entry {self.min_entry:.12g}")
@@ -171,7 +156,7 @@ def _check_rows(kind: str, stage: int, rows: np.ndarray) -> list[RowViolation]:
     """Collect violations for a 2-D array whose rows should be distributions."""
     sums = rows.sum(axis=1)
     mins = rows.min(axis=1) if rows.size else np.zeros(rows.shape[0])
-    bad = (np.abs(sums - 1.0) > ROW_SUM_TOL) | (mins < 0)
+    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL) | (mins < 0)       # nan fails the first
     return [
         RowViolation(kind, stage, int(h), float(sums[h]), float(mins[h]))
         for h in np.nonzero(bad)[0]
@@ -274,11 +259,6 @@ def full_joint_source(source: SourceModel) -> np.ndarray:
     result sums to 1 within 1e-10 for a valid source.
     """
     al = source.alphabets
-    budget = al.entry_budget
-    if al.x_trajectories() > budget:
-        raise ResourceBudgetError(
-            f"source trajectory table needs {al.x_trajectories()} entries, "
-            f"budget is {budget}")
     mu = source.kernels[0][0].copy()
     for i in range(1, al.n_stages):
         rows = source.stage_rows(i)          # (x_hist(i-1), |X_i|)
@@ -369,11 +349,9 @@ class DistortionSpec:
         return _expand_window(rows, al.y_hist_size(stage), axis=1)
 
     def total_table(self) -> np.ndarray:
-        """Dense d(x^n, y^n) over full trajectory codes (budget permitting)."""
+        """Dense d(x^n, y^n) over full trajectory codes, within ENTRY_BUDGET."""
         al = self.alphabets
         nx, ny = al.x_trajectories(), al.y_trajectories()
-        if nx * ny > al.entry_budget:
-            raise ResourceBudgetError("total distortion table exceeds entry budget")
         total = np.zeros((nx, ny))
         for i in range(al.n_stages):
             xdiv = math.prod(al.x_sizes[i + 1:])
@@ -381,20 +359,6 @@ class DistortionSpec:
             t = self.stage_table(i)
             total += t[np.ix_(np.arange(nx) // xdiv, np.arange(ny) // ydiv)]
         return total
-
-
-def distortion_lookup(spec: DistortionSpec, stage: int, x_hist: int, y_hist: int) -> float:
-    """rho_stage evaluated at one pair of prefix codes."""
-    al = spec.alphabets
-    if not 0 <= stage < al.n_stages:
-        raise InvalidArgumentError(f"stage {stage} out of range")
-    if not 0 <= x_hist < al.x_hist_size(stage):
-        raise InvalidArgumentError(f"x history code {x_hist} out of range at stage {stage}")
-    if not 0 <= y_hist < al.y_hist_size(stage):
-        raise InvalidArgumentError(f"y history code {y_hist} out of range at stage {stage}")
-    if spec.mode == "single_letter":
-        return float(spec.rho[x_hist % al.x_sizes[stage], y_hist % al.y_sizes[stage]])
-    return float(spec.tables[stage][x_hist, y_hist])
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +409,6 @@ class CausalPolicy:
             self._kernels = [_expand_window(k, self.alphabets.x_hist_size(i), axis=1)
                              for i, k in enumerate(self.tables)]
         return self._kernels
-
-    @classmethod
-    def identity(cls, alphabets: StageAlphabets):
-        """Deterministic y_i := x_i (needs y_sizes >= x_sizes per stage)."""
-        sizes = list(zip(alphabets.x_sizes, alphabets.y_sizes))
-        if any(sy < sx for sx, sy in sizes):
-            raise InvalidArgumentError("identity policy needs |Y_i| >= |X_i|")
-        return cls(alphabets, [np.tile(np.eye(sx, sy), (alphabets.y_hist_size(i - 1), 1, 1))
-                               for i, (sx, sy) in enumerate(sizes)], validate=False)
-
-    @classmethod
-    def constant(cls, alphabets: StageAlphabets, symbols):
-        """Deterministic policy emitting ``symbols[i]`` at stage i, ignoring x."""
-        return cls(alphabets, [np.tile(np.eye(alphabets.y_sizes[i])[int(symbols[i])],
-                                       (alphabets.y_hist_size(i - 1), 1, 1))
-                               for i in range(alphabets.n_stages)], validate=False)
-
-    @classmethod
-    def uniform(cls, alphabets: StageAlphabets):
-        return cls(alphabets, [np.full((alphabets.y_hist_size(i - 1), 1, alphabets.y_sizes[i]),
-                                       1.0 / alphabets.y_sizes[i])
-                               for i in range(alphabets.n_stages)], validate=False)
 
 
 def validate_policy(policy: CausalPolicy) -> list[RowViolation]:

@@ -1,49 +1,45 @@
 """Independent brute-force verification on tiny instances.
 
-Two oracles, both built without any solver machinery (no tilted kernels, no
-backward recursion, no fixed points):
-
-* :func:`brute_force_lagrangian_min` minimizes I(X -> Y) - s * total
-  distortion over causal policies whose rows live on a simplex grid.  For a
-  single stage this is a literal product-grid enumeration.  For two stages the
-  full product grid is astronomically large (it is exponential in the number
-  of rows), so the search exploits the exact chain-rule split of the
-  objective: stage-0 row combinations are enumerated exhaustively, and given
-  stage-0 the stage-1 rows decompose into independent per-output-branch
-  subproblems, each minimized exactly over the grid along one staircase of
-  row assignments.  The result is the grid minimum, re-evaluated through
-  :mod:`causalrd.measures` on the assembled policy: a genuine Lagrangian of a
-  genuine grid policy, and so an upper bound on the true infimum that never
-  loosens as the grid halves.
-
-* :func:`exhaustive_directed_info` recomputes directed information from a raw
-  joint table with plain loops, reconstructing the causal factors and output
-  marginals cell by cell.
+The oracle is built without any solver machinery (no tilted kernels, no
+backward recursion, no fixed points).  :func:`brute_force_lagrangian_min`
+minimizes I(X -> Y) - s * total distortion over causal policies whose rows
+live on a simplex grid.  For a single stage this is a literal product-grid
+enumeration.  For two stages the full product grid is astronomically large
+(it is exponential in the number of rows), so the search exploits the exact
+chain-rule split of the objective: stage-0 row combinations are enumerated
+exhaustively, and given stage-0 the stage-1 rows decompose into independent
+per-output-branch subproblems, each minimized exactly over the grid along one
+staircase of row assignments.  The result is the grid minimum, re-evaluated
+through :mod:`causalrd.measures` on the assembled policy: a genuine
+Lagrangian of a genuine grid policy, and so an upper bound on the true
+infimum that never loosens as the grid halves.  A search whose candidates or
+branch evaluations would pass ``MAX_GRID_CELLS`` is refused before it
+enumerates anything.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
-from .measures import JointLaw, lagrangian_value
+from .measures import lagrangian_value
 from .model import CausalPolicy, DistortionSpec, SourceModel
+
+
+# Bound on the candidate entries and branch evaluations of one oracle search.
+MAX_GRID_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grid: simplex step size per policy row and an evaluation budget."""
+    """Search grid: simplex step size per policy row."""
     resolution: float = 0.02
-    max_cells: int = 50_000_000
 
     def __post_init__(self):
         if not 0.0 < self.resolution <= 0.5:
             raise InvalidArgumentError("resolution must be in (0, 0.5]")
-        if self.max_cells < 1:
-            raise InvalidArgumentError("max_cells must be positive")
 
 
 def simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -135,7 +131,7 @@ def _branch_minima(w, cost, grid):
 
 
 # ---------------------------------------------------------------------------
-# Public oracles
+# Public oracle
 # ---------------------------------------------------------------------------
 
 def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
@@ -165,9 +161,20 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     g0 = grid0.shape[0]
     n_rows0 = al.x_hist_size(0)
     c0 = g0 ** n_rows0
-    if c0 * n_rows0 * al.y_sizes[0] > grid.max_cells:
+    if c0 * n_rows0 * al.y_sizes[0] > MAX_GRID_CELLS:
         raise ResourceBudgetError(
             f"stage-0 enumeration needs {c0} candidates, over budget")
+    if n == 2:                                     # both budgets before any enumeration
+        sy0, sy1 = al.y_sizes[0], al.y_sizes[1]
+        if sy1 != 2:
+            raise InvalidArgumentError(
+                f"two-stage oracle needs |Y_1| = 2, got |Y_1| = {sy1}")
+        xh1 = al.x_hist_size(1)
+        grid1 = simplex_grid(sy1, grid.resolution)
+        est = c0 * sy0 * xh1 * (grid1.shape[0] - 1)
+        if est > MAX_GRID_CELLS:
+            raise ResourceBudgetError(
+                f"two-stage search needs ~{est} evaluations, over budget")
 
     combo_idx = np.array(list(itertools.product(range(g0), repeat=n_rows0)))
     rows0 = grid0[combo_idx]                       # (C0, |X_0|, |Y_0|)
@@ -179,17 +186,6 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
         return _measured_value(source, spec, s, policy, float(vals0[best])), policy
 
     # ---- two stages: exact branch decomposition --------------------------
-    sy0, sy1 = al.y_sizes[0], al.y_sizes[1]
-    if sy1 != 2:
-        raise InvalidArgumentError(
-            f"two-stage oracle needs |Y_1| = 2, got |Y_1| = {sy1}")
-    xh1 = al.x_hist_size(1)
-    grid1 = simplex_grid(sy1, grid.resolution)
-    est = c0 * sy0 * xh1 * (grid1.shape[0] - 1)
-    if est > grid.max_cells:
-        raise ResourceBudgetError(
-            f"two-stage search needs ~{est} evaluations, over budget")
-
     mu1 = (mu0[:, None] * source.stage_rows(1)).reshape(-1)   # P(x^1)
     rho1 = spec.stage_table(1).reshape(xh1, sy0, sy1)
     cost = (_plogp(grid1).sum(axis=1)
@@ -218,49 +214,3 @@ def _measured_value(source, spec, s, policy, decomposed):
             f"oracle decomposition drifted from the measured value "
             f"by {abs(value - decomposed):.3e}")
     return value
-
-
-def exhaustive_directed_info(joint: JointLaw) -> float:
-    """Directed information recomputed from a raw joint table with plain
-    loops, reconstructing the causal kernels and output marginals factor by
-    factor.  Tiny instances only."""
-    al = joint.alphabets
-    n = al.n_stages
-    nx, ny = al.x_trajectories(), al.y_trajectories()
-    xdiv = [math.prod(al.x_sizes[i + 1:]) for i in range(n)]
-    ydiv = [math.prod(al.y_sizes[i + 1:]) for i in range(n)]
-
-    pxy = [dict() for _ in range(n)]       # P(x^i, y^i)
-    pxy_prev = [dict() for _ in range(n)]  # P(x^i, y^{i-1})
-    py = [dict() for _ in range(n)]        # P(y^i)
-    py_prev = [dict() for _ in range(n)]   # P(y^{i-1})
-    for xc in range(nx):
-        for yc in range(ny):
-            w = joint.table[xc, yc]
-            if w == 0.0:
-                continue
-            for i in range(n):
-                xp = xc // xdiv[i]
-                yp = yc // ydiv[i]
-                ypp = yp // al.y_sizes[i]
-                pxy[i][(xp, yp)] = pxy[i].get((xp, yp), 0.0) + w
-                pxy_prev[i][(xp, ypp)] = pxy_prev[i].get((xp, ypp), 0.0) + w
-                py[i][yp] = py[i].get(yp, 0.0) + w
-                py_prev[i][ypp] = py_prev[i].get(ypp, 0.0) + w
-
-    total = 0.0
-    for xc in range(nx):
-        for yc in range(ny):
-            w = joint.table[xc, yc]
-            if w == 0.0:
-                continue
-            log_q = 0.0
-            log_nu = 0.0
-            for i in range(n):
-                xp = xc // xdiv[i]
-                yp = yc // ydiv[i]
-                ypp = yp // al.y_sizes[i]
-                log_q += math.log(pxy[i][(xp, yp)] / pxy_prev[i][(xp, ypp)])
-                log_nu += math.log(py[i][yp] / py_prev[i][ypp])
-            total += w * (log_q - log_nu)
-    return max(total, 0.0)

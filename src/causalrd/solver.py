@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,13 +59,11 @@ STATIONARITY_EPSILON = 1e-3  # verify_stationarity: step toward each random kern
 class SolverConfig:
     """Fixed-point iteration parameters.
 
-    ``s`` is the Lagrange multiplier (<= 0); ``nu_init`` is either the string
-    "uniform" or a :class:`MarginalProcess` to start from; a solve stops at
+    ``s`` is the Lagrange multiplier (<= 0); a solve stops at
     |nu' - nu| <= ``fp_tol`` or after ``max_sweeps`` forward passes.  This
     class is the one place each setting and its default is defined.
     """
     s: float
-    nu_init: Union[str, MarginalProcess] = "uniform"
     fp_tol: float = 1e-9
     max_sweeps: int = 10_000
 
@@ -75,8 +73,6 @@ class SolverConfig:
         if isinstance(self.fp_tol, bool) or not self.fp_tol > 0:
             raise InvalidArgumentError("fp_tol must be positive")
         self.max_sweeps = _count(self.max_sweeps, "max_sweeps")
-        if not isinstance(self.nu_init, MarginalProcess) and self.nu_init != "uniform":
-            raise InvalidArgumentError("nu_init must be 'uniform' or a MarginalProcess")
 
 
 @dataclass
@@ -363,26 +359,17 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     """Solve the stationary system (backward pass -> tilted kernels -> induced
     marginal) at fixed multiplier ``config.s``.
 
-    At ``s = 0`` every source-blind policy is stationary; the solve starts,
-    whatever ``nu_init``, from the output law of the distortion-minimizing one
-    (the s -> 0 limit of the optimizers, by :meth:`_Passes.zero_rate`), and one
-    sweep confirms the endpoint (D_max, 0).  Non-convergence is reported, not raised.
+    The sweeps start from the uniform marginal.  At ``s = 0`` every
+    source-blind policy is stationary; the solve starts instead from the
+    output law of the distortion-minimizing one (the s -> 0 limit of the
+    optimizers, by :meth:`_Passes.zero_rate`), and one sweep confirms the
+    endpoint (D_max, 0).  Non-convergence is reported, not raised.
     """
     al = source.alphabets
     s = float(config.s) + 0.0                          # -0.0 -> 0.0
-    uniform = isinstance(config.nu_init, str)
-    if not uniform and config.nu_init.alphabets.y_sizes != al.y_sizes:
-        raise InvalidArgumentError("nu_init must be a MarginalProcess over the source's "
-                                   "stages and reproduction alphabets")
-    tables = MarginalProcess.uniform(al).tables if uniform else config.nu_init.tables
-    for i, t in enumerate(tables):                    # the map never revives a zero
-        bad = ~(((t > 0) & (t < np.inf)).all(axis=1) | (t == 0).all(axis=1))
-        if bad.any():                                 # (an all-zero row fails in the tilt)
-            raise InvalidArgumentError(f"nu_init row at stage {i}, y-history code "
-                                       f"{int(np.argmax(bad))} is neither all finite > 0 nor all 0")
     passes = _Passes(source, spec, s)
-    if s == 0.0:
-        tables = [k[:, 0].T for k in passes.zero_rate()[1]]
+    tables = ([k[:, 0].T for k in passes.zero_rate()[1]] if s == 0.0
+              else MarginalProcess.uniform(al).tables)
 
     def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
         _, logz, q = passes.backward(nu_tables)

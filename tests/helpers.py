@@ -1,13 +1,17 @@
 """Independent brute-force reference computations used across the test suite.
 
-Everything here walks trajectories with plain Python loops and scalar
-arithmetic so it shares no code path with the vectorized package internals.
+The references walk trajectories with plain Python loops and scalar
+arithmetic so they share no code path with the vectorized package internals.
+The policy builders and dense functionals at the end are the inputs and
+checks that only the tests need.
 """
 import itertools
 import math
 
 import numpy as np
 
+from causalrd.errors import InvalidArgumentError
+from causalrd.measures import JointLaw, MarginalProcess, causal_channel_table
 from causalrd.model import CausalPolicy, SourceModel, StageAlphabets
 
 
@@ -180,3 +184,136 @@ def enum_trajectory_costs(source, spec) -> dict:
     return {ys: sum(p * sum(stage_rho(spec, i, xs, ys) for i in range(al.n_stages))
                     for xs, p in laws)
             for ys in trajectories(al.y_sizes)}
+
+
+# ---------------------------------------------------------------------------
+# policy builders and dense functionals only the tests use
+# ---------------------------------------------------------------------------
+
+def identity_policy(alphabets: StageAlphabets) -> CausalPolicy:
+    """Deterministic y_i := x_i (needs y_sizes >= x_sizes per stage)."""
+    sizes = list(zip(alphabets.x_sizes, alphabets.y_sizes))
+    if any(sy < sx for sx, sy in sizes):
+        raise InvalidArgumentError("identity policy needs |Y_i| >= |X_i|")
+    return CausalPolicy(alphabets, [np.tile(np.eye(sx, sy), (alphabets.y_hist_size(i - 1), 1, 1))
+                                    for i, (sx, sy) in enumerate(sizes)], validate=False)
+
+
+def constant_policy(alphabets: StageAlphabets, symbols) -> CausalPolicy:
+    """Deterministic policy emitting ``symbols[i]`` at stage i, ignoring x."""
+    return CausalPolicy(alphabets, [np.tile(np.eye(alphabets.y_sizes[i])[int(symbols[i])],
+                                            (alphabets.y_hist_size(i - 1), 1, 1))
+                                    for i in range(alphabets.n_stages)], validate=False)
+
+
+def uniform_policy(alphabets: StageAlphabets) -> CausalPolicy:
+    return CausalPolicy(alphabets, [np.full((alphabets.y_hist_size(i - 1), 1, alphabets.y_sizes[i]),
+                                            1.0 / alphabets.y_sizes[i])
+                                    for i in range(alphabets.n_stages)], validate=False)
+
+
+def policy_from_marginals(nu: MarginalProcess) -> CausalPolicy:
+    """Source-independent policy q_i(y_i | y^{i-1}, x^i) := nu_i(y_i | y^{i-1})."""
+    return CausalPolicy(nu.alphabets, [t[:, None, :].copy() for t in nu.tables],
+                        validate=False)
+
+
+def _prefix_channels(policy: CausalPolicy):
+    """The prefix channels Q(y^i | x^i) = prod_{j<=i} q_j, as dense
+    (x_hist_size(i), y_hist_size(i)) tables, for i = 0 .. n-1."""
+    al = policy.alphabets
+    for i in range(al.n_stages):
+        head = StageAlphabets(i + 1, al.x_sizes[: i + 1], al.y_sizes[: i + 1])
+        yield causal_channel_table(CausalPolicy(head, policy.tables[: i + 1], validate=False))
+
+
+def mix_policies(a: CausalPolicy, b: CausalPolicy, lam: float) -> CausalPolicy:
+    """Convex combination lam*Q_a + (1-lam)*Q_b of the joint causal kernels,
+    refactored into per-stage kernels.
+
+    Mixing happens at the level of Q(y^n | x^n); the per-stage kernels of the
+    mixture are conditional ratios of the mixed prefix channels, not convex
+    combinations of the per-stage kernels.
+    """
+    al = a.alphabets
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidArgumentError("lam must be in [0, 1]")
+    if al != b.alphabets:
+        raise InvalidArgumentError("policies must share alphabets")
+
+    ks = []
+    prev = None      # mixed prefix channel M_{i-1}(x^{i-1}; y^{i-1})
+    for i, (cur_a, cur_b) in enumerate(zip(_prefix_channels(a), _prefix_channels(b))):
+        mix = lam * cur_a + (1.0 - lam) * cur_b    # (x_hist(i), y_hist(i))
+        sy = al.y_sizes[i]
+        num = mix.reshape(al.x_hist_size(i), al.y_hist_size(i - 1), sy)
+        if prev is None:
+            den = np.ones((al.x_hist_size(i), al.y_hist_size(i - 1)))
+        else:
+            parent = np.arange(al.x_hist_size(i)) // al.x_sizes[i]
+            den = prev[parent]                     # (x_hist(i), y_hist(i-1))
+        k = np.full((al.y_hist_size(i - 1), al.x_hist_size(i), sy), 1.0 / sy)
+        ok = den > 0
+        ratio = np.zeros_like(num)
+        ratio[ok] = num[ok] / den[ok][:, None]
+        k[:, :, :] = np.where(ok.T[:, :, None], np.swapaxes(ratio, 0, 1), k)
+        ks.append(k)
+        prev = mix
+    return CausalPolicy(al, ks, validate=False)
+
+
+def mutual_information(joint: JointLaw) -> float:
+    """Block mutual information I(X^n; Y^n) of a joint trajectory law, in nats."""
+    j = joint.table
+    px = j.sum(axis=1)
+    py = j.sum(axis=0)
+    mask = j > 0
+    outer = px[:, None] * py[None, :]
+    val = float(np.sum(j[mask] * (np.log(j[mask]) - np.log(outer[mask]))))
+    return max(val, 0.0)
+
+
+def exhaustive_directed_info(joint: JointLaw) -> float:
+    """Directed information recomputed from a raw joint table with plain
+    loops, reconstructing the causal kernels and output marginals factor by
+    factor.  Tiny instances only."""
+    al = joint.alphabets
+    n = al.n_stages
+    nx, ny = al.x_trajectories(), al.y_trajectories()
+    xdiv = [math.prod(al.x_sizes[i + 1:]) for i in range(n)]
+    ydiv = [math.prod(al.y_sizes[i + 1:]) for i in range(n)]
+
+    pxy = [dict() for _ in range(n)]       # P(x^i, y^i)
+    pxy_prev = [dict() for _ in range(n)]  # P(x^i, y^{i-1})
+    py = [dict() for _ in range(n)]        # P(y^i)
+    py_prev = [dict() for _ in range(n)]   # P(y^{i-1})
+    for xc in range(nx):
+        for yc in range(ny):
+            w = joint.table[xc, yc]
+            if w == 0.0:
+                continue
+            for i in range(n):
+                xp = xc // xdiv[i]
+                yp = yc // ydiv[i]
+                ypp = yp // al.y_sizes[i]
+                pxy[i][(xp, yp)] = pxy[i].get((xp, yp), 0.0) + w
+                pxy_prev[i][(xp, ypp)] = pxy_prev[i].get((xp, ypp), 0.0) + w
+                py[i][yp] = py[i].get(yp, 0.0) + w
+                py_prev[i][ypp] = py_prev[i].get(ypp, 0.0) + w
+
+    total = 0.0
+    for xc in range(nx):
+        for yc in range(ny):
+            w = joint.table[xc, yc]
+            if w == 0.0:
+                continue
+            log_q = 0.0
+            log_nu = 0.0
+            for i in range(n):
+                xp = xc // xdiv[i]
+                yp = yc // ydiv[i]
+                ypp = yp // al.y_sizes[i]
+                log_q += math.log(pxy[i][(xp, yp)] / pxy_prev[i][(xp, ypp)])
+                log_nu += math.log(py[i][yp] / py_prev[i][ypp])
+            total += w * (log_q - log_nu)
+    return max(total, 0.0)

@@ -336,6 +336,17 @@ def test_target_search_at_the_floor_reports_the_missed_target():
     assert solve_for_target_distortion(src, spec, 0.24).target_met is True
 
 
+def test_ba_and_block_rdf_refuse_a_nan_source_law():
+    # a nan px used to run all 500,000 Blahut-Arimoto iterations and return nan
+    with pytest.raises(InvalidArgumentError, match="px"):
+        blahut_arimoto([math.nan, 0.5], HAMMING2, -1.0)
+    src = binary_symmetric_markov(0.3, 2)
+    mu = full_joint_source(src)
+    mu[1] = math.nan
+    with pytest.raises(InvalidArgumentError, match="mu"):
+        classical_block_rdf(mu, hamming_distortion(src.alphabets), 0.1)
+
+
 def test_block_rdf_refuses_a_nan_target():
     # n = 2: a nan target used to run 201 Blahut-Arimoto solves and return nan
     src = binary_symmetric_markov(0.3, 2)

@@ -97,6 +97,23 @@ def test_bad_kernel_row_message_names_stage_and_history(tmp_path, capsys):
     assert "stage 1" in err and "history code 0" in err
 
 
+def test_nan_kernel_entry_exits_config_naming_the_source(tmp_path, capsys):
+    # Python's json reads NaN; the row check refuses it before any solve
+    cfg = {
+        "schema_version": 1,
+        "horizon": 1,
+        "source": {"type": "general", "x_sizes": [2], "kernels": [[[math.nan, 1.0]]]},
+        "distortion": "hamming",
+        "mode": "solve_s",
+        "s": -1.0,
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "$.source" in err and "sums to nan" in err
+
+
 def test_schema_violations(tmp_path):
     assert run(write_config(tmp_path, schema_version=2)) == EXIT_CONFIG
     assert run(write_config(tmp_path, mode="nope")) == EXIT_CONFIG

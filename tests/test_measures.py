@@ -10,13 +10,9 @@ from causalrd.measures import (
     expected_distortion,
     joint_law,
     markov_chain_check,
-    mix_policies,
-    mutual_information,
     output_marginal,
-    policy_from_marginals,
 )
 from causalrd.model import (
-    CausalPolicy,
     StageAlphabets,
     binary_symmetric_markov,
     full_joint_source,
@@ -27,11 +23,17 @@ from causalrd.model import (
 from helpers import (
     binary_entropy,
     bsc_policy,
+    constant_policy,
     enum_expected_distortion,
     enum_joint_table,
+    identity_policy,
+    mix_policies,
+    mutual_information,
+    policy_from_marginals,
     random_alphabets,
     random_policy,
     random_source,
+    uniform_policy,
 )
 
 LN2 = math.log(2.0)
@@ -39,7 +41,7 @@ LN2 = math.log(2.0)
 
 def test_joint_law_identity_channel():
     src = iid_source([0.5, 0.5], 1)
-    pol = CausalPolicy.identity(src.alphabets)
+    pol = identity_policy(src.alphabets)
     j = joint_law(full_joint_source(src), pol)
     assert np.allclose(j.table, np.diag([0.5, 0.5]))
 
@@ -47,7 +49,7 @@ def test_joint_law_identity_channel():
 def test_joint_law_uniform_policy_is_product():
     src = binary_symmetric_markov(0.2, 2)
     mu = full_joint_source(src)
-    j = joint_law(mu, CausalPolicy.uniform(src.alphabets))
+    j = joint_law(mu, uniform_policy(src.alphabets))
     assert np.max(np.abs(j.table - mu[:, None] / 4.0)) < 1e-15
 
 
@@ -63,12 +65,12 @@ def test_joint_law_matches_brute_force_enumeration():
 def test_joint_law_shape_mismatch():
     src = iid_source([0.5, 0.5], 2)
     with pytest.raises(InvalidArgumentError):
-        joint_law(np.full(3, 1 / 3), CausalPolicy.uniform(src.alphabets))
+        joint_law(np.full(3, 1 / 3), uniform_policy(src.alphabets))
 
 
 def test_output_marginal_identity_uniform():
     src = iid_source([0.5, 0.5], 2)
-    j = joint_law(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     nu = output_marginal(j)
     for t in nu.tables:
         assert np.allclose(t, 0.5, atol=1e-14)
@@ -76,7 +78,7 @@ def test_output_marginal_identity_uniform():
 
 def test_output_marginal_constant_policy():
     src = iid_source([0.5, 0.5], 2)
-    j = joint_law(full_joint_source(src), CausalPolicy.constant(src.alphabets, [0, 0]))
+    j = joint_law(full_joint_source(src), constant_policy(src.alphabets, [0, 0]))
     nu = output_marginal(j)
     assert np.allclose(nu.tables[0][0], [1.0, 0.0])
     assert np.allclose(nu.tables[1][0], [1.0, 0.0])   # reachable history (0,)
@@ -105,14 +107,14 @@ def test_output_marginal_chain_reproduces_y_marginal():
 def test_directed_information_ignoring_x_is_zero():
     src = binary_symmetric_markov(0.3, 3)
     mu = full_joint_source(src)
-    nu = output_marginal(joint_law(mu, CausalPolicy.uniform(src.alphabets)))
+    nu = output_marginal(joint_law(mu, uniform_policy(src.alphabets)))
     pol = policy_from_marginals(nu)
     assert directed_information(mu, pol) == 0.0
 
 
 def test_directed_information_identity_channel():
     src = iid_source([0.5, 0.5], 2)
-    di = directed_information(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    di = directed_information(full_joint_source(src), identity_policy(src.alphabets))
     assert abs(di - 2 * LN2) < 1e-12
 
 
@@ -130,7 +132,7 @@ def test_mutual_information_product_zero():
 
 def test_mutual_information_identity():
     src = iid_source([0.5, 0.5], 2)
-    j = joint_law(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     assert abs(mutual_information(j) - 2 * LN2) < 1e-12
 
 
@@ -148,14 +150,14 @@ def test_mutual_equals_directed_for_causal_policies():
 def test_expected_distortion_identity_zero():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
-    d = expected_distortion(full_joint_source(src), CausalPolicy.identity(src.alphabets), spec)
+    d = expected_distortion(full_joint_source(src), identity_policy(src.alphabets), spec)
     assert d.total == 0.0 and d.per_symbol == 0.0
 
 
 def test_expected_distortion_constant_policy():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
-    d = expected_distortion(full_joint_source(src), CausalPolicy.constant(src.alphabets, [0, 0, 0]), spec)
+    d = expected_distortion(full_joint_source(src), constant_policy(src.alphabets, [0, 0, 0]), spec)
     assert abs(d.per_symbol - 0.5) < 1e-12
 
 
@@ -230,13 +232,13 @@ def test_markov_chain_check_anticipative_counterexample():
 
 def test_markov_chain_check_identity_joint():
     src = iid_source([0.5, 0.5], 2)
-    j = joint_law(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     for variant in (1, 2, 3, 4):
         assert markov_chain_check(j, variant) <= 1e-15
 
 
 def test_markov_chain_check_bad_variant():
     src = iid_source([0.5, 0.5], 1)
-    j = joint_law(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     with pytest.raises(InvalidArgumentError):
         markov_chain_check(j, 5)

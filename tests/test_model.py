@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from causalrd.errors import InvalidArgumentError, ResourceBudgetError
-from causalrd.measures import MarginalProcess, policy_from_marginals
+from causalrd.measures import MarginalProcess
 from causalrd.model import (
     CausalPolicy,
     DistortionSpec,
     SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
-    decode_history,
-    distortion_lookup,
     encode_history,
     full_joint_source,
     hamming_distortion,
@@ -19,7 +17,14 @@ from causalrd.model import (
     validate_source,
 )
 
-from helpers import trajectories
+from helpers import (
+    code_of,
+    constant_policy,
+    identity_policy,
+    policy_from_marginals,
+    trajectories,
+    uniform_policy,
+)
 
 
 def test_encode_history_examples():
@@ -37,19 +42,20 @@ def test_encode_history_out_of_range():
 
 def test_encode_decode_roundtrip_exhaustive():
     sizes = [2, 3, 2]
+    codes = []
     for prefix in trajectories(sizes):
         code = encode_history(list(prefix), sizes)
-        assert decode_history(code, sizes) == list(prefix)
-    # every code decodes back too
-    for code in range(2 * 3 * 2):
-        assert encode_history(decode_history(code, sizes), sizes) == code
+        assert code == code_of(prefix, sizes)
+        codes.append(code)
+    # every code is the code of exactly one prefix
+    assert sorted(codes) == list(range(2 * 3 * 2))
 
 
 def test_horizon_validation():
     with pytest.raises(InvalidArgumentError):
         StageAlphabets(0, [], [])
-    with pytest.raises(ResourceBudgetError):
-        StageAlphabets(2, [2, 2], [2, 2], entry_budget=10)
+    with pytest.raises(ResourceBudgetError):       # 100 * 101 * 100 * 100 > 10**8
+        StageAlphabets(2, [100, 101], [100, 100])
     with pytest.raises(ResourceBudgetError):       # 4**10_000 entries, never formed
         StageAlphabets(10_000, [2] * 10_000, [2] * 10_000)
 
@@ -80,7 +86,7 @@ def test_budget_refuses_a_long_horizon_before_reading_its_later_stages(monkeypat
     with pytest.raises(ResourceBudgetError):
         iid_source([0.5, 0.5], 10**6)
     # iid_source counts n_stages itself before it builds the size lists
-    assert counted == (["n_stages"] * 2 + ["entry_budget"]
+    assert counted == (["n_stages"] * 2
                        + ["x_sizes entry", "y_sizes entry"] * 14)
 
 
@@ -125,6 +131,16 @@ def test_validate_source_tolerance_boundary():
     al = StageAlphabets(1, [2], [2])
     src = SourceModel(al, [np.array([[1.0 + 1e-15, 0.0]])], validate=False)
     assert validate_source(src) == []
+
+
+def test_a_nan_row_is_refused_and_reported():
+    # nan fails every comparison, so the row checks are written to pass only
+    # a finite sum within tolerance
+    al = StageAlphabets(1, [2], [2])
+    with pytest.raises(InvalidArgumentError, match="stage 0, history code 0: sums to nan"):
+        SourceModel(al, [[[np.nan, 1.0]]])
+    with pytest.raises(InvalidArgumentError, match="stage 0, history code 1: sums to nan"):
+        CausalPolicy(al, [[[[0.5, 0.5], [1.0, np.nan]]]])
 
 
 def test_full_joint_source_iid():
@@ -178,14 +194,11 @@ def test_memory_must_be_full_or_a_nonnegative_int(memory):
 def test_distortion_lookup_hamming():
     al = StageAlphabets(2, [2, 2], [2, 2])
     spec = hamming_distortion(al)
-    assert distortion_lookup(spec, 0, 0, 0) == 0.0
-    assert distortion_lookup(spec, 0, 0, 1) == 1.0
+    assert spec.stage_table(0)[0, 0] == 0.0
+    assert spec.stage_table(0)[0, 1] == 1.0
     # stage 1, x^1=(1,0) -> code 2, y^1=(0,0) -> code 0: last symbols equal
-    assert distortion_lookup(spec, 1, 2, 0) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        distortion_lookup(spec, 2, 0, 0)
-    with pytest.raises(InvalidArgumentError):
-        distortion_lookup(spec, 1, 4, 0)
+    assert spec.stage_table(1)[2, 0] == 0.0
+    assert spec.stage_table(1).shape == (4, 4)
 
 
 def test_distortion_stage_tables_direct_read():
@@ -196,8 +209,8 @@ def test_distortion_stage_tables_direct_read():
         for yc in range(4):
             t1[xc, yc] = abs(xc // 2 - yc % 2)      # |x_0 - y_1|
     spec = DistortionSpec.stage_tables(al, [t0, t1])
-    assert distortion_lookup(spec, 1, 2, 0) == 1.0  # x^1=(1,0), y^1=(0,0)
-    assert distortion_lookup(spec, 1, 0, 1) == 1.0  # x^1=(0,0), y^1=(0,1)
+    assert spec.stage_table(1)[2, 0] == 1.0  # x^1=(1,0), y^1=(0,0)
+    assert spec.stage_table(1)[0, 1] == 1.0  # x^1=(0,0), y^1=(0,1)
 
 
 def test_single_letter_expansion_matches_per_letter_sum():
@@ -224,11 +237,13 @@ def test_distortion_rejects_negative_and_nonfinite():
 
 
 def test_total_table_budget_guard():
-    al = StageAlphabets(2, [2, 2], [2, 2], entry_budget=20)
+    # the constructor's budget on |X^n| * |Y^n| also bounds the total table
+    al = StageAlphabets(2, [2, 2], [2, 2])
     spec = hamming_distortion(al)
     assert spec.total_table().shape == (4, 4)
+    assert StageAlphabets(2, [100, 100], [100, 100]).x_trajectories() == 10**4   # 10**8 fits
     with pytest.raises(ResourceBudgetError):
-        StageAlphabets(3, [2, 2, 2], [2, 2, 2], entry_budget=20)
+        StageAlphabets(3, [100, 100, 2], [100, 100, 1])
 
 
 def test_renormalization_on_ingestion():
@@ -290,9 +305,9 @@ def test_policy_factories_read_back_their_full_history_kernels():
         "marginals": ([[[0.2, 0.3, 0.5]] * 2],
                       [[[0.1, 0.1, 0.8]] * 4, [[0.5, 0.5, 0.0]] * 4, [[0.25, 0.25, 0.5]] * 4]),
     }
-    got = {"identity": CausalPolicy.identity(al),
-           "constant": CausalPolicy.constant(al, [2, 1]),
-           "uniform": CausalPolicy.uniform(al),
+    got = {"identity": identity_policy(al),
+           "constant": constant_policy(al, [2, 1]),
+           "uniform": uniform_policy(al),
            "marginals": policy_from_marginals(nu)}
     for name, pol in got.items():
         for k, w in zip(pol.kernels, want[name]):

@@ -9,7 +9,6 @@ from causalrd.baseline import blahut_arimoto
 from causalrd.errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
 from causalrd.measures import JointLaw, directed_information, joint_law, lagrangian_value
 from causalrd.model import (
-    CausalPolicy,
     DistortionSpec,
     SourceModel,
     StageAlphabets,
@@ -18,15 +17,16 @@ from causalrd.model import (
     hamming_distortion,
     iid_source,
 )
-from causalrd.oracle import (
-    GridSpec,
-    brute_force_lagrangian_min,
-    exhaustive_directed_info,
-    simplex_grid,
-)
+from causalrd.oracle import GridSpec, brute_force_lagrangian_min, simplex_grid
 from causalrd.solver import SolverConfig, fixed_point_solve
 
-from helpers import random_alphabets, random_policy, random_source
+from helpers import (
+    exhaustive_directed_info,
+    identity_policy,
+    random_alphabets,
+    random_policy,
+    random_source,
+)
 
 LN2 = math.log(2.0)
 
@@ -51,7 +51,7 @@ def test_exhaustive_directed_info_product_joint():
 
 def test_exhaustive_directed_info_identity():
     src = iid_source([0.5, 0.5], 2)
-    j = joint_law(full_joint_source(src), CausalPolicy.identity(src.alphabets))
+    j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     assert abs(exhaustive_directed_info(j) - 2 * LN2) < 1e-12
 
 
@@ -107,16 +107,21 @@ def test_brute_force_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_brute_force_budget_guards():
-    src = iid_source([0.5, 0.5], 3)
-    spec = hamming_distortion(src.alphabets)
-    with pytest.raises(ResourceBudgetError):
-        brute_force_lagrangian_min(src, spec, -1.0, GridSpec())
-    src2 = iid_source([0.5, 0.5], 2)
-    spec2 = hamming_distortion(src2.alphabets)
-    with pytest.raises(ResourceBudgetError):
-        brute_force_lagrangian_min(src2, spec2, -1.0,
-                                   GridSpec(resolution=0.02, max_cells=100))
+def test_brute_force_budget_guards(monkeypatch):
+    # each guard raises before any stage-0 candidate is enumerated
+    def refuse(*args):
+        raise AssertionError("candidates enumerated before the budget check")
+
+    monkeypatch.setattr(oracle, "_stage0_values", refuse)
+    for n_stages, x_size, match in [
+        (3, 2, "n_stages <= 2"),
+        (2, 5, "stage-0 enumeration"),      # 51**5 candidates of 5 rows of 2
+        (2, 3, "two-stage search"),         # 51**3 candidates * 2 * 9 rows * 50 steps
+    ]:
+        src = iid_source(np.full(x_size, 1.0 / x_size), n_stages, y_size=2)
+        spec = hamming_distortion(src.alphabets)
+        with pytest.raises(ResourceBudgetError, match=match):
+            brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.02))
 
 
 def _grid_lagrangians(source, spec, s, grid):

@@ -11,12 +11,11 @@ from causalrd.measures import (MarginalProcess, directed_information, joint_law,
                                markov_chain_check)
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
                             hamming_distortion, iid_source)
-from causalrd.oracle import exhaustive_directed_info
 from causalrd.solver import (SolverConfig, _Passes, backward_g, d_max_policy,
                              fixed_point_solve, min_achievable_distortion, tilted_policy,
                              trace_curve)
 
-from helpers import code_of, enum_causal_floor, enum_trajectory_costs
+from helpers import code_of, enum_causal_floor, enum_trajectory_costs, exhaustive_directed_info
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
