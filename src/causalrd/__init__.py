@@ -35,6 +35,7 @@ from .measures import (
     directed_information,
     expected_distortion,
     joint_law,
+    lagrangian_value,
     markov_chain_check,
     output_marginal,
 )
@@ -47,7 +48,6 @@ from .solver import (
     backward_g,
     d_max_policy,
     fixed_point_solve,
-    lagrangian_value,
     marginal_update,
     min_achievable_distortion,
     rate_limit_estimate,

@@ -1,9 +1,10 @@
 """Classical (noncausal) rate-distortion references via Blahut-Arimoto.
 
 Used as the block-level dominance oracle and as the single-stage equivalence
-check for the causal solver, with which it shares the max-shift log-sum-exp
-and the multiplier search.  Everything is parametric in the multiplier
-``s <= 0`` (slope of the rate-distortion curve, rates in nats).
+check for the causal solver, with which it shares the accelerated
+alternation loop and the multiplier search.  Everything is parametric in
+the multiplier ``s <= 0`` (slope of the rate-distortion curve, rates in
+nats).
 """
 from __future__ import annotations
 

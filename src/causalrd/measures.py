@@ -193,6 +193,44 @@ def lagrangian_value(source: SourceModel, spec: DistortionSpec,
             - s * expected_distortion(mu, policy, spec).total)
 
 
+def lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float) -> np.ndarray:
+    """:func:`lagrangian_value` of P policies at once, from the dense source
+    law ``mu`` and total distortion table ``d`` (:meth:`DistortionSpec.total_table`).
+
+    ``kernels[i]`` stacks stage i of every policy, shape (P, y_hist_size(i-1),
+    x_hist_size(i), y_sizes[i]).  The values follow the formulas of
+    :func:`directed_information` and :func:`expected_distortion` over dense
+    (policy, x^n, y^n) tables, up to the order of the sums.
+    """
+    q = kernels[0][:, 0].copy()                    # (P, x_hist(0), sy0), overwritten below
+    for k in kernels[1:]:                          # as causal_channel_table
+        p, yh, xh, sy = k.shape
+        q = np.einsum('pab,pbacd->pacbd', q, k.reshape(p, yh, q.shape[1], -1, sy))
+        q = q.reshape(p, xh, yh * sy)
+    joint = mu[:, None] * q
+    dist = np.einsum('pxy,xy->p', joint, d)
+    # output marginals from the last stage down, then their chain product, as
+    # output_marginal and MarginalProcess.chain_vector
+    tables, mass = [], joint.sum(axis=1)
+    for k in kernels[::-1]:
+        sy = k.shape[-1]
+        blocks = mass.reshape(len(mass), -1, sy)
+        mass = blocks.sum(axis=2)
+        tables.append(np.divide(blocks, mass[..., None], out=np.full_like(blocks, 1.0 / sy),
+                                where=mass[..., None] > 0))
+    chain = tables.pop()[:, 0]
+    while tables:
+        chain = (chain[:, :, None] * tables.pop()).reshape(len(chain), -1)
+    # sum of joint * (log Q - log chain) over the joint's support, in place in q
+    live = joint > 0
+    with np.errstate(divide="ignore"):
+        log_chain = np.log(chain)
+    np.log(q, out=q, where=live)
+    np.subtract(q, log_chain[:, None, :], out=q, where=live)
+    info = np.einsum('pxy,pxy->p', joint, q)       # q is finite, joint 0 off the support
+    return np.maximum(info, 0.0) - s * dist
+
+
 # ---------------------------------------------------------------------------
 # Markov-chain (conditional-independence) checks
 # ---------------------------------------------------------------------------

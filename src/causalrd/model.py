@@ -340,8 +340,12 @@ class DistortionSpec:
         """Dense rho_stage over (x^stage, y^stage) prefix codes.
 
         The single-letter expansion is exact: the entry depends only on the
-        last symbol of each prefix.
+        last symbol of each prefix.  A stage outside 0..n_stages-1 raises
+        IndexError in both modes.
         """
+        n = self.alphabets.n_stages
+        if not 0 <= stage < n:
+            raise IndexError(f"stage {stage} is outside the horizon of {n} stages")
         if self.mode == "stage_tables":
             return self.tables[stage]
         al = self.alphabets

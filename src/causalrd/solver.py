@@ -40,15 +40,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline import _accelerated_alternation, log_normalize, masked_log, search_multiplier
+from .baseline import _accelerated_alternation, search_multiplier
 from .errors import DegenerateMarginalError, InternalConsistencyError, InvalidArgumentError
 from .measures import (MarginalProcess, directed_information, expected_distortion,
-                       lagrangian_value)
+                       lagrangian_values)
 from .model import CausalPolicy, DistortionSpec, SourceModel, _count, full_joint_source
 
 RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
 CURVE_TOL = 1e-9             # rate rise and chord excess a curve's checks allow
 STATIONARITY_EPSILON = 1e-3  # verify_stationarity: step toward each random kernel
+STATIONARITY_BLOCK_ENTRIES = 2**18   # verify_stationarity: (probe, x^n, y^n) entries per block
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +200,25 @@ class _Passes:
 
     def tilt(self, i, g, nu):
         """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
-        log Z_i(window_i, y^{i-1}), from one exponent and one max shift."""
+        log Z_i(window_i, y^{i-1}), from one exponent and one max shift,
+        normalized in place."""
         sy, _, _, yp = self.shapes[i]
-        e = np.subtract(self.s_rho[i] + masked_log(nu.T)[:, None, None, :], self._y_major(g, i),
-                        order="C")
-        logz, q = log_normalize(e.reshape(sy, -1, yp), axis=0)
-        if logz.min() == -np.inf:
-            _, xh, yh = np.nonzero(np.isneginf(logz))
+        with np.errstate(divide="ignore"):
+            log_nu = np.log(nu.T)[:, None, None, :]
+        e = np.subtract(self.s_rho[i] + log_nu, self._y_major(g, i), order="C").reshape(sy, -1, yp)
+        m = e.max(axis=0)
+        if m.min() == -np.inf:
+            xh, yh = np.nonzero(np.isneginf(m))
             raise DegenerateMarginalError(
                 i, int(yh[0]), f"tilted normalizer vanished for x-history code {int(xh[0])}"
                 f" (and every x-history sharing its last {self.k[i]} of {i + 1} symbols)")
-        return q, logz[0]
+        e -= m
+        np.exp(e, out=e)
+        z = e.sum(axis=0)
+        e /= z
+        logz = np.log(z)
+        logz += m
+        return e, logz
 
     def least(self, i, g, pw=None):
         """The s -> -inf limit of :meth:`tilt`: the one-hot kernel on the least
@@ -260,16 +269,12 @@ class _Passes:
                 info += float(joint[pos] @ (np.log(q[i][pos]) - np.log(nu_new)))
             if i + 1 < len(self.shapes):
                 # P(window_{i+1}, y^i), written with y_i innermost as its code
-                # requires; a full window's oldest symbol (axis a) is summed out.
-                # One y_i slice at a time reads joint contiguously and writes w
-                # in place, where a single einsum over all y_i would need a copy.
+                # requires; a full window's oldest symbol (axis a) is summed out
+                # by one matmul batched over the rest of the window (axis b)
                 rows = self.rows[i + 1]
-                drop, xn, sxn = rows.shape
-                jd = joint.reshape(sy, drop, xn, yp)
-                w = np.empty((xn, sxn, yp, sy))
-                for k in range(sy):
-                    np.einsum('abc,abx->bxc', jd[k], rows, out=w[..., k])
-                w = w.reshape(-1, yp * sy)
+                drop, xn, _ = rows.shape
+                jd = joint.reshape(sy, drop, xn, yp).transpose(2, 1, 3, 0).reshape(xn, drop, -1)
+                w = (rows.transpose(1, 2, 0) @ jd).reshape(-1, yp * sy)
         return tables, masses, dist, info
 
     def policy(self, q) -> CausalPolicy:
@@ -550,6 +555,15 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
     Directions are per-stage rows redrawn uniformly on the simplex; the probe
     policy is q* + eps (q_random - q*) with eps = STATIONARITY_EPSILON.  At a
     first-order optimum the returned value is nonpositive up to o(eps).
+
+    The rows are drawn probe by probe and, within a probe, stage by stage, so
+    a seed gives the same directions however the probes are grouped.  The
+    probes are evaluated in blocks of max(1, STATIONARITY_BLOCK_ENTRIES //
+    (|X^n| |Y^n|)) by :func:`~causalrd.measures.lagrangian_values`, on a
+    source law and distortion table built once; q* goes through the same
+    function, so no decrease mixes two ways of summing.  The value is that
+    of one dense :func:`~causalrd.measures.lagrangian_value` per probe up to
+    the order of the sums.
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")
@@ -557,15 +571,34 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if n_perturbations != 0 or isinstance(n_perturbations, bool):
         n_perturbations = _count(n_perturbations, "n_perturbations")
+    if n_perturbations == 0:
+        return 0.0
     rng = np.random.default_rng(seed)
-    al = source.alphabets
-    base = lagrangian_value(source, spec, result.policy, result.s)
+    kernels = result.policy.kernels
+    mu, d = full_joint_source(source), spec.total_table()
+    base = lagrangian_values(mu, d, [k[None] for k in kernels], result.s)[0]
+    per_block = max(1, STATIONARITY_BLOCK_ENTRIES // d.size)
     worst = -math.inf
-    for _ in range(int(n_perturbations)):
-        ks = []
-        for i, k in enumerate(result.policy.kernels):
-            rand = rng.dirichlet(np.ones(k.shape[-1]), size=k.shape[:-1])
-            ks.append((1.0 - STATIONARITY_EPSILON) * k + STATIONARITY_EPSILON * rand)
-        probe = CausalPolicy(al, ks, validate=False)
-        worst = max(worst, base - lagrangian_value(source, spec, probe, result.s))
-    return worst if n_perturbations else 0.0
+    for start in range(0, n_perturbations, per_block):
+        probes = _probe_kernels(rng, kernels, min(per_block, n_perturbations - start))
+        worst = max(worst, float(np.max(base - lagrangian_values(mu, d, probes, result.s))))
+    return worst
+
+
+def _probe_kernels(rng, kernels, count):
+    """``count`` probe policies (1 - eps) q* + eps q_random, stacked per stage
+    on a leading axis, with q_random's rows drawn from the flat Dirichlet law
+    probe by probe, then stage by stage: one draw per run of stages with
+    equal row lengths, which fills its rows in that order."""
+    widths = np.array([k.shape[-1] for k in kernels] * count)
+    rows = np.array([k.size // k.shape[-1] for k in kernels] * count)
+    runs = np.flatnonzero(np.diff(widths)) + 1
+    flat = np.concatenate([rng.dirichlet(np.ones(w[0]), size=r.sum()).ravel()
+                           for w, r in zip(np.split(widths, runs), np.split(rows, runs))])
+    cuts = np.cumsum([k.size for k in kernels])[:-1]
+    probes = []
+    for k, rand in zip(kernels, np.split(flat.reshape(count, -1), cuts, axis=1)):
+        probe = STATIONARITY_EPSILON * rand.reshape(count, *k.shape)
+        probe += (1.0 - STATIONARITY_EPSILON) * k
+        probes.append(probe)
+    return probes

@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import JointLaw, MarginalProcess, causal_channel_table
+from causalrd.measures import JointLaw, MarginalProcess, causal_channel_table, lagrangian_value
 from causalrd.model import CausalPolicy, SourceModel, StageAlphabets
+from causalrd.solver import STATIONARITY_EPSILON
 
 
 def trajectories(sizes):
@@ -317,3 +318,20 @@ def exhaustive_directed_info(joint: JointLaw) -> float:
                 log_nu += math.log(py[i][yp] / py_prev[i][ypp])
             total += w * (log_q - log_nu)
     return max(total, 0.0)
+
+
+def reference_stationarity(source, spec, result, n_perturbations=100, seed=0) -> float:
+    """verify_stationarity's value computed probe by probe: one Dirichlet draw
+    per probe and stage, in that order, and one dense lagrangian_value per
+    probe and for the solved policy."""
+    rng = np.random.default_rng(seed)
+    base = lagrangian_value(source, spec, result.policy, result.s)
+    worst = -math.inf
+    for _ in range(n_perturbations):
+        ks = []
+        for k in result.policy.kernels:
+            rand = rng.dirichlet(np.ones(k.shape[-1]), size=k.shape[:-1])
+            ks.append((1.0 - STATIONARITY_EPSILON) * k + STATIONARITY_EPSILON * rand)
+        probe = CausalPolicy(source.alphabets, ks, validate=False)
+        worst = max(worst, base - lagrangian_value(source, spec, probe, result.s))
+    return worst

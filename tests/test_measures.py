@@ -9,10 +9,13 @@ from causalrd.measures import (
     directed_information,
     expected_distortion,
     joint_law,
+    lagrangian_value,
+    lagrangian_values,
     markov_chain_check,
     output_marginal,
 )
 from causalrd.model import (
+    DistortionSpec,
     StageAlphabets,
     binary_symmetric_markov,
     full_joint_source,
@@ -205,6 +208,26 @@ def test_directed_information_nonnegative():
         al = random_alphabets(rng, 2)
         mu = full_joint_source(random_source(rng, al))
         assert directed_information(mu, random_policy(rng, al)) >= 0.0
+
+
+@pytest.mark.parametrize("n_stages", [1, 3])
+def test_lagrangian_values_match_one_policy_at_a_time(n_stages):
+    # a stack of random policies, one with a zero row entry and one that
+    # ignores x, under stage tables; the inputs stay unchanged
+    rng = np.random.default_rng(n_stages)
+    al = random_alphabets(rng, n_stages)
+    src = random_source(rng, al)
+    spec = DistortionSpec.stage_tables(al, [rng.uniform(0.0, 2.0, size=(al.x_hist_size(i),
+                                                                         al.y_hist_size(i)))
+                                            for i in range(n_stages)])
+    policies = [random_policy(rng, al) for _ in range(3)] + [uniform_policy(al)]
+    policies[0].kernels[0][0, 0] = np.eye(al.y_sizes[0])[0]
+    stacks = [np.stack([p.kernels[i] for p in policies]) for i in range(n_stages)]
+    before = [k.copy() for k in stacks]
+    values = lagrangian_values(full_joint_source(src), spec.total_table(), stacks, -1.7)
+    for v, p in zip(values, policies):
+        assert abs(v - lagrangian_value(src, spec, p, -1.7)) <= 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
 
 
 def test_markov_chain_check_causal_joints():

@@ -213,6 +213,18 @@ def test_distortion_stage_tables_direct_read():
     assert spec.stage_table(1)[0, 1] == 1.0  # x^1=(0,0), y^1=(0,1)
 
 
+@pytest.mark.parametrize("mode", ["single_letter", "stage_tables"])
+@pytest.mark.parametrize("stage", [-1, 2, 5])
+def test_stage_table_refuses_a_stage_outside_the_horizon(mode, stage):
+    # a negative stage would otherwise read another stage's table, and a
+    # single-letter table would expand past the horizon
+    al = StageAlphabets(2, [2, 2], [2, 2])
+    spec = (hamming_distortion(al) if mode == "single_letter"
+            else DistortionSpec.stage_tables(al, [np.zeros((2, 2)), np.zeros((4, 4))]))
+    with pytest.raises(IndexError, match=f"stage {stage} is outside the horizon of 2 stages"):
+        spec.stage_table(stage)
+
+
 def test_single_letter_expansion_matches_per_letter_sum():
     rng = np.random.default_rng(7)
     al = StageAlphabets(3, [2, 2, 2], [2, 2, 2])

@@ -13,9 +13,10 @@ from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_jo
                             hamming_distortion, iid_source)
 from causalrd.solver import (SolverConfig, _Passes, backward_g, d_max_policy,
                              fixed_point_solve, min_achievable_distortion, tilted_policy,
-                             trace_curve)
+                             trace_curve, verify_stationarity)
 
-from helpers import code_of, enum_causal_floor, enum_trajectory_costs, exhaustive_directed_info
+from helpers import (code_of, enum_causal_floor, enum_trajectory_costs, exhaustive_directed_info,
+                     reference_stationarity)
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -144,6 +145,19 @@ def test_tilted_policy_ignores_an_x_history_shift_of_g(problem, seed):
     for a, b in zip(tilted_policy(src, spec, nu, g, s).kernels,
                     tilted_policy(src, spec, nu, shifted, s).kernels):
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(causal_problems(), st.integers(0, 2 ** 32 - 1))
+@example(ONE_OUTPUT, 0)
+@example(DETERMINISTIC_ROWS, 0)
+@example(UNDERFLOW, 0)
+def test_batched_stationarity_matches_the_per_probe_reference(problem, seed):
+    src, spec, s = problem
+    r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12))
+    assume(r.converged)
+    dec = verify_stationarity(src, spec, r, n_perturbations=20, seed=seed)
+    assert abs(dec - reference_stationarity(src, spec, r, 20, seed=seed)) <= 1e-12
 
 
 def _plain_sweeps(src, spec, s, fp_tol):

@@ -53,6 +53,7 @@ from helpers import (
     random_alphabets,
     random_policy,
     random_source,
+    reference_stationarity,
 )
 
 LN2 = math.log(2.0)
@@ -560,6 +561,18 @@ def test_slow_full_history_sources_converge_within_3000_sweeps(seed):
     assert r.converged and r.sweeps_used <= 3000, r.sweeps_used
 
 
+@pytest.mark.parametrize("seed, sweeps", [(31, 3388), (138, 3648)])
+def test_full_history_sweeps_at_s_minus_half_do_not_grow(seed, sweeps):
+    # a count guard on a known regression: at s = -0.5 these sources took
+    # 1,553 and 1,834 sweeps under over-relaxation, and the J safeguard
+    # rejects many Anderson steps there; the bound is today's count, so a fix
+    # shows as a lower count and a further loss fails
+    al = StageAlphabets(5, [2] * 5, [2] * 5)
+    src = random_source(np.random.default_rng(seed), al)
+    r = fixed_point_solve(src, hamming_distortion(al), SolverConfig(s=-0.5))
+    assert r.converged and r.sweeps_used <= sweeps, r.sweeps_used
+
+
 # ---------------------------------------------------------------------------
 # closed-form rate
 # ---------------------------------------------------------------------------
@@ -911,3 +924,36 @@ def test_verify_stationarity_corrupted_negative_control():
                       residual=0.0)
     dec = verify_stationarity(src, spec, bad, n_perturbations=100, seed=1)
     assert dec > 1e-4
+
+
+def _cli_verify_solve():
+    # the problem of perfbench's cli_verify: Markov flip 0.3, n = 4, D = 0.2
+    src = binary_symmetric_markov(0.3, 4)
+    spec = hamming_distortion(src.alphabets)
+    return src, spec, solve_for_target_distortion(src, spec, 0.2)
+
+
+@pytest.mark.parametrize("one_probe_per_block", [False, True])
+def test_batched_stationarity_matches_the_per_probe_reference(monkeypatch, one_probe_per_block):
+    if one_probe_per_block:
+        monkeypatch.setattr(solver_module, "STATIONARITY_BLOCK_ENTRIES", 1)
+    src, spec, r = _cli_verify_solve()
+    dec = verify_stationarity(src, spec, r, n_perturbations=100, seed=1)
+    assert abs(dec - reference_stationarity(src, spec, r, 100, seed=1)) <= 1e-12
+    assert dec <= 1e-8
+
+
+def test_batched_stationarity_draws_mixed_row_lengths_in_probe_order(monkeypatch):
+    # y sizes 2, 3, 2: each probe's rows come from three draws, not one; 7
+    # probes in blocks of 3 leave a last block of 1
+    rng = np.random.default_rng(3)
+    al = StageAlphabets(3, [2, 3, 2], [2, 3, 2])
+    src = random_source(rng, al)
+    spec = DistortionSpec.stage_tables(al, [rng.uniform(0.0, 2.0, size=(al.x_hist_size(i),
+                                                                         al.y_hist_size(i)))
+                                            for i in range(3)])
+    r = fixed_point_solve(src, spec, SolverConfig(s=-1.5, fp_tol=1e-12))
+    monkeypatch.setattr(solver_module, "STATIONARITY_BLOCK_ENTRIES",
+                        3 * al.x_trajectories() * al.y_trajectories())
+    dec = verify_stationarity(src, spec, r, n_perturbations=7, seed=4)
+    assert abs(dec - reference_stationarity(src, spec, r, 7, seed=4)) <= 1e-12
