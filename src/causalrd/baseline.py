@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import DistortionSpec
+from .model import DistortionSpec, _check_multiplier
 
 S_MAGNITUDE_CAP = 1e6
 BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
@@ -191,8 +191,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
         raise InvalidArgumentError("px is not a probability vector")
     if not np.isfinite(rho).all() or (rho < 0).any():
         raise InvalidArgumentError("rho must be finite and nonnegative")
-    if s > 0:
-        raise InvalidArgumentError("multiplier s must be <= 0")
+    _check_multiplier(s)
 
     if s == 0.0:
         return BaPoint(0.0, 0.0, _zero_rate_distortion(px, rho), 1, True)

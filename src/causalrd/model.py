@@ -71,6 +71,12 @@ def _count(v, what: str) -> int:
     return int(v)
 
 
+def _check_multiplier(s) -> None:
+    """Refuse a multiplier that is not a finite number <= 0 (nan included)."""
+    if not -math.inf < s <= 0:
+        raise InvalidArgumentError("multiplier s must be a finite number <= 0")
+
+
 class StageAlphabets:
     """Stage count and per-stage source and reproduction alphabet sizes.
 

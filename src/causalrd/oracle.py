@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
 from .measures import lagrangian_value
-from .model import CausalPolicy, DistortionSpec, SourceModel
+from .model import CausalPolicy, DistortionSpec, SourceModel, _check_multiplier
 
 
 # Bound on the candidate entries and branch evaluations of one oracle search.
@@ -66,8 +66,9 @@ def _compositions(total, parts):
 # ---------------------------------------------------------------------------
 
 def _plogp(t: np.ndarray) -> np.ndarray:
-    """Elementwise t log t with the 0 log 0 = 0 convention."""
-    return t * np.log(t, out=np.zeros_like(t), where=t > 0)
+    """Elementwise t log t, +0.0 at t = 0 by an unmasked log of 1 there."""
+    u = np.where(t > 0, t, 1.0)
+    return np.multiply(t, np.log(u, out=u), out=u)
 
 
 def _stage0_values(mu0, rows, rho0, s):
@@ -106,6 +107,10 @@ def _branch_minima(w, cost, grid):
     each of its assignments finds it exactly.  The breakpoints do not
     depend on the weights, so branch y_0 has one staircase under every
     stage-0 candidate.  Ties go to the first step.
+
+    The entropy term adds its two columns, in the order a reduce would.  The
+    chunks of npts candidates and their two matmuls stay as they are: another
+    batch shape can change how BLAS sums, and so values and tie-broken picks.
     """
     ny, nrows, npts = cost.shape
     step_row = np.argsort(np.diff(cost, axis=2).reshape(ny, -1), axis=1,
@@ -122,8 +127,8 @@ def _branch_minima(w, cost, grid):
     # would need Y*C*J*2
     for a in range(0, w.shape[1], npts):
         wc = w[:, a:a + npts]
-        nu = np.matmul(wc, stair_rows).reshape(ny, wc.shape[1], -1, 2)
-        v = np.matmul(wc, stair_cost) - _plogp(nu).sum(axis=3)                 # (Y, c, J)
+        ent = _plogp(np.matmul(wc, stair_rows).reshape(ny, wc.shape[1], -1, 2))
+        v = np.matmul(wc, stair_cost) - (ent[..., 0] + ent[..., 1])          # (Y, c, J)
         pick = np.argmin(v, axis=2)
         picks[:, a:a + npts] = pick
         values[:, a:a + npts] = np.take_along_axis(v, pick[..., None], axis=2)[..., 0]
@@ -148,8 +153,7 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     first stage-0 candidate in enumeration order and, within a branch,
     toward the first staircase step.  Coverage: n_stages <= 2.
     """
-    if s > 0:
-        raise InvalidArgumentError("multiplier s must be <= 0")
+    _check_multiplier(s)
     al = source.alphabets
     n = al.n_stages
     if n > 2:
@@ -178,7 +182,7 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
 
     combo_idx = np.array(list(itertools.product(range(g0), repeat=n_rows0)))
     rows0 = grid0[combo_idx]                       # (C0, |X_0|, |Y_0|)
-    vals0, nu0 = _stage0_values(mu0, rows0, rho0, s)
+    vals0, mass = _stage0_values(mu0, rows0, rho0, s)     # mass (C0, sy0) = P(y0)
 
     if n == 1:
         best = int(np.argmin(vals0))
@@ -193,7 +197,6 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
 
     x0_of = np.arange(xh1) // al.x_sizes[1]
     raw = mu1[None, :, None] * rows0[:, x0_of, :]  # (C0, xh1, sy0)
-    mass = nu0                                     # (C0, sy0) = P(y0)
     safe = np.where(mass == 0.0, 1.0, mass)
     branch_w = raw / safe[:, None, :]              # w(x^1 | y0); 0 when unreachable
     bvals, picks = _branch_minima(np.transpose(branch_w, (2, 0, 1)), cost, grid1)

@@ -44,7 +44,8 @@ from .baseline import _accelerated_alternation, search_multiplier
 from .errors import DegenerateMarginalError, InternalConsistencyError, InvalidArgumentError
 from .measures import (MarginalProcess, directed_information, expected_distortion,
                        lagrangian_values)
-from .model import CausalPolicy, DistortionSpec, SourceModel, _count, full_joint_source
+from .model import (CausalPolicy, DistortionSpec, SourceModel, _check_multiplier, _count,
+                    _expand_window, full_joint_source)
 
 RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
 CURVE_TOL = 1e-9             # rate rise and chord excess a curve's checks allow
@@ -69,8 +70,7 @@ class SolverConfig:
     max_sweeps: int = 10_000
 
     def __post_init__(self):
-        if not -math.inf < self.s <= 0:              # also refuses nan
-            raise InvalidArgumentError("multiplier s must be a finite number <= 0")
+        _check_multiplier(self.s)
         if isinstance(self.fp_tol, bool) or not self.fp_tol > 0:
             raise InvalidArgumentError("fp_tol must be positive")
         self.max_sweeps = _count(self.max_sweeps, "max_sweeps")
@@ -155,12 +155,12 @@ class _Passes:
     symbols (by induction from g_{n-1} = 0: g_{i-1} averages log Z_i over a
     source row that reads at most m symbols), so the window holds those.  In
     every other case (``memory="full"``, stage tables, or no spec) it holds
-    all of x^i.  A window code is the full code modulo the window size
-    (:func:`~causalrd.model._expand_window`); the tilt reads the x-axis
-    length off its g table, so it also takes g over any longer window, full
-    x-histories included.  Once the window is full its oldest symbol
-    drops out between stages: the forward pass sums it out, the backward
-    pass keeps it as an axis of g_{i-1}.
+    all of x^i, unless the caller gives the lengths ``k``.  A window code is
+    the full code modulo the window size (:func:`~causalrd.model._expand_window`);
+    the tilt reads the x-axis length off its g table, so it also takes g over
+    any longer window, full x-histories included.  Once the window is full its
+    oldest symbol drops out between stages: the forward pass sums it out, the
+    backward pass keeps it as an axis of g_{i-1}.
 
     A stage-i table is held y-major, as (y_i, window_i, y^{i-1}), of
     |Y| * |X|^{k_i} * |Y|^i entries: with the short y_i axis outermost, the
@@ -171,12 +171,13 @@ class _Passes:
     """
 
     def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
-                 s: float = 0.0):
+                 s: float = 0.0, k: Optional[list] = None):
+        _check_multiplier(s)
         al = source.alphabets
         n = al.n_stages
         m = source.memory
         windowed = spec is not None and spec.mode == "single_letter" and m != "full"
-        k = [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
+        k = k or [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
         self.al = al
         self.k = k
         self.win = [math.prod(al.x_sizes[i + 1 - k[i]: i + 1]) for i in range(n)]
@@ -302,8 +303,6 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     tilted mass the next stage can reach, averaged over the next source
     symbol; the terminal table is zero.
     """
-    if s > 0:
-        raise InvalidArgumentError("multiplier s must be <= 0")
     return _Passes(source, spec, s).backward(nu.tables)[0]
 
 
@@ -323,9 +322,17 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
 
 def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProcess:
     """Output marginal process induced by the source and a policy (the
-    consistency map whose fixed point the solver seeks)."""
-    tables, masses = _Passes(source).forward([k.transpose(2, 1, 0)      # y-major
-                                              for k in policy.kernels])[:2]
+    consistency map whose fixed point the solver seeks), from one forward pass
+    on ``policy.tables``.  Stage i's x-window is the last k_i symbols, k_i the
+    largest of the policy's window, the next source row's and k_{i+1} - 1."""
+    x, k = source.alphabets.x_sizes, [0] * (source.alphabets.n_stages + 1)
+    for i in range(len(x) - 1, -1, -1):
+        w = policy.tables[i].shape[1]                 # the policy reads w codes
+        k[i] = max(1, source.window_len(i + 1), k[i + 1] - 1,
+                   next(j for j in range(i + 2) if math.prod(x[i + 1 - j: i + 1]) == w))
+    passes = _Passes(source, k=k[:-1])
+    tables, masses = passes.forward([_expand_window(t, win, axis=1).transpose(2, 1, 0)
+                                     for t, win in zip(policy.tables, passes.win)])[:2]
     return MarginalProcess(source.alphabets, tables, prefix_mass=masses)
 
 

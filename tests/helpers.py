@@ -335,3 +335,38 @@ def reference_stationarity(source, spec, result, n_perturbations=100, seed=0) ->
         probe = CausalPolicy(source.alphabets, ks, validate=False)
         worst = max(worst, base - lagrangian_value(source, spec, probe, result.s))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the oracle's staircase kernel as first written
+# ---------------------------------------------------------------------------
+
+def reference_plogp(t: np.ndarray) -> np.ndarray:
+    """Elementwise t log t with the 0 log 0 = 0 convention, by a masked log."""
+    return t * np.log(t, out=np.zeros_like(t), where=t > 0)
+
+
+def reference_branch_minima(w, cost, grid):
+    """``oracle._branch_minima`` with its entropy term as a length-2 reduce of
+    masked logs: the reference its column-wise form must match bit for bit."""
+    ny, nrows, npts = cost.shape
+    step_row = np.argsort(np.diff(cost, axis=2).reshape(ny, -1), axis=1,
+                          kind="stable") // (npts - 1)        # row climbing at each step
+    climbed = np.cumsum(step_row[:, None, :] == np.arange(nrows)[:, None], axis=2)
+    stairs = np.concatenate([np.zeros_like(climbed[:, :, :1]), climbed], axis=2)  # (Y, R, J)
+    # J = R*N + 1 assignments; stairs[y, r, k] is row r's grid index at step k
+    stair_cost = np.take_along_axis(cost, stairs, axis=2)                         # (Y, R, J)
+    stair_rows = grid[stairs].reshape(ny, nrows, -1)                              # (Y, R, J*2)
+
+    values = np.empty(w.shape[:2])
+    picks = np.empty(w.shape[:2], dtype=np.intp)
+    # npts candidates at a time: Y*npts*J*2 entries, where all C at once
+    # would need Y*C*J*2
+    for a in range(0, w.shape[1], npts):
+        wc = w[:, a:a + npts]
+        nu = np.matmul(wc, stair_rows).reshape(ny, wc.shape[1], -1, 2)
+        v = np.matmul(wc, stair_cost) - reference_plogp(nu).sum(axis=3)         # (Y, c, J)
+        pick = np.argmin(v, axis=2)
+        picks[:, a:a + npts] = pick
+        values[:, a:a + npts] = np.take_along_axis(v, pick[..., None], axis=2)[..., 0]
+    return values, stairs.transpose(0, 2, 1)[np.arange(ny)[:, None], picks]

@@ -26,6 +26,8 @@ from helpers import (
     random_alphabets,
     random_policy,
     random_source,
+    reference_branch_minima,
+    reference_plogp,
 )
 
 LN2 = math.log(2.0)
@@ -190,3 +192,47 @@ def test_brute_force_raises_when_the_measured_value_drifts(monkeypatch):
                         lambda *args: lagrangian_value(*args) + 1e-6)
     with pytest.raises(InternalConsistencyError, match="drifted"):
         brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.1))
+
+
+@pytest.mark.parametrize("resolution", [1.0 / 3.0, 0.02, 0.01], ids=["1/3", "0.02", "0.01"])
+def test_branch_minima_is_bit_identical_to_the_reduce_form(resolution):
+    # random row weights with zero rows and unreachable branches, on convex
+    # costs and on costs rounded so that breakpoints and values tie
+    rng = np.random.default_rng(19)
+    grid = simplex_grid(2, resolution)
+    npts = len(grid)
+    for trial in range(6):
+        ny, nrows = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        n_cand = int(rng.integers(1, 3 * npts))           # a partial last chunk too
+        w = rng.dirichlet(np.ones(nrows), size=(ny, n_cand))
+        w[rng.random((ny, n_cand, nrows)) < 0.3] = 0.0     # zero-weight rows
+        w[rng.random((ny, n_cand)) < 0.2] = 0.0            # unreachable branches
+        rho = rng.uniform(0.0, 2.0, size=(ny, nrows, 2))
+        s = float(rng.uniform(-4.0, -0.2))
+        cost = reference_plogp(grid).sum(axis=1) - s * np.einsum('yrv,jv->yrj', rho, grid)
+        if trial % 2:
+            cost = np.round(cost, 1)
+        vals, picks = oracle._branch_minima(w, cost, grid)
+        ref_vals, ref_picks = reference_branch_minima(w, cost, grid)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(picks, ref_picks)
+
+
+def test_brute_force_is_bit_identical_to_the_reduce_form(monkeypatch):
+    # the six criterion-3 configurations at 0.02: values and policy tables
+    # equal to those of the masked-log, length-2-reduce kernel
+    cases = [(src, s) for src in (iid_source([0.5, 0.5], 2), binary_symmetric_markov(0.3, 2))
+             for s in (-1.0, -2.0, -4.0)]
+    grid = GridSpec(resolution=0.02)
+
+    def solve_all():
+        return [brute_force_lagrangian_min(src, hamming_distortion(src.alphabets), s, grid)
+                for src, s in cases]
+
+    new = solve_all()
+    monkeypatch.setattr(oracle, "_plogp", reference_plogp)
+    monkeypatch.setattr(oracle, "_branch_minima", reference_branch_minima)
+    for (val, pol), (ref_val, ref_pol) in zip(new, solve_all()):
+        assert val == ref_val
+        for a, b in zip(pol.tables, ref_pol.tables):
+            assert np.array_equal(a, b)

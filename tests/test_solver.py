@@ -29,6 +29,7 @@ from causalrd.model import (
     iid_source,
 )
 from causalrd import solver as solver_module
+from causalrd.oracle import GridSpec, brute_force_lagrangian_min
 from causalrd.solver import (
     SolveResult,
     SolverConfig,
@@ -156,6 +157,39 @@ def test_marginal_update_identity_and_constant():
     nu = marginal_update(src, constant_policy(src.alphabets, [1, 1]))
     assert np.allclose(nu.tables[0][0], [0.0, 1.0])
     assert np.allclose(nu.tables[1][1], [0.0, 1.0])
+
+
+def _mixed_window_policy(rng, alphabets):
+    """Random kernels over a random suffix window of x^i at each stage."""
+    x = alphabets.x_sizes
+    ks = []
+    for i in range(alphabets.n_stages):
+        j = int(rng.integers(0, i + 2))
+        ks.append(rng.dirichlet(np.ones(alphabets.y_sizes[i]),
+                                size=(alphabets.y_hist_size(i - 1), math.prod(x[i + 1 - j: i + 1]))))
+    return CausalPolicy(alphabets, ks)
+
+
+def test_windowed_marginal_update_matches_the_expanded_policy():
+    # the forward pass over policy.tables against the same policy over full
+    # x-histories, on memory-1 and memory-2 sources; a mixed-window policy
+    # may read more of x^i at a later stage than at an earlier one
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        sources = [binary_symmetric_markov(0.3, n)]
+        al = StageAlphabets(n, [2] * n, [2] * n)
+        sources.append(SourceModel(al, [rng.dirichlet(np.ones(2), size=2 ** min(i, 2))
+                                        for i in range(n)], memory=2))
+        for src in sources:
+            spec = hamming_distortion(src.alphabets)
+            solved = fixed_point_solve(src, spec, SolverConfig(s=-2.0)).policy
+            for pol in (solved, identity_policy(al), constant_policy(al, [1] * n),
+                        _mixed_window_policy(rng, al)):
+                windowed = marginal_update(src, pol)
+                expanded = marginal_update(src, CausalPolicy(al, pol.kernels, validate=False))
+                for a, b in zip(windowed.tables + windowed.prefix_mass,
+                                expanded.tables + expanded.prefix_mass):
+                    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_marginal_update_matches_enumeration():
@@ -758,6 +792,31 @@ def test_solver_config_rejects_out_of_range_settings(settings):
 def test_solver_config_rejects_settings_of_the_wrong_kind(settings):
     with pytest.raises(InvalidArgumentError):
         SolverConfig(s=-1.0, **settings)
+
+
+def _multiplier_entries():
+    src = iid_source([0.5, 0.5], 2)
+    spec = hamming_distortion(src.alphabets)
+    nu = uniform_nu(src.alphabets)
+    g = backward_g(src, spec, nu, -1.0)
+    pol = tilted_policy(src, spec, nu, g, -1.0)
+    return {
+        "SolverConfig": lambda s: SolverConfig(s=s),
+        "backward_g": lambda s: backward_g(src, spec, nu, s),
+        "tilted_policy": lambda s: tilted_policy(src, spec, nu, g, s),
+        "rdf_value": lambda s: rdf_value(src, spec, pol, nu, g, s),
+        "blahut_arimoto": lambda s: blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), s),
+        "brute_force_lagrangian_min":
+            lambda s: brute_force_lagrangian_min(src, spec, s, GridSpec(resolution=0.5)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["SolverConfig", "backward_g", "tilted_policy", "rdf_value",
+                                   "blahut_arimoto", "brute_force_lagrangian_min"])
+@pytest.mark.parametrize("s", [math.nan, -math.inf, 1.0], ids=["nan", "-inf", "+1"])
+def test_every_multiplier_entry_refuses_a_nonfinite_or_positive_s(entry, s):
+    with pytest.raises(InvalidArgumentError, match="multiplier s must be a finite number <= 0"):
+        _multiplier_entries()[entry](s)
 
 
 def test_infeasible_target_still_checks_the_settings():
