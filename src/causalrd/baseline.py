@@ -24,29 +24,6 @@ AA_DEPTH = 5                # differences an Anderson step of a marginal combine
 _EPS = np.finfo(float).eps
 
 
-def log_normalize(a: np.ndarray, axis: int):
-    """Max-shift log-sum-exp of ``a`` along ``axis`` (kept) and the weights
-    exp(a - log-sum-exp); an all -inf slice gives -inf and zero weights, with
-    no nan and no warning."""
-    m = a.max(axis=axis, keepdims=True)
-    dead = m == -np.inf
-    m[dead] = 0.0
-    p = a - m
-    np.exp(p, out=p)
-    z = p.sum(axis=axis, keepdims=True)     # >= 1 on every live slice
-    z[dead] = 1.0
-    p /= z
-    logz = np.log(z)
-    logz += m
-    logz[dead] = -np.inf
-    return logz, p
-
-
-def masked_log(p: np.ndarray) -> np.ndarray:
-    """log p, with -inf at the zero entries and no warning."""
-    return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
-
-
 def _accelerated_alternation(backward, forward, tables, tol, max_sweeps):
     """Sweep ``backward`` then ``forward`` on output marginal ``tables`` (2-D,
     one distribution per row) until the sup-norm residual |nu' - nu| <= ``tol``.
@@ -172,6 +149,19 @@ def _zero_rate_distortion(px: np.ndarray, rho: np.ndarray) -> float:
     return float((px @ rho).min())
 
 
+def _ba_tilt(s_rho: np.ndarray, nu: np.ndarray):
+    """log Z(x) and the rows q(y|x) = nu(y) exp(s rho(x,y)) / Z(x), by one max
+    shift, in place; a row always has a finite entry, as nu sums to 1."""
+    with np.errstate(divide="ignore"):
+        a = s_rho + np.log(nu)
+    m = a.max(axis=1, keepdims=True)
+    a -= m
+    np.exp(a, out=a)
+    z = a.sum(axis=1, keepdims=True)
+    a /= z
+    return np.log(z) + m, a
+
+
 def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     """Parametric Blahut-Arimoto point at multiplier ``s``.
 
@@ -200,13 +190,13 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     s_rho = s * rho
 
     def backward(nu):
-        ln_z, q = log_normalize(s_rho + masked_log(nu[0][0]), axis=1)
+        ln_z, q = _ba_tilt(s_rho, nu[0][0])
         return -float(px @ ln_z[:, 0]), q
 
     (nu,), _, it, _, converged = _accelerated_alternation(
         backward, lambda q: ([(px @ q)[None, :]], None), [np.full((1, ny), 1.0 / ny)],
         tol, BA_MAX_ITERS)
-    ln_z, q = log_normalize(s_rho + masked_log(nu[0]), axis=1)
+    ln_z, q = _ba_tilt(s_rho, nu[0])
     dist = float(np.sum(px[:, None] * q * rho))
     rate = s * dist - float(px @ ln_z[:, 0])
     return BaPoint(s, max(rate, 0.0), dist, it, converged)

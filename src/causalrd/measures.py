@@ -36,11 +36,7 @@ class JointLaw:
         if self.table.shape != want:
             raise InvalidArgumentError(
                 f"joint table shape {self.table.shape}, expected {want}")
-        if (self.table < -COND_EPS).any():
-            raise InvalidArgumentError("joint table has negative entries")
-        if abs(float(self.table.sum()) - 1.0) > MASS_TOL:
-            raise InvalidArgumentError(
-                f"joint table mass {self.table.sum():.12g} is not 1 within {MASS_TOL}")
+        _check_joints(self.table[None])
 
     def tensor(self) -> np.ndarray:
         """View reshaped to one axis per stage variable (x stages then y stages)."""
@@ -80,28 +76,69 @@ class MarginalProcess:
               for i in range(alphabets.n_stages)]
         return cls(alphabets, ts)
 
-    def chain_vector(self) -> np.ndarray:
-        """prod_i nu_i(y_i | y^{i-1}) as a dense vector over y-trajectory codes."""
-        v = self.tables[0][0]
-        for i in range(1, self.alphabets.n_stages):
-            v = (v[:, None] * self.tables[i]).reshape(-1)
-        return v
+
+def _check_joints(tables: np.ndarray) -> None:
+    """The sign and mass checks of :class:`JointLaw`, on stacked (P, x, y) tables."""
+    if (tables < -COND_EPS).any():
+        raise InvalidArgumentError("joint table has negative entries")
+    mass = tables.sum(axis=(1, 2))
+    if (off := np.abs(mass - 1.0) > MASS_TOL).any():
+        raise InvalidArgumentError(
+            f"joint table mass {mass[off][0]:.12g} is not 1 within {MASS_TOL}")
 
 
 # ---------------------------------------------------------------------------
-# Construction
+# Construction.  The private functions take P stacked policies: ``kernels[i]``
+# has shape (P, y_hist_size(i-1), x_hist_size(i), y_sizes[i]), and one policy
+# is a stack of one.  Every step but the sums is elementwise, and each sum runs
+# over one policy's entries in the order it would alone: same bits at any P.
 # ---------------------------------------------------------------------------
+
+def _channels(kernels) -> np.ndarray:
+    """Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i), shape (P, |X^n|, |Y^n|)."""
+    q = kernels[0][:, 0]                           # (P, x_hist(0), sy0)
+    for k in kernels[1:]:
+        p, yh, xh, sy = k.shape
+        q = np.einsum('pab,pbacd->pacbd', q, k.reshape(p, yh, q.shape[1], -1, sy))
+        q = q.reshape(p, xh, yh * sy)
+    return q
+
+
+def _marginals(py: np.ndarray, y_sizes):
+    """Conditionals nu_i(y_i | y^{i-1}) and prefix masses P(y^{i-1}) of stacked
+    y-trajectory laws ``py`` (P, |Y^n|), stage 0 first; a row is its block's
+    proportions, or uniform where the prefix has no mass."""
+    tables, masses = [], []
+    for sy in reversed(y_sizes):
+        blocks = py.reshape(len(py), -1, sy)
+        py = blocks.sum(axis=2)
+        tables.append(np.divide(blocks, py[..., None], out=np.full_like(blocks, 1.0 / sy),
+                                where=py[..., None] > 0))
+        masses.append(py)
+    return tables[::-1], masses[::-1]
+
+
+def _evaluate(mu: np.ndarray, kernels):
+    """The joint laws mu tensor Q, shape (P, |X^n|, |Y^n|), checked as
+    :class:`JointLaw` checks one, and each policy's directed information."""
+    q = _channels(kernels)
+    joint = mu[:, None] * q
+    _check_joints(joint)
+    tables, _ = _marginals(joint.sum(axis=1), [k.shape[-1] for k in kernels])
+    chain = tables[0][:, 0]                        # prod_i nu_i(y_i | y^{i-1})
+    for t in tables[1:]:
+        chain = (chain[:, :, None] * t).reshape(len(chain), -1)
+    log_chain = np.log(chain, out=np.full_like(chain, -np.inf), where=chain > 0)
+    live = joint > 0
+    v = np.log(q, out=np.zeros_like(q), where=live)
+    np.subtract(v, log_chain[:, None, :], out=v, where=live)
+    v *= joint                                     # 0 off the support
+    return joint, np.array([max(float(vp[lp].sum()), 0.0) for vp, lp in zip(v, live)])
+
 
 def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
     """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
-    al = policy.alphabets
-    t = policy.kernels[0][0]                       # (x_hist(0), sy0)
-    for i in range(1, al.n_stages):
-        xh, yh = al.x_hist_size(i - 1), al.y_hist_size(i - 1)
-        sx, sy = al.x_sizes[i], al.y_sizes[i]
-        q = policy.kernels[i].reshape(yh, xh, sx, sy)
-        t = np.einsum('ab,bacd->acbd', t, q).reshape(xh * sx, yh * sy)
-    return t
+    return _channels([k[None] for k in policy.kernels])[0]
 
 
 def joint_law(mu: np.ndarray, policy: CausalPolicy) -> JointLaw:
@@ -115,8 +152,7 @@ def joint_law(mu: np.ndarray, policy: CausalPolicy) -> JointLaw:
     if mu.shape != (al.x_trajectories(),):
         raise InvalidArgumentError(
             f"source law has shape {mu.shape}, expected ({al.x_trajectories()},)")
-    q = causal_channel_table(policy)
-    return JointLaw(al, mu[:, None] * q)
+    return JointLaw(al, mu[:, None] * causal_channel_table(policy))
 
 
 def output_marginal(joint: JointLaw) -> MarginalProcess:
@@ -126,21 +162,8 @@ def output_marginal(joint: JointLaw) -> MarginalProcess:
     to 1 exactly; unreachable rows are uniform.
     """
     al = joint.alphabets
-    py = joint.table.sum(axis=0)
-    tables, masses = [], []
-    for i in range(al.n_stages - 1, -1, -1):
-        sy = al.y_sizes[i]
-        blocks = py.reshape(al.y_hist_size(i - 1), sy)
-        parent = blocks.sum(axis=1)
-        rows = np.full_like(blocks, 1.0 / sy)
-        reach = parent > 0
-        rows[reach] = blocks[reach] / parent[reach, None]
-        tables.append(rows)
-        masses.append(parent)
-        py = parent
-    tables.reverse()
-    masses.reverse()
-    return MarginalProcess(al, tables, prefix_mass=masses)
+    tables, masses = _marginals(joint.table.sum(axis=0)[None], al.y_sizes)
+    return MarginalProcess(al, [t[0] for t in tables], prefix_mass=[m[0] for m in masses])
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +178,7 @@ def directed_information(mu: np.ndarray, policy: CausalPolicy) -> float:
     marginals induced by (mu, policy); equals the relative entropy between
     the joint law and the product of the source law with the output process.
     """
-    al = policy.alphabets
-    q = causal_channel_table(policy)
-    mu = np.asarray(mu, dtype=float)
-    joint = JointLaw(al, mu[:, None] * q)
-    nu = output_marginal(joint)
-    chain = nu.chain_vector()
-    log_chain = np.log(chain, out=np.full_like(chain, -np.inf), where=chain > 0)
-    j = joint.table
-    mask = j > 0
-    log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0)
-    val = float(np.sum(j[mask] * (log_q[mask] - np.broadcast_to(log_chain, j.shape)[mask])))
-    return max(val, 0.0)
+    return float(_evaluate(np.asarray(mu, dtype=float), [k[None] for k in policy.kernels])[1][0])
 
 
 class DistortionValue(NamedTuple):
@@ -178,19 +190,15 @@ def expected_distortion(mu: np.ndarray, policy: CausalPolicy,
                         spec: DistortionSpec) -> DistortionValue:
     """Expected additive distortion under mu tensor Q: the stage-summed total
     and the per-symbol value total / n_stages."""
-    al = policy.alphabets
-    joint = joint_law(mu, policy)
-    d = spec.total_table()
-    total = float(np.sum(joint.table * d))
-    return DistortionValue(total, total / al.n_stages)
+    total = float(np.sum(joint_law(mu, policy).table * spec.total_table()))
+    return DistortionValue(total, total / policy.alphabets.n_stages)
 
 
 def lagrangian_value(source: SourceModel, spec: DistortionSpec,
                      policy: CausalPolicy, s: float) -> float:
     """I(X -> Y) - s * total distortion, evaluated through the measures."""
-    mu = full_joint_source(source)
-    return (directed_information(mu, policy)
-            - s * expected_distortion(mu, policy, spec).total)
+    return float(lagrangian_values(full_joint_source(source), spec.total_table(),
+                                   [k[None] for k in policy.kernels], s)[0])
 
 
 def lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float) -> np.ndarray:
@@ -198,37 +206,10 @@ def lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float) -> np.nd
     law ``mu`` and total distortion table ``d`` (:meth:`DistortionSpec.total_table`).
 
     ``kernels[i]`` stacks stage i of every policy, shape (P, y_hist_size(i-1),
-    x_hist_size(i), y_sizes[i]).  The values follow the formulas of
-    :func:`directed_information` and :func:`expected_distortion` over dense
-    (policy, x^n, y^n) tables, up to the order of the sums.
-    """
-    q = kernels[0][:, 0].copy()                    # (P, x_hist(0), sy0), overwritten below
-    for k in kernels[1:]:                          # as causal_channel_table
-        p, yh, xh, sy = k.shape
-        q = np.einsum('pab,pbacd->pacbd', q, k.reshape(p, yh, q.shape[1], -1, sy))
-        q = q.reshape(p, xh, yh * sy)
-    joint = mu[:, None] * q
-    dist = np.einsum('pxy,xy->p', joint, d)
-    # output marginals from the last stage down, then their chain product, as
-    # output_marginal and MarginalProcess.chain_vector
-    tables, mass = [], joint.sum(axis=1)
-    for k in kernels[::-1]:
-        sy = k.shape[-1]
-        blocks = mass.reshape(len(mass), -1, sy)
-        mass = blocks.sum(axis=2)
-        tables.append(np.divide(blocks, mass[..., None], out=np.full_like(blocks, 1.0 / sy),
-                                where=mass[..., None] > 0))
-    chain = tables.pop()[:, 0]
-    while tables:
-        chain = (chain[:, :, None] * tables.pop()).reshape(len(chain), -1)
-    # sum of joint * (log Q - log chain) over the joint's support, in place in q
-    live = joint > 0
-    with np.errstate(divide="ignore"):
-        log_chain = np.log(chain)
-    np.log(q, out=q, where=live)
-    np.subtract(q, log_chain[:, None, :], out=q, where=live)
-    info = np.einsum('pxy,pxy->p', joint, q)       # q is finite, joint 0 off the support
-    return np.maximum(info, 0.0) - s * dist
+    x_hist_size(i), y_sizes[i]).  Each value is bit for bit that of the
+    policy evaluated alone."""
+    joint, info = _evaluate(mu, kernels)
+    return info - s * (joint * d).reshape(len(joint), -1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ def simplex_grid(k: int, resolution: float) -> np.ndarray:
     """All probability vectors of length ``k`` with entries on the grid of
     step ``resolution`` (multiples of 1/N, N = round(1/resolution)), in
     lexicographic order."""
-    n = int(round(1.0 / resolution))
-    if n < 1:
-        raise InvalidArgumentError("resolution too coarse")
-    return np.array([np.array(c, dtype=float) / n for c in _compositions(n, k)])
+    n = int(round(1.0 / resolution)) if resolution > 0 else 0     # 0 for a nan step too
+    if k < 1 or n < 1:
+        raise InvalidArgumentError(
+            f"simplex grid needs k >= 1 and a step in (0, 2), got k={k}, step={resolution}")
+    return np.array(list(_compositions(n, k)), dtype=float) / n
 
 
 def _compositions(total, parts):

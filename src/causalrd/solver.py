@@ -567,10 +567,8 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
     a seed gives the same directions however the probes are grouped.  The
     probes are evaluated in blocks of max(1, STATIONARITY_BLOCK_ENTRIES //
     (|X^n| |Y^n|)) by :func:`~causalrd.measures.lagrangian_values`, on a
-    source law and distortion table built once; q* goes through the same
-    function, so no decrease mixes two ways of summing.  The value is that
-    of one dense :func:`~causalrd.measures.lagrangian_value` per probe up to
-    the order of the sums.
+    source law and distortion table built once, which gives each probe and
+    q* the bits of its own :func:`~causalrd.measures.lagrangian_value`.
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")

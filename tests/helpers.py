@@ -3,7 +3,8 @@
 The references walk trajectories with plain Python loops and scalar
 arithmetic so they share no code path with the vectorized package internals.
 The policy builders and dense functionals at the end are the inputs and
-checks that only the tests need.
+checks that only the tests need; the last sections keep earlier forms of
+package code, which the current forms must match bit for bit.
 """
 import itertools
 import math
@@ -11,8 +12,9 @@ import math
 import numpy as np
 
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import JointLaw, MarginalProcess, causal_channel_table, lagrangian_value
-from causalrd.model import CausalPolicy, SourceModel, StageAlphabets
+from causalrd.measures import (DistortionValue, JointLaw, MarginalProcess, causal_channel_table,
+                               lagrangian_value)
+from causalrd.model import CausalPolicy, SourceModel, StageAlphabets, full_joint_source
 from causalrd.solver import STATIONARITY_EPSILON
 
 
@@ -370,3 +372,139 @@ def reference_branch_minima(w, cost, grid):
         picks[:, a:a + npts] = pick
         values[:, a:a + npts] = np.take_along_axis(v, pick[..., None], axis=2)[..., 0]
     return values, stairs.transpose(0, 2, 1)[np.arange(ny)[:, None], picks]
+
+
+# ---------------------------------------------------------------------------
+# the dense measures and the Blahut-Arimoto step before they shared one
+# stacked evaluator: the references the one-policy values must match bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_causal_channel_table(policy: CausalPolicy) -> np.ndarray:
+    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
+    al = policy.alphabets
+    t = policy.kernels[0][0]                       # (x_hist(0), sy0)
+    for i in range(1, al.n_stages):
+        xh, yh = al.x_hist_size(i - 1), al.y_hist_size(i - 1)
+        sx, sy = al.x_sizes[i], al.y_sizes[i]
+        q = policy.kernels[i].reshape(yh, xh, sx, sy)
+        t = np.einsum('ab,bacd->acbd', t, q).reshape(xh * sx, yh * sy)
+    return t
+
+
+def reference_output_marginal(joint: JointLaw) -> MarginalProcess:
+    """Conditional marginals nu_i(y_i | y^{i-1}) of the joint's y-trajectory law."""
+    al = joint.alphabets
+    py = joint.table.sum(axis=0)
+    tables, masses = [], []
+    for i in range(al.n_stages - 1, -1, -1):
+        sy = al.y_sizes[i]
+        blocks = py.reshape(al.y_hist_size(i - 1), sy)
+        parent = blocks.sum(axis=1)
+        rows = np.full_like(blocks, 1.0 / sy)
+        reach = parent > 0
+        rows[reach] = blocks[reach] / parent[reach, None]
+        tables.append(rows)
+        masses.append(parent)
+        py = parent
+    tables.reverse()
+    masses.reverse()
+    return MarginalProcess(al, tables, prefix_mass=masses)
+
+
+def reference_chain_vector(nu: MarginalProcess) -> np.ndarray:
+    """prod_i nu_i(y_i | y^{i-1}) as a dense vector over y-trajectory codes."""
+    v = nu.tables[0][0]
+    for i in range(1, nu.alphabets.n_stages):
+        v = (v[:, None] * nu.tables[i]).reshape(-1)
+    return v
+
+
+def reference_directed_information(mu: np.ndarray, policy: CausalPolicy) -> float:
+    """Directed information as the sum of joint * log(Q / prod_i nu_i) over
+    the joint's support."""
+    al = policy.alphabets
+    q = reference_causal_channel_table(policy)
+    mu = np.asarray(mu, dtype=float)
+    joint = JointLaw(al, mu[:, None] * q)
+    nu = reference_output_marginal(joint)
+    chain = reference_chain_vector(nu)
+    log_chain = np.log(chain, out=np.full_like(chain, -np.inf), where=chain > 0)
+    j = joint.table
+    mask = j > 0
+    log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0)
+    val = float(np.sum(j[mask] * (log_q[mask] - np.broadcast_to(log_chain, j.shape)[mask])))
+    return max(val, 0.0)
+
+
+def reference_expected_distortion(mu: np.ndarray, policy: CausalPolicy, spec) -> DistortionValue:
+    """Expected total and per-symbol distortion under mu tensor Q."""
+    joint = JointLaw(policy.alphabets, np.asarray(mu, dtype=float)[:, None]
+                     * reference_causal_channel_table(policy))
+    total = float(np.sum(joint.table * spec.total_table()))
+    return DistortionValue(total, total / policy.alphabets.n_stages)
+
+
+def reference_lagrangian_value(source, spec, policy, s) -> float:
+    mu = full_joint_source(source)
+    return (reference_directed_information(mu, policy)
+            - s * reference_expected_distortion(mu, policy, spec).total)
+
+
+def reference_lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float) -> np.ndarray:
+    """The Lagrangian of P stacked policies by its own batched sums, which
+    summed in another order than one policy evaluated alone."""
+    q = kernels[0][:, 0].copy()                    # (P, x_hist(0), sy0), overwritten below
+    for k in kernels[1:]:                          # as causal_channel_table
+        p, yh, xh, sy = k.shape
+        q = np.einsum('pab,pbacd->pacbd', q, k.reshape(p, yh, q.shape[1], -1, sy))
+        q = q.reshape(p, xh, yh * sy)
+    joint = mu[:, None] * q
+    dist = np.einsum('pxy,xy->p', joint, d)
+    # output marginals from the last stage down, then their chain product, as
+    # output_marginal and MarginalProcess.chain_vector
+    tables, mass = [], joint.sum(axis=1)
+    for k in kernels[::-1]:
+        sy = k.shape[-1]
+        blocks = mass.reshape(len(mass), -1, sy)
+        mass = blocks.sum(axis=2)
+        tables.append(np.divide(blocks, mass[..., None], out=np.full_like(blocks, 1.0 / sy),
+                                where=mass[..., None] > 0))
+    chain = tables.pop()[:, 0]
+    while tables:
+        chain = (chain[:, :, None] * tables.pop()).reshape(len(chain), -1)
+    # sum of joint * (log Q - log chain) over the joint's support, in place in q
+    live = joint > 0
+    with np.errstate(divide="ignore"):
+        log_chain = np.log(chain)
+    np.log(q, out=q, where=live)
+    np.subtract(q, log_chain[:, None, :], out=q, where=live)
+    info = np.einsum('pxy,pxy->p', joint, q)       # q is finite, joint 0 off the support
+    return np.maximum(info, 0.0) - s * dist
+
+
+def reference_log_normalize(a: np.ndarray, axis: int):
+    """Max-shift log-sum-exp of ``a`` along ``axis`` (kept) and the weights
+    exp(a - log-sum-exp); an all -inf slice gives -inf and zero weights, with
+    no nan and no warning."""
+    m = a.max(axis=axis, keepdims=True)
+    dead = m == -np.inf
+    m[dead] = 0.0
+    p = a - m
+    np.exp(p, out=p)
+    z = p.sum(axis=axis, keepdims=True)     # >= 1 on every live slice
+    z[dead] = 1.0
+    p /= z
+    logz = np.log(z)
+    logz += m
+    logz[dead] = -np.inf
+    return logz, p
+
+
+def reference_masked_log(p: np.ndarray) -> np.ndarray:
+    """log p, with -inf at the zero entries and no warning."""
+    return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0)
+
+
+def reference_ba_tilt(s_rho: np.ndarray, nu: np.ndarray):
+    """One Blahut-Arimoto tilt: log Z and the rows nu exp(s rho) / Z."""
+    return reference_log_normalize(s_rho + reference_masked_log(nu), axis=1)

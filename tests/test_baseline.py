@@ -15,7 +15,6 @@ from causalrd.baseline import (
     _accelerated_alternation,
     blahut_arimoto,
     classical_block_rdf,
-    log_normalize,
 )
 from causalrd.errors import InvalidArgumentError
 from causalrd.measures import MarginalProcess
@@ -34,7 +33,7 @@ from causalrd.solver import (
     solve_for_target_distortion,
 )
 
-from helpers import binary_entropy, random_alphabets, random_source
+from helpers import binary_entropy, random_alphabets, random_source, reference_ba_tilt
 
 LN2 = math.log(2.0)
 HAMMING2 = 1.0 - np.eye(2)
@@ -137,25 +136,38 @@ def test_accelerated_alternation_falls_back_on_a_step_that_raises_j():
     assert rejected > 0
 
 
-def test_log_normalize_matches_direct_sums_and_handles_dead_slices():
+def _ba_problem(rng):
+    """px (of 2 or more entries, a zero one time in three), rho and s of a
+    random BA problem."""
+    px = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
+    if len(px) > 1 and rng.random() < 1 / 3:
+        px[0] = 0.0
+        px /= px.sum()
+    return px, rng.uniform(0.0, 3.0, size=(len(px), int(rng.integers(1, 7)))), \
+        -float(rng.choice([0.3, 1.0, 2.0, 5.0, 20.0]))
+
+
+def test_ba_tilt_matches_the_reference_bit_for_bit():
     rng = np.random.default_rng(3)
-    a = rng.normal(scale=50.0, size=(4, 5, 3))
-    a[1, 2, :] = -np.inf                          # a dead slice along axis 2
-    a[0, 0, 1] = -np.inf                          # one dead entry in a live slice
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        logz, p = log_normalize(a, axis=2)
-    assert logz.shape == (4, 5, 1)
-    assert logz[1, 2, 0] == -np.inf and np.all(p[1, 2] == 0.0)
-    assert not np.isnan(logz).any() and not np.isnan(p).any()
-    live = np.ones((4, 5), dtype=bool)
-    live[1, 2] = False
-    rows = a[live]
-    m = rows.max(axis=1, keepdims=True)
-    want = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
-    assert np.max(np.abs(logz[live] - want)) < 1e-12
-    assert np.max(np.abs(p[live] - np.exp(rows - want))) < 1e-13
-    assert np.max(np.abs(p[live].sum(axis=1) - 1.0)) < 1e-15
+    for _ in range(200):
+        px, rho, s = _ba_problem(rng)
+        nu = rng.dirichlet(np.ones(rho.shape[1]))
+        if rho.shape[1] > 1 and rng.random() < 0.5:
+            nu[rng.integers(rho.shape[1])] = 0.0       # log nu = -inf there
+            nu /= nu.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = baseline._ba_tilt(s * rho, nu)
+        want = reference_ba_tilt(s * rho, nu)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_ba_points_match_the_reference_tilt(monkeypatch):
+    rng = np.random.default_rng(4)
+    problems = [_ba_problem(rng) for _ in range(100)]
+    points = [blahut_arimoto(*p) for p in problems]
+    monkeypatch.setattr(baseline, "_ba_tilt", reference_ba_tilt)
+    assert [repr(blahut_arimoto(*p)) for p in problems] == [repr(p) for p in points]
 
 
 def test_import_leaves_scipy_special_unloaded():

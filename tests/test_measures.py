@@ -6,6 +6,7 @@ import pytest
 from causalrd.errors import InvalidArgumentError
 from causalrd.measures import (
     JointLaw,
+    causal_channel_table,
     directed_information,
     expected_distortion,
     joint_law,
@@ -15,7 +16,9 @@ from causalrd.measures import (
     output_marginal,
 )
 from causalrd.model import (
+    CausalPolicy,
     DistortionSpec,
+    SourceModel,
     StageAlphabets,
     binary_symmetric_markov,
     full_joint_source,
@@ -26,6 +29,7 @@ from causalrd.model import (
 from helpers import (
     binary_entropy,
     bsc_policy,
+    code_of,
     constant_policy,
     enum_expected_distortion,
     enum_joint_table,
@@ -36,6 +40,13 @@ from helpers import (
     random_alphabets,
     random_policy,
     random_source,
+    reference_causal_channel_table,
+    reference_directed_information,
+    reference_expected_distortion,
+    reference_lagrangian_value,
+    reference_lagrangian_values,
+    reference_output_marginal,
+    trajectories,
     uniform_policy,
 )
 
@@ -104,7 +115,11 @@ def test_output_marginal_chain_reproduces_y_marginal():
         al = random_alphabets(rng, 3)
         j = joint_law(full_joint_source(random_source(rng, al)), random_policy(rng, al))
         nu = output_marginal(j)
-        assert np.max(np.abs(nu.chain_vector() - j.table.sum(axis=0))) < 1e-12
+        py = j.table.sum(axis=0)
+        for ys in trajectories(al.y_sizes):
+            chain = math.prod(nu.tables[i][code_of(ys[:i], al.y_sizes[:i]), ys[i]]
+                              for i in range(al.n_stages))
+            assert abs(chain - py[code_of(ys, al.y_sizes)]) < 1e-12
 
 
 def test_directed_information_ignoring_x_is_zero():
@@ -226,8 +241,65 @@ def test_lagrangian_values_match_one_policy_at_a_time(n_stages):
     before = [k.copy() for k in stacks]
     values = lagrangian_values(full_joint_source(src), spec.total_table(), stacks, -1.7)
     for v, p in zip(values, policies):
-        assert abs(v - lagrangian_value(src, spec, p, -1.7)) <= 1e-12
+        assert v == lagrangian_value(src, spec, p, -1.7)
     assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
+
+
+def _random_problem(rng):
+    """A source, stage-table distortion and policy with per-stage sizes 1 to
+    3.  The policy's rows may be one-hot, which leaves y-histories
+    unreachable, or the same for every x."""
+    n = int(rng.integers(1, 4))
+    al = StageAlphabets(n, [int(rng.integers(1, 4)) for _ in range(n)],
+                        [int(rng.integers(1, 4)) for _ in range(n)])
+    src = SourceModel(al, [rng.dirichlet(np.ones(al.x_sizes[i]), size=al.x_hist_size(i - 1))
+                           for i in range(n)])
+    spec = DistortionSpec.stage_tables(al, [rng.uniform(0.0, 2.0, size=(al.x_hist_size(i),
+                                                                         al.y_hist_size(i)))
+                                            for i in range(n)])
+    ks = []
+    for i in range(n):
+        sy = al.y_sizes[i]
+        k = rng.dirichlet(np.ones(sy), size=(al.y_hist_size(i - 1), al.x_hist_size(i)))
+        if rng.random() < 0.3:
+            k = np.eye(sy)[rng.integers(sy, size=k.shape[:2])]
+        if rng.random() < 0.3:
+            k[:] = k[:, :1]
+        ks.append(k)
+    return src, spec, CausalPolicy(al, ks)
+
+
+def test_one_policy_measures_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(20)
+    unreachable = 0
+    for _ in range(200):
+        src, spec, pol = _random_problem(rng)
+        mu = full_joint_source(src)
+        s = -float(rng.uniform(0.1, 5.0))
+        assert repr(directed_information(mu, pol)) == repr(reference_directed_information(mu, pol))
+        assert (repr(expected_distortion(mu, pol, spec))
+                == repr(reference_expected_distortion(mu, pol, spec)))
+        assert (repr(lagrangian_value(src, spec, pol, s))
+                == repr(reference_lagrangian_value(src, spec, pol, s)))
+        q, ref_q = causal_channel_table(pol), reference_causal_channel_table(pol)
+        assert q.shape == ref_q.shape and q.tobytes() == ref_q.tobytes()
+        joint = joint_law(mu, pol)
+        nu, ref = output_marginal(joint), reference_output_marginal(joint)
+        for a, b in zip(nu.tables + nu.prefix_mass, ref.tables + ref.prefix_mass):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        unreachable += sum(int((m == 0).sum()) for m in nu.prefix_mass)
+    assert unreachable > 0
+
+
+def test_lagrangian_values_move_only_by_the_order_of_the_sums():
+    # the stacked form before it shared the one-policy evaluator summed in
+    # another order, so it agrees to rounding, not bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        src, spec, pol = _random_problem(rng)
+        stacks = [np.stack([k, 0.5 * (k + 1.0 / k.shape[-1])]) for k in pol.kernels]
+        args = (full_joint_source(src), spec.total_table(), stacks, -2.5)
+        assert np.max(np.abs(lagrangian_values(*args) - reference_lagrangian_values(*args))) <= 1e-12
 
 
 def test_markov_chain_check_causal_joints():

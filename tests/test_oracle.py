@@ -45,6 +45,22 @@ def test_simplex_grid_contents():
         assert any(np.allclose(row, f) for f in fine)
 
 
+@pytest.mark.parametrize("k, resolution", [(1, 0.5), (2, 0.02), (3, 0.02), (2, 1 / 3),
+                                           (3, 0.1), (4, 0.1), (4, 1 / 3), (4, 0.5)])
+def test_simplex_grid_rows_are_the_lexicographic_compositions_divided_one_by_one(k, resolution):
+    n = round(1 / resolution)
+    rows = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    want = np.array([np.array(c, dtype=float) / n for c in rows])
+    got = simplex_grid(k, resolution)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, resolution", [(0, 0.5), (-1, 0.5), (2, 0.0), (2, math.nan), (2, 2.0)])
+def test_simplex_grid_refuses_an_empty_simplex_and_a_step_off_its_range(k, resolution):
+    with pytest.raises(InvalidArgumentError):
+        simplex_grid(k, resolution)
+
+
 def test_exhaustive_directed_info_product_joint():
     al = StageAlphabets(1, [2], [2])
     j = JointLaw(al, np.outer([0.3, 0.7], [0.4, 0.6]))
