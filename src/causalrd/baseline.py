@@ -24,14 +24,14 @@ AA_DEPTH = 5                # differences an Anderson step of a marginal combine
 _EPS = np.finfo(float).eps
 
 
-def _accelerated_alternation(backward, forward, tables, tol, max_sweeps):
-    """Sweep ``backward`` then ``forward`` on output marginal ``tables`` (2-D,
-    one distribution per row) until the sup-norm residual |nu' - nu| <= ``tol``.
+def _accelerated_alternation(backward, forward, x, widths, tol, max_sweeps):
+    """Sweep ``backward`` then ``forward`` on output marginal ``x`` (one flat
+    vector, rows of ``widths``) until the sup-norm residual |nu' - nu| <= ``tol``.
 
     ``backward(nu)`` returns (J(nu), state), J = -E[log Z_0] the objective
     that the plain map nu <- nu' never raises; ``forward(state)`` returns
-    (nu', aux).  Each sweep takes a type-II Anderson step (Walker & Ni, SIAM
-    J. Numer. Anal. 49, 2011) on nu as one flat vector: nu <- nu' - (dX + dF) g,
+    (nu', aux), nu' a fresh flat vector.  Each sweep takes a type-II Anderson
+    step (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): nu <- nu' - (dX + dF) g,
     dX, dF the last AA_DEPTH differences of nu and of f = nu' - nu, and
     (dF'dF + 1e-10 tr(dF'dF) I) g = dF'f, shrunk toward nu' to keep each entry
     above half of min(nu, nu') (the map never revives a zero), rows renormalized.
@@ -39,41 +39,36 @@ def _accelerated_alternation(backward, forward, tables, tol, max_sweeps):
     backward pass, and clears the history.  Returns the last (nu', aux), the
     forward-pass count, the residual and whether it met ``tol``.
     """
-    x = np.concatenate([t.ravel() for t in tables])
-    ends = np.cumsum([t.size for t in tables]).tolist()
-    widths = np.concatenate([np.full(len(t), t.shape[1]) for t in tables])    # row lengths
     starts = np.cumsum(widths) - widths
     dx, df = np.empty((AA_DEPTH, x.size)), np.empty((AA_DEPTH, x.size))   # rings
     kept, f_last = -1, 0.0                  # differences held (the first sweep's is void)
-    objective, state = backward(tables)
+    objective, state = backward(x)
     for sweep in range(1, max_sweeps + 1):              # max_sweeps >= 1
-        new, aux = forward(state)
-        y = np.concatenate([t.ravel() for t in new])
+        y, aux = forward(state)
         f = y - x
         residual = float(np.abs(f).max())
         if residual <= tol:
-            return new, aux, sweep, residual, True
+            return y, aux, sweep, residual, True
         np.subtract(f, f_last, out=df[kept % AA_DEPTH])
         kept += 1
         f_last, m = f, min(kept, AA_DEPTH)
         gram = df[:m] @ df[:m].T
-        if (trace := np.trace(gram)) > 0:               # 0 with no history
-            gram.flat[::m + 1] += 1e-10 * trace
+        if (trace := gram.trace()) > 0:                 # 0 with no history
+            gram.ravel()[::m + 1] += 1e-10 * trace
             step = y - np.linalg.solve(gram, df[:m] @ f) @ (dx[:m] + df[:m])
             floor = 0.5 * np.minimum(x, y)
             if (low := step < floor).any():
                 step = y + ((y - floor)[low] / (y - step)[low]).min() * (step - y)
             step /= np.add.reduceat(step, starts).repeat(widths)        # rows sum to 1
-            step_objective, step_state = backward(
-                [step[b - t.size:b].reshape(t.shape) for b, t in zip(ends, new)])
+            step_objective, step_state = backward(step)
             if step_objective <= objective + 8 * _EPS * abs(objective):    # J to rounding
                 np.subtract(step, x, out=dx[kept % AA_DEPTH])
                 x, objective, state = step, step_objective, step_state
                 continue
             kept = 0
         np.subtract(y, x, out=dx[kept % AA_DEPTH])
-        x, (objective, state) = y, backward(new)
-    return new, aux, max_sweeps, residual, False
+        x, (objective, state) = y, backward(y)
+    return y, aux, max_sweeps, residual, False
 
 
 def search_multiplier(probe, distortion, target, tol, failed=lambda point: False):
@@ -190,13 +185,13 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     s_rho = s * rho
 
     def backward(nu):
-        ln_z, q = _ba_tilt(s_rho, nu[0][0])
+        ln_z, q = _ba_tilt(s_rho, nu)
         return -float(px @ ln_z[:, 0]), q
 
-    (nu,), _, it, _, converged = _accelerated_alternation(
-        backward, lambda q: ([(px @ q)[None, :]], None), [np.full((1, ny), 1.0 / ny)],
+    nu, _, it, _, converged = _accelerated_alternation(
+        backward, lambda q: (px @ q, None), np.full(ny, 1.0 / ny), np.array([ny]),
         tol, BA_MAX_ITERS)
-    ln_z, q = _ba_tilt(s_rho, nu[0])
+    ln_z, q = _ba_tilt(s_rho, nu)
     dist = float(np.sum(px[:, None] * q * rho))
     rate = s * dist - float(px @ ln_z[:, 0])
     return BaPoint(s, max(rate, 0.0), dist, it, converged)

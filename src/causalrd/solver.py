@@ -22,12 +22,12 @@ Both passes run over (x-window, y^{i-1}) states.  For a source of integer
 memory m under a single-letter rho, the window at stage i is the last
 min(i+1, max(m, 1)) source symbols, because g_i and log Z_i depend on x^i
 through no more; otherwise it is all of x^i.  A stage-i table then has
-|Y| * |X|^{k_i} * |Y|^i entries, and a result keeps its kernels and g tables
-on those windows.  The rate of a converged solve is cross-checked, to RATE_CHECK_TOL, against the directed
-information of the solved policy, which the last forward pass sums over the
-same windowed states; no solve builds the dense full-history laws of
-:mod:`causalrd.measures`, which stay the independent checking path of the
-tests, of :func:`rdf_value` and of the CLI's checks.
+|Y| * |X|^{k_i} * |Y|^i entries.  A solve builds one sweep plan, nu as one
+flat vector and buffers every pass writes into; its last pass leaves the
+result its kernels and g tables on those windows.  A converged solve's rate
+is checked, to RATE_CHECK_TOL, against the directed information the last
+forward pass sums; no solve builds the dense laws of :mod:`causalrd.measures`,
+the independent checking path of the tests, of :func:`rdf_value` and the CLI.
 
 All exponentials are evaluated in log space with max shifting; rates are in
 nats; ``s <= 0`` throughout.
@@ -168,6 +168,11 @@ class _Passes:
     contiguous rows.  In 4-D form (y_i, window_i without x_i, x_i, y^{i-1})
     a single-letter rho broadcasts as rho[x_i, y_i], so no dense stage table
     is built.
+
+    An instance is the sweep plan of one solve: nu is one flat vector, and each
+    pass writes into buffers built once (log nu, kernels, g tables, nu'), viewed
+    per stage.  A forward pass returns a copy of nu', so a solve's last backward
+    pass leaves its kernels and g tables where nothing writes again.
     """
 
     def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
@@ -178,105 +183,130 @@ class _Passes:
         m = source.memory
         windowed = spec is not None and spec.mode == "single_letter" and m != "full"
         k = k or [min(i + 1, max(m, 1)) if windowed else i + 1 for i in range(n)]
-        self.al = al
-        self.k = k
+        self.al, self.k = al, k
         self.win = [math.prod(al.x_sizes[i + 1 - k[i]: i + 1]) for i in range(n)]
         self.shapes = [(al.y_sizes[i], self.win[i] // al.x_sizes[i], al.x_sizes[i],
                         al.y_hist_size(i - 1)) for i in range(n)]
-        self.rho = self.s_rho = None                  # no spec: forward pass only
-        if spec is not None:
-            self.rho = ([spec.rho.T[:, None, :, None]] * n
-                        if spec.mode == "single_letter"
-                        else [self._y_major(t, i) for i, t in enumerate(spec.tables)])
-            self.s_rho = [s * r for r in self.rho]
         # P(x_0), then P(x_i | window_{i-1}) as (dropped symbol, rest of window_{i-1}, x_i)
         self.rows = [source.kernels[0][0][:, None]] + [
             source.stage_rows(i, self.win[i - 1]).reshape(-1, self.shapes[i][1], al.x_sizes[i])
             for i in range(1, n)]
+        self.rows_t = [None] + [r.transpose(1, 2, 0) for r in self.rows[1:]]
+        self.ends = np.cumsum([sy * yp for sy, _, _, yp in self.shapes]).tolist()
+        self.widths = np.concatenate([np.full(yp, sy) for sy, _, _, yp in self.shapes])
+        self.nu_next = np.empty(self.ends[-1])        # nu', as (y_i, y^{i-1}) views per stage
+        self.nu_next_y = [t.T for t in self.tables(self.nu_next)]
+        self.rho = self.s_rho = None                  # no spec: forward pass only
+        if spec is not None:
+            self.rho = ([spec.rho.T[:, None, :, None]] * n if spec.mode == "single_letter"
+                        else [self._y_major(t, i) for i, t in enumerate(spec.tables)])
+            self.s_rho = [s * r for r in self.rho]
+            self.log_nu = np.empty(self.ends[-1])
+            self.log_nu_y = [t.T[:, None, None, :] for t in self.tables(self.log_nu)]
+            self.q = [np.empty(shape) for shape in self.shapes]
+            self.g = [np.zeros((w, al.y_hist_size(i))) for i, w in enumerate(self.win)]
+            self.g_y = [self._y_major(t, i) for i, t in enumerate(self.g)]
+            self.g_out = [t.reshape(*r.shape[:2], -1) for t, r in zip(self.g, self.rows[1:])]
 
     def _y_major(self, t, i):
         """4-D y-major view of a stage-i table indexed (window_i or x^i, y^i)."""
         sy, _, sx, yp = self.shapes[i]
         return t.reshape(-1, sx, yp, sy).transpose(3, 0, 1, 2)
 
-    def tilt(self, i, g, nu):
-        """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
-        log Z_i(window_i, y^{i-1}), from one exponent and one max shift,
-        normalized in place."""
-        sy, _, _, yp = self.shapes[i]
+    def tables(self, nu):
+        """The stage tables (y^{i-1}, y_i) of flat ``nu``, as views."""
+        return [nu[b - sy * yp:b].reshape(yp, sy)
+                for b, (sy, _, _, yp) in zip(self.ends, self.shapes)]
+
+    def load(self, nu):
+        """log nu (flat, or its tables) for the tilts that follow, and whether nu has a zero."""
+        nu = nu if isinstance(nu, np.ndarray) else np.concatenate(nu, axis=None)
+        self.zeros = not nu.all()
         with np.errstate(divide="ignore"):
-            log_nu = np.log(nu.T)[:, None, None, :]
-        e = np.subtract(self.s_rho[i] + log_nu, self._y_major(g, i), order="C").reshape(sy, -1, yp)
-        m = e.max(axis=0)
-        if m.min() == -np.inf:
+            np.log(nu, out=self.log_nu)
+        return self
+
+    def tilt(self, i, g, out=None):
+        """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
+        log Z_i(window_i, y^{i-1}), from one max shift, normalized in place in
+        ``out``; ``g`` is the y-major view of g_i, log nu that of :meth:`load`.
+        A row of no mass is refused; in the plan's buffers, whose g is finite,
+        it is looked for only when nu has a zero."""
+        sy, _, _, yp = self.shapes[i]
+        e = np.subtract(self.s_rho[i] + self.log_nu_y[i], g, out, order="C").reshape(sy, -1, yp)
+        m = np.maximum.reduce(e, axis=0)
+        if (out is None or self.zeros) and m.min() == -np.inf:
             xh, yh = np.nonzero(np.isneginf(m))
             raise DegenerateMarginalError(
                 i, int(yh[0]), f"tilted normalizer vanished for x-history code {int(xh[0])}"
                 f" (and every x-history sharing its last {self.k[i]} of {i + 1} symbols)")
         e -= m
         np.exp(e, out=e)
-        z = e.sum(axis=0)
+        z = np.add.reduce(e, axis=0)
         e /= z
-        logz = np.log(z)
-        logz += m
-        return e, logz
+        np.log(z, out=z)
+        z += m
+        return e, z
 
     def least(self, i, g, pw=None):
         """The s -> -inf limit of :meth:`tilt`: the one-hot kernel on the least
         rho_i + g_i (ties to the lowest y_i) and minus that least for log Z_i;
         averaged first over ``pw`` = P(window_i), the least over x-blind kernels."""
         sy, _, _, yp = self.shapes[i]
-        e = (self.rho[i] + self._y_major(g, i)).reshape(sy, -1, yp)
+        e = (self.rho[i] + g).reshape(sy, -1, yp)
         if pw is not None:
             e = np.broadcast_to(np.einsum('awc,w->ac', e, pw[:, 0])[:, None], e.shape)
         return (e.argmin(axis=0) == np.arange(sy)[:, None, None]).astype(float), -e.min(axis=0)
 
-    def backward(self, laws, rule=None):
-        """g tables, log normalizers and kernels, from the last stage down, by
-        the stage ``rule`` (default :meth:`tilt`) given each stage's ``laws``."""
-        n, rule = self.al.n_stages, rule or self.tilt
-        g, logz, q = [None] * n, [None] * n, [None] * n
-        g[n - 1] = np.zeros((self.win[n - 1], self.al.y_hist_size(n - 1)))
+    def backward(self, nu=None, laws=None):
+        """g tables, log normalizers and kernels, from the last stage down, in
+        the plan's buffers: each stage tilted at ``nu`` (flat, or its tables),
+        or with ``nu`` None by :meth:`least` given each stage's ``laws``."""
+        n = self.al.n_stages
+        logz, q = [None] * n, [None] * n
+        if nu is not None:
+            self.load(nu)
         for i in range(n - 1, -1, -1):
-            q[i], logz[i] = rule(i, g[i], None if laws is None else laws[i])
+            q[i], logz[i] = (self.tilt(i, self.g_y[i], self.q[i]) if nu is not None
+                             else self.least(i, self.g_y[i], None if laws is None else laws[i]))
             if i > 0:
                 _, xp, sx, yp = self.shapes[i]
-                g[i - 1] = -np.einsum('abx,bxc->abc', self.rows[i],
-                                      logz[i].reshape(xp, sx, yp)).reshape(-1, yp)
-        return g, logz, q
+                g = np.einsum('abx,bxc->abc', self.rows[i], logz[i].reshape(xp, sx, yp),
+                              out=self.g_out[i - 1])
+                np.negative(g, out=g)
+        return self.g, logz, q
 
     def forward(self, q, distortion=False, fill=None):
-        """Output marginals nu'_i and prefix masses P(y^{i-1}) induced by the
-        kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
-        stage, with ``fill``'s rows (or uniform ones) where P(y^{i-1}) = 0;
+        """Output marginals nu'_i (flat) and prefix masses P(y^{i-1}) induced by
+        the kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
+        stage, with flat ``fill``'s rows (or uniform ones) where P(y^{i-1}) = 0;
         with ``distortion`` also the total distortion and the directed
         information sum_i E[log q_i / nu'_i] of the kernels (else None).  The
         latter is exact on windowed states, as q_i reads x^i only through its
         window, and sums only where P(y_i, window_i, y^{i-1}) > 0."""
-        tables, masses = [], []
+        np.copyto(self.nu_next, 1.0 / self.widths.repeat(self.widths) if fill is None else fill)
+        masses = []
         dist = info = 0.0 if distortion else None
         w = self.rows[0]                              # P(x^0, y^{-1})
-        for i, (sy, xp, sx, yp) in enumerate(self.shapes):
+        for i, (table, (sy, xp, sx, yp)) in enumerate(zip(self.nu_next_y, self.shapes)):
             joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
-            py = joint.sum(axis=1).T                  # P(y^{i-1}, y_i)
-            mass = py.sum(axis=1)
-            out = np.full((yp, sy), 1.0 / sy) if fill is None else fill[i].copy()
-            tables.append(np.divide(py, mass[:, None], out=out, where=mass[:, None] > 0))
+            py = np.add.reduce(joint, axis=1)         # P(y_i, y^{i-1})
+            mass = np.add.reduce(py, axis=0)
+            np.divide(py, mass, out=table, where=mass > 0)
             masses.append(mass)
             if distortion:
                 dist += float(np.sum(joint.reshape(sy, xp, sx, yp) * self.rho[i]))
                 pos = joint > 0
-                nu_new = np.broadcast_to(tables[-1].T[:, None, :], joint.shape)[pos]
+                nu_new = np.broadcast_to(table[:, None, :], joint.shape)[pos]
                 info += float(joint[pos] @ (np.log(q[i][pos]) - np.log(nu_new)))
             if i + 1 < len(self.shapes):
                 # P(window_{i+1}, y^i), written with y_i innermost as its code
                 # requires; a full window's oldest symbol (axis a) is summed out
                 # by one matmul batched over the rest of the window (axis b)
-                rows = self.rows[i + 1]
-                drop, xn, _ = rows.shape
+                drop, xn, _ = self.rows[i + 1].shape
                 jd = joint.reshape(sy, drop, xn, yp).transpose(2, 1, 3, 0).reshape(xn, drop, -1)
-                w = (rows.transpose(1, 2, 0) @ jd).reshape(-1, yp * sy)
-        return tables, masses, dist, info
+                w = (self.rows_t[i + 1] @ jd).reshape(-1, yp * sy)
+        return self.nu_next.copy(), masses, dist, info
 
     def policy(self, q) -> CausalPolicy:
         """The kernels ``q`` as a policy over their x-windows, each a
@@ -290,7 +320,7 @@ class _Passes:
         for rows in self.rows[1:]:
             drop, xn, _ = rows.shape
             laws.append(np.einsum('ab,abx->bx', laws[-1].reshape(drop, xn), rows).reshape(-1, 1))
-        _, logz, q = self.backward(laws, self.least)
+        _, logz, q = self.backward(laws=laws)
         return -float(logz[0][0, 0]), q
 
 
@@ -315,9 +345,8 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
     unchanged (the normalizer absorbs it); at the terminal stage g is zero and
     the kernel reduces to the pure single-stage tilt.
     """
-    passes = _Passes(source, spec, s)
-    return passes.policy([passes.tilt(i, g[i], nu.tables[i])[0]
-                          for i in range(source.alphabets.n_stages)])
+    passes = _Passes(source, spec, s).load(nu.tables)
+    return passes.policy([passes.tilt(i, passes._y_major(t, i))[0] for i, t in enumerate(g)])
 
 
 def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProcess:
@@ -331,9 +360,9 @@ def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProces
         k[i] = max(1, source.window_len(i + 1), k[i + 1] - 1,
                    next(j for j in range(i + 2) if math.prod(x[i + 1 - j: i + 1]) == w))
     passes = _Passes(source, k=k[:-1])
-    tables, masses = passes.forward([_expand_window(t, win, axis=1).transpose(2, 1, 0)
-                                     for t, win in zip(policy.tables, passes.win)])[:2]
-    return MarginalProcess(source.alphabets, tables, prefix_mass=masses)
+    nu, masses = passes.forward([_expand_window(t, win, axis=1).transpose(2, 1, 0)
+                                 for t, win in zip(policy.tables, passes.win)])[:2]
+    return MarginalProcess(source.alphabets, passes.tables(nu), prefix_mass=masses)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +387,7 @@ def min_achievable_distortion(source: SourceModel, spec: DistortionSpec) -> floa
     limit of the backward pass, a min over y_i of rho_i + g_i at each state
     (ties, which do not move the floor, to the lowest code up to rounding)."""
     passes = _Passes(source, spec)
-    logz0 = passes.backward(None, passes.least)[1][0]
+    logz0 = passes.backward()[1][0]
     return -float(source.kernels[0][0] @ logz0[:, 0]) / source.alphabets.n_stages
 
 
@@ -380,23 +409,23 @@ def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
     al = source.alphabets
     s = float(config.s) + 0.0                          # -0.0 -> 0.0
     passes = _Passes(source, spec, s)
-    tables = ([k[:, 0].T for k in passes.zero_rate()[1]] if s == 0.0
-              else MarginalProcess.uniform(al).tables)
+    nu = (np.concatenate([k[:, 0].T for k in passes.zero_rate()[1]], axis=None) if s == 0.0
+          else 1.0 / passes.widths.repeat(passes.widths))
 
-    def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
-        _, logz, q = passes.backward(nu_tables)
-        return -float(source.kernels[0][0] @ logz[0][:, 0]), (q, nu_tables)
+    def backward(nu):                                 # J(nu) = -E[log Z_0(X_0)]
+        _, logz, q = passes.backward(nu)
+        return -float(source.kernels[0][0] @ logz[0][:, 0]), (q, nu)
 
     # a row of zero prefix mass keeps nu's row, so the residual is over live rows
-    tables, masses, sweeps, residual, converged = _accelerated_alternation(
-        backward, lambda state: passes.forward(state[0], fill=state[1])[:2], tables,
-        config.fp_tol, config.max_sweeps)
-    nu = MarginalProcess(al, tables, prefix_mass=masses)
-    g_tabs, logz, q = passes.backward(tables)
+    nu, masses, sweeps, residual, converged = _accelerated_alternation(
+        backward, lambda state: passes.forward(state[0], fill=state[1])[:2], nu,
+        passes.widths, config.fp_tol, config.max_sweeps)
+    g_tabs, logz, q = passes.backward(nu)
     dist, info = passes.forward(q, distortion=True)[2:]
     why = f"after {sweeps} sweeps at fp_tol {config.fp_tol:.1e}; try a tighter fp_tol first"
     rate = _closed_form_rate(source, s, dist, logz[0], info, why if converged else None)
-    return SolveResult(s=s, policy=passes.policy(q), nu=nu, g=g_tabs,
+    return SolveResult(s=s, policy=passes.policy(q), g=g_tabs,
+                       nu=MarginalProcess(al, passes.tables(nu), prefix_mass=masses),
                        rate_nats=rate, distortion_total=dist,
                        distortion_per_symbol=dist / al.n_stages, sweeps_used=sweeps,
                        converged=converged, residual=residual)
@@ -430,7 +459,8 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     ``policy``.  Cross-checks the value against the directed information of
     the policy and raises :class:`InternalConsistencyError` beyond 1e-6.
     """
-    logz0 = _Passes(source, spec, s).tilt(0, g[0], nu.tables[0])[1]
+    passes = _Passes(source, spec, s).load(nu.tables)
+    logz0 = passes.tilt(0, passes._y_major(g[0], 0))[1]
     mu = full_joint_source(source)
     if distortion_total is None:
         distortion_total = expected_distortion(mu, policy, spec).total

@@ -14,8 +14,10 @@ import numpy as np
 from causalrd.errors import InvalidArgumentError
 from causalrd.measures import (DistortionValue, JointLaw, MarginalProcess, causal_channel_table,
                                lagrangian_value)
+from causalrd.baseline import _EPS, AA_DEPTH
+from causalrd.errors import DegenerateMarginalError
 from causalrd.model import CausalPolicy, SourceModel, StageAlphabets, full_joint_source
-from causalrd.solver import STATIONARITY_EPSILON
+from causalrd.solver import STATIONARITY_EPSILON, SolveResult, _closed_form_rate, _Passes
 
 
 def trajectories(sizes):
@@ -508,3 +510,182 @@ def reference_masked_log(p: np.ndarray) -> np.ndarray:
 def reference_ba_tilt(s_rho: np.ndarray, nu: np.ndarray):
     """One Blahut-Arimoto tilt: log Z and the rows nu exp(s rho) / Z."""
     return reference_log_normalize(s_rho + reference_masked_log(nu), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the passes and the Anderson loop before one sweep plan held nu as one flat
+# vector and every pass wrote into buffers built once: the references whose
+# solves the current ones must match bit for bit
+# ---------------------------------------------------------------------------
+
+class ReferencePasses(_Passes):
+    """``solver._Passes`` with the tilt, the least rule, both passes and the
+    D_max start as they were, each pass building fresh tables per stage."""
+
+    def tilt(self, i, g, nu):
+        """Kernel q_i ~ nu_i exp(s rho_i - g_i) and its log normalizer
+        log Z_i(window_i, y^{i-1}), from one exponent and one max shift,
+        normalized in place."""
+        sy, _, _, yp = self.shapes[i]
+        with np.errstate(divide="ignore"):
+            log_nu = np.log(nu.T)[:, None, None, :]
+        e = np.subtract(self.s_rho[i] + log_nu, self._y_major(g, i), order="C").reshape(sy, -1, yp)
+        m = e.max(axis=0)
+        if m.min() == -np.inf:
+            xh, yh = np.nonzero(np.isneginf(m))
+            raise DegenerateMarginalError(
+                i, int(yh[0]), f"tilted normalizer vanished for x-history code {int(xh[0])}"
+                f" (and every x-history sharing its last {self.k[i]} of {i + 1} symbols)")
+        e -= m
+        np.exp(e, out=e)
+        z = e.sum(axis=0)
+        e /= z
+        logz = np.log(z)
+        logz += m
+        return e, logz
+
+    def least(self, i, g, pw=None):
+        """The s -> -inf limit of :meth:`tilt`: the one-hot kernel on the least
+        rho_i + g_i (ties to the lowest y_i) and minus that least for log Z_i;
+        averaged first over ``pw`` = P(window_i), the least over x-blind kernels."""
+        sy, _, _, yp = self.shapes[i]
+        e = (self.rho[i] + self._y_major(g, i)).reshape(sy, -1, yp)
+        if pw is not None:
+            e = np.broadcast_to(np.einsum('awc,w->ac', e, pw[:, 0])[:, None], e.shape)
+        return (e.argmin(axis=0) == np.arange(sy)[:, None, None]).astype(float), -e.min(axis=0)
+
+    def backward(self, laws, rule=None):
+        """g tables, log normalizers and kernels, from the last stage down, by
+        the stage ``rule`` (default :meth:`tilt`) given each stage's ``laws``."""
+        n, rule = self.al.n_stages, rule or self.tilt
+        g, logz, q = [None] * n, [None] * n, [None] * n
+        g[n - 1] = np.zeros((self.win[n - 1], self.al.y_hist_size(n - 1)))
+        for i in range(n - 1, -1, -1):
+            q[i], logz[i] = rule(i, g[i], None if laws is None else laws[i])
+            if i > 0:
+                _, xp, sx, yp = self.shapes[i]
+                g[i - 1] = -np.einsum('abx,bxc->abc', self.rows[i],
+                                      logz[i].reshape(xp, sx, yp)).reshape(-1, yp)
+        return g, logz, q
+
+    def forward(self, q, distortion=False, fill=None):
+        """Output marginals nu'_i and prefix masses P(y^{i-1}) induced by the
+        kernels ``q``, from the weights P(window_i, y^{i-1}) carried stage to
+        stage, with ``fill``'s rows (or uniform ones) where P(y^{i-1}) = 0;
+        with ``distortion`` also the total distortion and the directed
+        information sum_i E[log q_i / nu'_i] of the kernels (else None).  The
+        latter is exact on windowed states, as q_i reads x^i only through its
+        window, and sums only where P(y_i, window_i, y^{i-1}) > 0."""
+        tables, masses = [], []
+        dist = info = 0.0 if distortion else None
+        w = self.rows[0]                              # P(x^0, y^{-1})
+        for i, (sy, xp, sx, yp) in enumerate(self.shapes):
+            joint = q[i] * w                          # P(y_i, window_i, y^{i-1})
+            py = joint.sum(axis=1).T                  # P(y^{i-1}, y_i)
+            mass = py.sum(axis=1)
+            out = np.full((yp, sy), 1.0 / sy) if fill is None else fill[i].copy()
+            tables.append(np.divide(py, mass[:, None], out=out, where=mass[:, None] > 0))
+            masses.append(mass)
+            if distortion:
+                dist += float(np.sum(joint.reshape(sy, xp, sx, yp) * self.rho[i]))
+                pos = joint > 0
+                nu_new = np.broadcast_to(tables[-1].T[:, None, :], joint.shape)[pos]
+                info += float(joint[pos] @ (np.log(q[i][pos]) - np.log(nu_new)))
+            if i + 1 < len(self.shapes):
+                # P(window_{i+1}, y^i), written with y_i innermost as its code
+                # requires; a full window's oldest symbol (axis a) is summed out
+                # by one matmul batched over the rest of the window (axis b)
+                rows = self.rows[i + 1]
+                drop, xn, _ = rows.shape
+                jd = joint.reshape(sy, drop, xn, yp).transpose(2, 1, 3, 0).reshape(xn, drop, -1)
+                w = (rows.transpose(1, 2, 0) @ jd).reshape(-1, yp * sy)
+        return tables, masses, dist, info
+
+    def zero_rate(self):
+        """D_max, the least total distortion of a policy that ignores x, and
+        the one-hot kernels of its trajectory: :meth:`least` given P(window_i)."""
+        laws = [self.rows[0]]
+        for rows in self.rows[1:]:
+            drop, xn, _ = rows.shape
+            laws.append(np.einsum('ab,abx->bx', laws[-1].reshape(drop, xn), rows).reshape(-1, 1))
+        _, logz, q = self.backward(laws, self.least)
+        return -float(logz[0][0, 0]), q
+
+
+def reference_accelerated_alternation(backward, forward, tables, tol, max_sweeps):
+    """Sweep ``backward`` then ``forward`` on output marginal ``tables`` (2-D,
+    one distribution per row) until the sup-norm residual |nu' - nu| <= ``tol``.
+
+    ``backward(nu)`` returns (J(nu), state), J = -E[log Z_0] the objective
+    that the plain map nu <- nu' never raises; ``forward(state)`` returns
+    (nu', aux).  Each sweep takes a type-II Anderson step (Walker & Ni, SIAM
+    J. Numer. Anal. 49, 2011) on nu as one flat vector: nu <- nu' - (dX + dF) g,
+    dX, dF the last AA_DEPTH differences of nu and of f = nu' - nu, and
+    (dF'dF + 1e-10 tr(dF'dF) I) g = dF'f, shrunk toward nu' to keep each entry
+    above half of min(nu, nu') (the map never revives a zero), rows renormalized.
+    A step that raises J beyond rounding is replaced by nu', at one more
+    backward pass, and clears the history.  Returns the last (nu', aux), the
+    forward-pass count, the residual and whether it met ``tol``.
+    """
+    x = np.concatenate([t.ravel() for t in tables])
+    ends = np.cumsum([t.size for t in tables]).tolist()
+    widths = np.concatenate([np.full(len(t), t.shape[1]) for t in tables])    # row lengths
+    starts = np.cumsum(widths) - widths
+    dx, df = np.empty((AA_DEPTH, x.size)), np.empty((AA_DEPTH, x.size))   # rings
+    kept, f_last = -1, 0.0                  # differences held (the first sweep's is void)
+    objective, state = backward(tables)
+    for sweep in range(1, max_sweeps + 1):              # max_sweeps >= 1
+        new, aux = forward(state)
+        y = np.concatenate([t.ravel() for t in new])
+        f = y - x
+        residual = float(np.abs(f).max())
+        if residual <= tol:
+            return new, aux, sweep, residual, True
+        np.subtract(f, f_last, out=df[kept % AA_DEPTH])
+        kept += 1
+        f_last, m = f, min(kept, AA_DEPTH)
+        gram = df[:m] @ df[:m].T
+        if (trace := np.trace(gram)) > 0:               # 0 with no history
+            gram.flat[::m + 1] += 1e-10 * trace
+            step = y - np.linalg.solve(gram, df[:m] @ f) @ (dx[:m] + df[:m])
+            floor = 0.5 * np.minimum(x, y)
+            if (low := step < floor).any():
+                step = y + ((y - floor)[low] / (y - step)[low]).min() * (step - y)
+            step /= np.add.reduceat(step, starts).repeat(widths)        # rows sum to 1
+            step_objective, step_state = backward(
+                [step[b - t.size:b].reshape(t.shape) for b, t in zip(ends, new)])
+            if step_objective <= objective + 8 * _EPS * abs(objective):    # J to rounding
+                np.subtract(step, x, out=dx[kept % AA_DEPTH])
+                x, objective, state = step, step_objective, step_state
+                continue
+            kept = 0
+        np.subtract(y, x, out=dx[kept % AA_DEPTH])
+        x, (objective, state) = y, backward(new)
+    return new, aux, max_sweeps, residual, False
+
+
+def reference_solve(source, spec, s, fp_tol=1e-9, max_sweeps=10_000) -> SolveResult:
+    """``fixed_point_solve`` as it was, on :class:`ReferencePasses` and
+    :func:`reference_accelerated_alternation`."""
+    al = source.alphabets
+    s = float(s) + 0.0                                 # -0.0 -> 0.0
+    passes = ReferencePasses(source, spec, s)
+    tables = ([k[:, 0].T for k in passes.zero_rate()[1]] if s == 0.0
+              else MarginalProcess.uniform(al).tables)
+
+    def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
+        _, logz, q = passes.backward(nu_tables)
+        return -float(source.kernels[0][0] @ logz[0][:, 0]), (q, nu_tables)
+
+    tables, masses, sweeps, residual, converged = reference_accelerated_alternation(
+        backward, lambda state: passes.forward(state[0], fill=state[1])[:2], tables,
+        fp_tol, max_sweeps)
+    nu = MarginalProcess(al, tables, prefix_mass=masses)
+    g_tabs, logz, q = passes.backward(tables)
+    dist, info = passes.forward(q, distortion=True)[2:]
+    why = "in the reference solve" if converged else None
+    rate = _closed_form_rate(source, s, dist, logz[0], info, why)
+    return SolveResult(s=s, policy=passes.policy(q), nu=nu, g=g_tabs,
+                       rate_nats=rate, distortion_total=dist,
+                       distortion_per_symbol=dist / al.n_stages, sweeps_used=sweeps,
+                       converged=converged, residual=residual)

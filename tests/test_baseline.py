@@ -17,7 +17,6 @@ from causalrd.baseline import (
     classical_block_rdf,
 )
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import MarginalProcess
 from causalrd.model import (
     DistortionSpec,
     StageAlphabets,
@@ -86,15 +85,15 @@ def test_accelerated_alternation_solves_an_oscillating_map_in_5_sweeps():
     # p <- 0.3 - 0.5 (p - 0.3) overshoots its fixed point each sweep; the
     # plain map takes 41 sweeps to 1e-12, a residual-ratio over-relaxation 73
     def backward(nu):
-        return (nu[0][0, 0] - 0.3) ** 2, nu[0][0, 0]
+        return (nu[0] - 0.3) ** 2, nu[0]
 
     def forward(p):
         q = 0.3 - 0.5 * (p - 0.3)
-        return [np.array([[q, 1.0 - q]])], None
+        return np.array([q, 1.0 - q]), None
 
-    (nu,), _, sweeps, residual, converged = _accelerated_alternation(
-        backward, forward, [np.array([[0.9, 0.1]])], 1e-12, 200)
-    assert converged and residual <= 1e-12 and abs(nu[0, 0] - 0.3) <= 1e-12
+    nu, _, sweeps, residual, converged = _accelerated_alternation(
+        backward, forward, np.array([0.9, 0.1]), np.array([2]), 1e-12, 200)
+    assert converged and residual <= 1e-12 and abs(nu[0] - 0.3) <= 1e-12
     assert sweeps <= 5
 
 
@@ -110,7 +109,7 @@ def test_accelerated_alternation_falls_back_on_a_step_that_raises_j():
 
     def backward(nu):
         _, logz, q = passes.backward(nu)
-        events.append(("b", -float(src.kernels[0][0] @ logz[0][:, 0]), [t.copy() for t in nu]))
+        events.append(("b", -float(src.kernels[0][0] @ logz[0][:, 0]), nu.copy()))
         return events[-1][1], (q, nu)
 
     def forward(state):
@@ -119,7 +118,8 @@ def test_accelerated_alternation_falls_back_on_a_step_that_raises_j():
         return new, masses
 
     _, _, sweeps, residual, converged = _accelerated_alternation(
-        backward, forward, MarginalProcess.uniform(al).tables, 1e-9, 10_000)
+        backward, forward, 1.0 / passes.widths.repeat(passes.widths), passes.widths,
+        1e-9, 10_000)
     assert converged and residual <= 1e-9
     forwards = [k for k, e in enumerate(events) if e[0] == "f"]
     assert len(forwards) == sweeps and forwards[0] == 1 and forwards[-1] == len(events) - 1
@@ -128,7 +128,7 @@ def test_accelerated_alternation_falls_back_on_a_step_that_raises_j():
         backs = events[k + 1:nxt]                   # the backward passes of one sweep
         if len(backs) == 2:                         # a step that raised J, then nu'
             assert backs[0][1] > objective + ulps * abs(objective)
-            assert all(np.array_equal(a, b) for a, b in zip(backs[1][2], events[k][1]))
+            assert np.array_equal(backs[1][2], events[k][1])
             rejected += 1
         else:
             assert len(backs) == 1 and backs[0][1] <= objective + ulps * abs(objective)

@@ -144,23 +144,31 @@ def test_brute_force_budget_guards(monkeypatch):
 
 def _grid_lagrangians(source, spec, s, grid):
     """I(X -> Y) - s * total distortion of every two-stage binary policy with
-    rows on ``grid``, from the dense joint law p(x0, x1, y0, y1)."""
+    rows on ``grid``, from the dense joint law p(y0, y1, x0, x1), flat per
+    policy.  What no stage-0 pair changes (mu q1, the stage-1 logs and the
+    distortion) is built once: with log q = log q0 + log q1 wherever p > 0,
+    a pair's sum of p (log q - s rho) is two contractions of its joint law."""
     mu = source.kernels[0][0][:, None] * source.kernels[1]          # (x0, x1)
     rho = (spec.stage_table(0)[:, None, :, None]
            + spec.stage_table(1).reshape(2, 2, 2, 2))              # (x0, x1, y0, y1)
     g = len(grid)
     q1 = grid[np.array(list(itertools.product(range(g), repeat=8))).reshape(-1, 2, 2, 2)]
-    q1 = q1.transpose(0, 2, 3, 1, 4)          # (policy, x0, x1, y0, y1) from (y0, x^1, y1)
+    q1 = q1.transpose(0, 1, 4, 2, 3).reshape(-1, 16)    # (policy, y0 y1 x0 x1) from (y0, x^1, y1)
+    mu_q1 = q1 * np.tile(mu.ravel(), 4)
+    weight = (np.log(q1, out=np.zeros_like(q1), where=q1 > 0)
+              - s * rho.transpose(2, 3, 0, 1).ravel())
+    log_grid = np.log(grid, out=np.zeros_like(grid), where=grid > 0)
+
+    def by_y0_x0(t):                          # a (x0, y0) table over the flat (y0, y1, x0, x1)
+        return np.broadcast_to(t.T[:, None, :, None], (2, 2, 2, 2)).ravel()
+
     out = []
     for a0, a1 in itertools.product(range(g), repeat=2):
-        q0 = grid[[a0, a1]]                                         # (x0, y0)
-        q = q0[None, :, None, :, None] * q1
-        p = mu[None, :, :, None, None] * q
-        log_q = np.log(q, out=np.zeros_like(q), where=p > 0)
-        py = p.sum(axis=(1, 2))
+        p = mu_q1 * by_y0_x0(grid[[a0, a1]])                        # p(y0, y1, x0, x1)
+        py = p.reshape(-1, 4, 4).sum(axis=2)                         # p(y0, y1)
         log_py = np.log(py, out=np.zeros_like(py), where=py > 0)
-        out.append((p * log_q).sum(axis=(1, 2, 3, 4)) - (py * log_py).sum(axis=(1, 2))
-                   - s * (p * rho).sum(axis=(1, 2, 3, 4)))
+        out.append(np.einsum('pk,pk->p', p, weight) + p @ by_y0_x0(log_grid[[a0, a1]])
+                   - (py * log_py).sum(axis=1))
     return np.concatenate(out)
 
 

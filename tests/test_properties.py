@@ -169,6 +169,7 @@ def _plain_sweeps(src, spec, s, fp_tol):
     converged = False
     for sweeps in range(1, 10_001):
         nxt, masses = passes.forward(passes.backward(tables)[2])[:2]
+        nxt = passes.tables(nxt)
         # sup-norm change over the rows of positive prefix mass
         residual = max((float(np.abs(new - old)[m > 0].max())
                         for new, old, m in zip(nxt, tables, masses) if (m > 0).any()),

@@ -559,7 +559,7 @@ def test_windowed_passes_match_the_full_history_passes(sx, sy, n, memory, mode):
         if source is src:
             assert [k.shape for k in q] == [(sy, sx ** window[i], sy ** i) for i in range(n)]
     (pol_w, (nu_w, mass_w, d_w, _), lz_w), (pol_f, (nu_f, mass_f, d_f, _), lz_f) = outs
-    for a, b in zip(pol_w.kernels + nu_w + mass_w, pol_f.kernels + nu_f + mass_f):
+    for a, b in zip(pol_w.kernels + [nu_w] + mass_w, pol_f.kernels + [nu_f] + mass_f):
         assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
     assert abs(d_w - d_f) <= 1e-12 and np.max(np.abs(lz_w - lz_f)) <= 1e-12
 
