@@ -8,6 +8,7 @@ conditional-independence residuals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -232,17 +233,17 @@ def _ci_residual(t: np.ndarray) -> float:
     return float(res.max())
 
 
-def _grouped(joint: JointLaw, x_up_to: int, y_up_to: int) -> np.ndarray:
-    """Marginal P(x^{x_up_to}, y^{y_up_to}) as a 2-D (x-prefix, y-prefix) array.
-
-    ``x_up_to``/``y_up_to`` are stage indices; -1 drops the block entirely.
-    """
-    al = joint.alphabets
-    xh = al.x_hist_size(x_up_to)
-    yh = al.y_hist_size(y_up_to)
-    t = joint.table.reshape(xh, al.x_trajectories() // xh,
-                            yh, al.y_trajectories() // yh)
-    return t.sum(axis=(1, 3))
+def _marginal(t: np.ndarray, cond, a, b) -> np.ndarray:
+    """The joint tensor ``t`` (:meth:`JointLaw.tensor`) summed onto three groups
+    of its axes, as a (C, A, B) table (an empty group has size 1): a view of the
+    sum where numpy can make one, as a copy could reorder :func:`_ci_residual`'s sums."""
+    keep = (*cond, *a, *b)
+    # tuples and sizes from lists: each tuple(<generator>) is resized, and
+    # resized tuples pile up on CPython's tuple free lists, up to 1 MB of peak RSS
+    m = t.sum(axis=tuple([ax for ax in range(t.ndim) if ax not in keep]))
+    kept = sorted(keep)                            # the axes of m
+    return m.transpose([kept.index(ax) for ax in keep]).reshape(
+        [math.prod([t.shape[ax] for ax in group]) for group in (cond, a, b)])
 
 
 def markov_chain_check(joint: JointLaw, variant: int) -> float:
@@ -258,73 +259,42 @@ def markov_chain_check(joint: JointLaw, variant: int) -> float:
     Returns the max residual over stages and cells; a small value (<= 1e-10
     for exact causal joints) certifies the Markov chain.
     """
-    al = joint.alphabets
-    n = al.n_stages
-    if variant not in (1, 2, 3, 4):
+    if isinstance(variant, (bool, np.bool_)) or variant not in (1, 2, 3, 4):
         raise InvalidArgumentError("variant must be 1, 2, 3 or 4")
-
     if variant == 1:
         return _factorization_residual(joint)
-
+    n, t = joint.alphabets.n_stages, joint.tensor()   # t: axes x_0..x_{n-1}, then y_0..y_{n-1}
     worst = 0.0
-    tensor = joint.tensor()
     for i in range(n - 1):
-        if variant == 2:
-            # tensor axes: x_0..x_{n-1} = 0..n-1, y_0..y_{n-1} = n..2n-1
-            t = tensor.sum(axis=tuple(range(n + i + 1, 2 * n)))
-            xh = al.x_hist_size(i)
-            yh = al.y_hist_size(i - 1)
-            sy = al.y_sizes[i]
-            xf = al.x_trajectories() // xh
-            flat = t.reshape(xh, xf, yh, sy)   # (x^i, x future, y^{i-1}, y_i)
-            cab = np.einsum('cbda->cdab', flat).reshape(xh * yh, sy, xf)
-            worst = max(worst, _ci_residual(cab))
-        else:
-            if variant == 3:
-                m = _grouped(joint, i + 1, i)      # (x^{i+1}, y^i)
-                xh = al.x_hist_size(i)
-                sx = al.x_sizes[i + 1]
-                t = m.reshape(xh, sx, al.y_hist_size(i))
-            else:
-                m = _grouped(joint, n - 1, i)      # (x^{n-1}, y^i)
-                xh = al.x_hist_size(i)
-                sx = al.x_trajectories() // xh
-                t = m.reshape(xh, sx, al.y_hist_size(i))
-            cab = np.swapaxes(t, 1, 2)             # (c=x^i, a=y^i, b=x future)
-            worst = max(worst, _ci_residual(cab))
+        xs, ys, later = tuple(range(i + 1)), tuple(range(n, n + i + 1)), tuple(range(i + 1, n))
+        groups = {2: (xs + ys[:-1], ys[-1:], later),   # (x^i y^{i-1}, y_i, x_{i+1..})
+                  3: (xs, ys, later[:1]),              # (x^i, y^i, x_{i+1})
+                  4: (xs, ys, later)}[variant]         # (x^i, y^i, x_{i+1..})
+        worst = max(worst, _ci_residual(_marginal(t, *groups)))
     return worst
 
 
 def _factorization_residual(joint: JointLaw) -> float:
     """Sup-norm gap between P(y^n | x^n) and the causal product of its own
     stagewise conditionals, over x^n with mass > COND_EPS."""
-    al = joint.alphabets
+    al, t = joint.alphabets, joint.tensor()
     n = al.n_stages
-    mu = joint.table.sum(axis=1)
-
-    # causal factors from prefix marginals, accumulated into a product table
-    qhat = np.ones((1, 1))
-    defined = np.ones((1, 1), dtype=bool)
+    factors, defined = [], []
     for i in range(n):
-        num = _grouped(joint, i, i)                # (x^i, y^i)
-        den = _grouped(joint, i, i - 1)            # (x^i, y^{i-1})
-        sy = al.y_sizes[i]
-        blocks = num.reshape(num.shape[0], -1, sy)
+        given = (*range(n, n + i), *range(i + 1))  # (y^{i-1}, x^i), a kernel's rows
+        shape = (1, al.y_hist_size(i - 1), al.x_hist_size(i), -1)
+        num = _marginal(t, given, (n + i,), ()).reshape(shape)
+        den = _marginal(t, given, (), ()).reshape(shape)
         ok = den > COND_EPS
-        factor = np.zeros_like(blocks)
-        factor[ok] = blocks[ok] / den[ok][:, None]
-        # expand running product to stage-i prefix shapes
-        parent_x = np.arange(al.x_hist_size(i)) // al.x_sizes[i] if i else np.zeros(al.x_hist_size(0), dtype=int)
-        qhat = (qhat[parent_x][:, :, None] * factor)
-        defined = np.broadcast_to(defined[parent_x][:, :, None] & ok[:, :, None],
-                                  qhat.shape)
-        qhat = qhat.reshape(al.x_hist_size(i), al.y_hist_size(i))
-        defined = defined.reshape(al.x_hist_size(i), al.y_hist_size(i))
+        factors.append(np.divide(num, den, out=np.zeros_like(num), where=ok))
+        defined.append(np.broadcast_to(ok, num.shape).astype(float))
+    qhat = _channels(factors)[0]                   # prod_i P(y_i | x^i, y^{i-1})
 
+    mu = joint.table.sum(axis=1)
     cond = np.zeros_like(joint.table)
     keep = mu > COND_EPS
     cond[keep] = joint.table[keep] / mu[keep, None]
     res = np.abs(cond - qhat)
     res[~keep] = 0.0
-    res[~defined] = 0.0
+    res[_channels(defined)[0] == 0.0] = 0.0
     return float(res.max())

@@ -14,11 +14,12 @@ through :mod:`causalrd.measures` on the assembled policy: a genuine
 Lagrangian of a genuine grid policy, and so an upper bound on the true
 infimum that never loosens as the grid halves.  A search whose candidates or
 branch evaluations would pass ``MAX_GRID_CELLS`` is refused before it
-enumerates anything.
+builds a grid.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,27 +161,29 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     if n > 2:
         raise ResourceBudgetError("brute-force oracle covers n_stages <= 2 only")
 
-    mu0 = source.kernels[0][0]
-    rho0 = spec.stage_table(0)
-    grid0 = simplex_grid(al.y_sizes[0], grid.resolution)
-    g0 = grid0.shape[0]
+    # both budgets from the grids' row counts C(N + k - 1, k - 1), before any grid is built
+    steps = int(round(1.0 / grid.resolution))
+    sy0 = al.y_sizes[0]
+    g0 = math.comb(steps + sy0 - 1, sy0 - 1)
     n_rows0 = al.x_hist_size(0)
     c0 = g0 ** n_rows0
-    if c0 * n_rows0 * al.y_sizes[0] > MAX_GRID_CELLS:
+    if c0 * n_rows0 * sy0 > MAX_GRID_CELLS:
         raise ResourceBudgetError(
             f"stage-0 enumeration needs {c0} candidates, over budget")
-    if n == 2:                                     # both budgets before any enumeration
-        sy0, sy1 = al.y_sizes[0], al.y_sizes[1]
+    if n == 2:
+        sy1 = al.y_sizes[1]
         if sy1 != 2:
             raise InvalidArgumentError(
                 f"two-stage oracle needs |Y_1| = 2, got |Y_1| = {sy1}")
         xh1 = al.x_hist_size(1)
-        grid1 = simplex_grid(sy1, grid.resolution)
-        est = c0 * sy0 * xh1 * (grid1.shape[0] - 1)
+        est = c0 * sy0 * xh1 * steps               # the stage-1 grid has N + 1 rows
         if est > MAX_GRID_CELLS:
             raise ResourceBudgetError(
                 f"two-stage search needs ~{est} evaluations, over budget")
 
+    mu0 = source.kernels[0][0]
+    rho0 = spec.stage_table(0)
+    grid0 = simplex_grid(sy0, grid.resolution)
     combo_idx = np.array(list(itertools.product(range(g0), repeat=n_rows0)))
     rows0 = grid0[combo_idx]                       # (C0, |X_0|, |Y_0|)
     vals0, mass = _stage0_values(mu0, rows0, rho0, s)     # mass (C0, sy0) = P(y0)
@@ -191,6 +194,7 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
         return _measured_value(source, spec, s, policy, float(vals0[best])), policy
 
     # ---- two stages: exact branch decomposition --------------------------
+    grid1 = simplex_grid(sy1, grid.resolution)
     mu1 = (mu0[:, None] * source.stage_rows(1)).reshape(-1)   # P(x^1)
     rho1 = spec.stage_table(1).reshape(xh1, sy0, sy1)
     cost = (_plogp(grid1).sum(axis=1)

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import (DistortionValue, JointLaw, MarginalProcess, causal_channel_table,
-                               lagrangian_value)
+from causalrd.measures import (COND_EPS, DistortionValue, JointLaw, MarginalProcess,
+                               causal_channel_table, lagrangian_value)
 from causalrd.baseline import _EPS, AA_DEPTH
 from causalrd.errors import DegenerateMarginalError
 from causalrd.model import CausalPolicy, SourceModel, StageAlphabets, full_joint_source
@@ -483,6 +483,115 @@ def reference_lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float
     info = np.einsum('pxy,pxy->p', joint, q)       # q is finite, joint 0 off the support
     return np.maximum(info, 0.0) - s * dist
 
+
+
+# ---------------------------------------------------------------------------
+# the four causality residuals as first written, each variant built its own
+# way: the reference the grouped-marginal form must match bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_ci_residual(t: np.ndarray) -> float:
+    """Max |P(a,b|c) - P(a|c)P(b|c)| over cells of a (C, A, B) table,
+    restricted to conditioning events with mass > COND_EPS."""
+    pc = t.sum(axis=(1, 2))
+    keep = pc > COND_EPS
+    if not keep.any():
+        return 0.0
+    t = t[keep]
+    pc = pc[keep]
+    pab_c = t / pc[:, None, None]
+    pa_c = t.sum(axis=2) / pc[:, None]
+    pb_c = t.sum(axis=1) / pc[:, None]
+    res = np.abs(pab_c - pa_c[:, :, None] * pb_c[:, None, :])
+    return float(res.max())
+
+
+def _reference_grouped(joint: JointLaw, x_up_to: int, y_up_to: int) -> np.ndarray:
+    """Marginal P(x^{x_up_to}, y^{y_up_to}) as a 2-D (x-prefix, y-prefix) array.
+
+    ``x_up_to``/``y_up_to`` are stage indices; -1 drops the block entirely.
+    """
+    al = joint.alphabets
+    xh = al.x_hist_size(x_up_to)
+    yh = al.y_hist_size(y_up_to)
+    t = joint.table.reshape(xh, al.x_trajectories() // xh,
+                            yh, al.y_trajectories() // yh)
+    return t.sum(axis=(1, 3))
+
+
+def reference_markov_chain_check(joint: JointLaw, variant: int) -> float:
+    """``measures.markov_chain_check`` with variant 1 as a parent-index product
+    loop, variant 2 as an einsum and variants 3 and 4 as prefix reshapes."""
+    al = joint.alphabets
+    n = al.n_stages
+    if variant not in (1, 2, 3, 4):
+        raise InvalidArgumentError("variant must be 1, 2, 3 or 4")
+
+    if variant == 1:
+        return _reference_factorization_residual(joint)
+
+    worst = 0.0
+    tensor = joint.tensor()
+    for i in range(n - 1):
+        if variant == 2:
+            # tensor axes: x_0..x_{n-1} = 0..n-1, y_0..y_{n-1} = n..2n-1
+            t = tensor.sum(axis=tuple(range(n + i + 1, 2 * n)))
+            xh = al.x_hist_size(i)
+            yh = al.y_hist_size(i - 1)
+            sy = al.y_sizes[i]
+            xf = al.x_trajectories() // xh
+            flat = t.reshape(xh, xf, yh, sy)   # (x^i, x future, y^{i-1}, y_i)
+            cab = np.einsum('cbda->cdab', flat).reshape(xh * yh, sy, xf)
+            worst = max(worst, _reference_ci_residual(cab))
+        else:
+            if variant == 3:
+                m = _reference_grouped(joint, i + 1, i)      # (x^{i+1}, y^i)
+                xh = al.x_hist_size(i)
+                sx = al.x_sizes[i + 1]
+                t = m.reshape(xh, sx, al.y_hist_size(i))
+            else:
+                m = _reference_grouped(joint, n - 1, i)      # (x^{n-1}, y^i)
+                xh = al.x_hist_size(i)
+                sx = al.x_trajectories() // xh
+                t = m.reshape(xh, sx, al.y_hist_size(i))
+            cab = np.swapaxes(t, 1, 2)             # (c=x^i, a=y^i, b=x future)
+            worst = max(worst, _reference_ci_residual(cab))
+    return worst
+
+
+def _reference_factorization_residual(joint: JointLaw) -> float:
+    """Sup-norm gap between P(y^n | x^n) and the causal product of its own
+    stagewise conditionals, over x^n with mass > COND_EPS."""
+    al = joint.alphabets
+    n = al.n_stages
+    mu = joint.table.sum(axis=1)
+
+    # causal factors from prefix marginals, accumulated into a product table
+    qhat = np.ones((1, 1))
+    defined = np.ones((1, 1), dtype=bool)
+    for i in range(n):
+        num = _reference_grouped(joint, i, i)                # (x^i, y^i)
+        den = _reference_grouped(joint, i, i - 1)            # (x^i, y^{i-1})
+        sy = al.y_sizes[i]
+        blocks = num.reshape(num.shape[0], -1, sy)
+        ok = den > COND_EPS
+        factor = np.zeros_like(blocks)
+        factor[ok] = blocks[ok] / den[ok][:, None]
+        # expand running product to stage-i prefix shapes
+        parent_x = np.arange(al.x_hist_size(i)) // al.x_sizes[i] if i else np.zeros(al.x_hist_size(0), dtype=int)
+        qhat = (qhat[parent_x][:, :, None] * factor)
+        defined = np.broadcast_to(defined[parent_x][:, :, None] & ok[:, :, None],
+                                  qhat.shape)
+        qhat = qhat.reshape(al.x_hist_size(i), al.y_hist_size(i))
+        defined = defined.reshape(al.x_hist_size(i), al.y_hist_size(i))
+
+    cond = np.zeros_like(joint.table)
+    keep = mu > COND_EPS
+    cond[keep] = joint.table[keep] / mu[keep, None]
+    res = np.abs(cond - qhat)
+    res[~keep] = 0.0
+    res[~defined] = 0.0
+    return float(res.max())
 
 def reference_log_normalize(a: np.ndarray, axis: int):
     """Max-shift log-sum-exp of ``a`` along ``axis`` (kept) and the weights

@@ -5,6 +5,7 @@ import pytest
 
 from causalrd.errors import InvalidArgumentError
 from causalrd.measures import (
+    COND_EPS,
     JointLaw,
     causal_channel_table,
     directed_information,
@@ -45,6 +46,7 @@ from helpers import (
     reference_expected_distortion,
     reference_lagrangian_value,
     reference_lagrangian_values,
+    reference_markov_chain_check,
     reference_output_marginal,
     trajectories,
     uniform_policy,
@@ -335,5 +337,46 @@ def test_markov_chain_check_identity_joint():
 def test_markov_chain_check_bad_variant():
     src = iid_source([0.5, 0.5], 1)
     j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
-    with pytest.raises(InvalidArgumentError):
-        markov_chain_check(j, 5)
+    for variant in (5, 0, True, np.True_):         # True == 1, but a bool is no variant
+        with pytest.raises(InvalidArgumentError):
+            markov_chain_check(j, variant)
+
+
+def _residual_test_joint(rng, kind, n):
+    """A seeded joint of ``kind``: the law of a random source and policy, a
+    dense random table, or a sparse one whose first source symbol and first
+    output symbol each leave one value with zero mass ("zero") or with mass
+    below COND_EPS ("tiny"), so that conditioning events of every variant
+    fall under the threshold."""
+    al = random_alphabets(rng, n, max_size=4)
+    if kind == "causal":
+        return joint_law(full_joint_source(random_source(rng, al)), random_policy(rng, al))
+    while True:                    # until mass is left outside the scaled blocks
+        t = rng.random((al.x_trajectories(), al.y_trajectories()))
+        if kind != "dense":
+            t[rng.random(t.shape) < 0.4] = 0.0
+            scale = 0.0 if kind == "zero" else 1e-14
+            grid = t.reshape(*al.x_sizes, *al.y_sizes)
+            grid[int(rng.integers(al.x_sizes[0]))] *= scale
+            grid[(slice(None),) * n + (int(rng.integers(al.y_sizes[0])),)] *= scale
+        if t.sum() > 1e-6:
+            return JointLaw(al, t / t.sum())
+
+
+def test_markov_chain_check_equals_the_reference_on_seeded_joints():
+    # the grouped marginals sum the tensor over the axes the reference's prefix
+    # reshapes and einsum sum, and lay the (C, A, B) tables out in memory as
+    # they do, so every residual is the same float
+    rng = np.random.default_rng(2026)
+    kinds = ("causal", "dense", "zero", "tiny")
+    for k in range(320):
+        n, kind = 1 + k % 3, kinds[k // 3 % 4]
+        j = _residual_test_joint(rng, kind, n)
+        if kind in ("zero", "tiny"):
+            px0 = j.tensor().sum(axis=tuple(range(1, 2 * n)))
+            assert px0.min() < COND_EPS
+        for variant in (1, 2, 3, 4):
+            value = markov_chain_check(j, variant)
+            assert value == reference_markov_chain_check(j, variant), (k, kind, variant)
+            if n == 1 and variant > 1:
+                assert value == 0.0

@@ -126,20 +126,22 @@ def test_brute_force_deterministic():
 
 
 def test_brute_force_budget_guards(monkeypatch):
-    # each guard raises before any stage-0 candidate is enumerated
+    # each guard raises before any grid is built or stage-0 candidate enumerated
     def refuse(*args):
-        raise AssertionError("candidates enumerated before the budget check")
+        raise AssertionError("grid built or candidates enumerated before the budget check")
 
+    monkeypatch.setattr(oracle, "simplex_grid", refuse)
     monkeypatch.setattr(oracle, "_stage0_values", refuse)
-    for n_stages, x_size, match in [
-        (3, 2, "n_stages <= 2"),
-        (2, 5, "stage-0 enumeration"),      # 51**5 candidates of 5 rows of 2
-        (2, 3, "two-stage search"),         # 51**3 candidates * 2 * 9 rows * 50 steps
+    for n_stages, x_size, resolution, match in [
+        (3, 2, 0.02, "n_stages <= 2"),
+        (2, 5, 0.02, "stage-0 enumeration"),      # 51**5 candidates of 5 rows of 2
+        (2, 3, 0.02, "two-stage search"),         # 51**3 candidates * 2 * 9 rows * 50 steps
+        (1, 2, 5e-6, "stage-0 enumeration"),      # 200001**2 candidates of 2 rows of 2
     ]:
         src = iid_source(np.full(x_size, 1.0 / x_size), n_stages, y_size=2)
         spec = hamming_distortion(src.alphabets)
         with pytest.raises(ResourceBudgetError, match=match):
-            brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=0.02))
+            brute_force_lagrangian_min(src, spec, -1.0, GridSpec(resolution=resolution))
 
 
 def _grid_lagrangians(source, spec, s, grid):
