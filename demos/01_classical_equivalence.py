@@ -28,7 +28,7 @@ src = iid_source([0.5, 0.5], 1)
 spec = hamming_distortion(src.alphabets)
 for s in (-0.5, -1.0, -2.0, -4.0):
     r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12))
-    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), s, tol=1e-12)
+    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), s)
     print(f"  s={s:5.1f}:  solver (D,R)=({r.distortion_per_symbol:.10f}, "
           f"{r.rate_nats:.10f})   BA (D,R)=({ba.distortion:.10f}, {ba.rate_nats:.10f})")
 

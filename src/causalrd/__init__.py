@@ -27,7 +27,6 @@ from .model import (
     hamming_distortion,
     iid_source,
     markov_source,
-    validate_source,
 )
 from .measures import (
     JointLaw,

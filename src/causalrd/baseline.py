@@ -18,7 +18,7 @@ from .model import DistortionSpec, _check_multiplier
 
 S_MAGNITUDE_CAP = 1e6
 BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
-BLOCK_BA_TOL = 1e-12        # classical_block_rdf: Blahut-Arimoto tolerance
+BA_TOL = 1e-12              # blahut_arimoto: sup-norm change of the marginal at its stop
 BA_MAX_ITERS = 500_000      # blahut_arimoto: iterations before it reports no convergence
 AA_DEPTH = 5                # differences an Anderson step of a marginal combines
 _EPS = np.finfo(float).eps
@@ -157,12 +157,12 @@ def _ba_tilt(s_rho: np.ndarray, nu: np.ndarray):
     return np.log(z) + m, a
 
 
-def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
+def blahut_arimoto(px, rho, s: float) -> BaPoint:
     """Parametric Blahut-Arimoto point at multiplier ``s``.
 
     Alternates the tilted conditional q(y|x) ~ nu(y) exp(s rho(x,y)), one
     log-sum-exp per step, with the output marginal nu = px @ q, until nu is
-    stable in sup norm, by the Anderson steps of :func:`_accelerated_alternation`
+    stable to BA_TOL in sup norm, by the Anderson steps of :func:`_accelerated_alternation`
     (shrunk to stay above half of min(nu, nu'), kept only where J = -E[log Z]
     does not rise); the iteration count is that of forward steps.  At
     ``s = 0`` the zero-tilt family is degenerate and the distortion-minimizing
@@ -170,7 +170,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
     """
     px = np.asarray(px, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if px.ndim != 1 or rho.shape[0] != px.shape[0]:
+    if px.ndim != 1 or rho.ndim != 2 or rho.shape[0] != px.shape[0]:
         raise InvalidArgumentError("px and rho have inconsistent shapes")
     if (px < 0).any() or not abs(px.sum() - 1.0) <= 1e-10:     # a nan sum too
         raise InvalidArgumentError("px is not a probability vector")
@@ -190,7 +190,7 @@ def blahut_arimoto(px, rho, s: float, tol: float = 1e-11) -> BaPoint:
 
     nu, _, it, _, converged = _accelerated_alternation(
         backward, lambda q: (px @ q, None), np.full(ny, 1.0 / ny), np.array([ny]),
-        tol, BA_MAX_ITERS)
+        BA_TOL, BA_MAX_ITERS)
     ln_z, q = _ba_tilt(s_rho, nu)
     dist = float(np.sum(px[:, None] * q * rho))
     rate = s * dist - float(px @ ln_z[:, 0])
@@ -229,7 +229,7 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     if target_total < dmin_total - 1e-12:
         return math.inf
 
-    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s, tol=BLOCK_BA_TOL),
+    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s),
                              lambda p: p.distortion, target_total, BLOCK_DIST_TOL)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)

@@ -328,7 +328,7 @@ def _run_checks(names, solves, curve, seed: int):
             ok = value < tol
         elif name == "stationarity":
             tol = 1e-8
-            value = max((verify_stationarity(src, spec, r, n_perturbations=100, seed=seed)
+            value = max((verify_stationarity(src, spec, r, seed=seed)
                          for src, spec, r in solved if r.s), default=None)
             ok = value is None or value <= tol
         else:

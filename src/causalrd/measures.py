@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .model import (CausalPolicy, DistortionSpec, SourceModel, StageAlphabets,
-                    full_joint_source)
+                    _check_alphabets, full_joint_source)
 
 COND_EPS = 1e-12
 MASS_TOL = 1e-10
@@ -198,6 +198,7 @@ def expected_distortion(mu: np.ndarray, policy: CausalPolicy,
 def lagrangian_value(source: SourceModel, spec: DistortionSpec,
                      policy: CausalPolicy, s: float) -> float:
     """I(X -> Y) - s * total distortion, evaluated through the measures."""
+    _check_alphabets(source, policy=policy)
     return float(lagrangian_values(full_joint_source(source), spec.total_table(),
                                    [k[None] for k in policy.kernels], s)[0])
 

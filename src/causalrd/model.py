@@ -14,7 +14,6 @@ codes, so the encoding is bit-exact and frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -133,40 +132,42 @@ class StageAlphabets:
 
 
 # ---------------------------------------------------------------------------
-# Row validation shared by sources and policies
+# Checks shared by sources, policies and the functions that combine them
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RowViolation:
-    """One invalid probability row: where it is and by how much it fails."""
-    kind: str          # "source" or "policy"
-    stage: int
-    history: int       # history code indexing the row
-    row_sum: float
-    min_entry: float
+def _check_rows(kind: str, tables) -> list:
+    """The stage ``tables`` of a source or policy (``kind``), each row along
+    the last axis renormalized once all are found to be probability vectors:
+    a sum within ROW_SUM_TOL of 1 (not nan) and no negative entry.  Else
+    raises, naming the stage and history code of every bad row."""
+    report, out = [], []
+    for i, t in enumerate(tables):
+        rows = t.reshape(-1, t.shape[-1])
+        sums, mins = rows.sum(axis=1), rows.min(axis=1)
+        off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+        for h in np.nonzero(off | (mins < 0))[0]:
+            parts = [f"sums to {sums[h]:.12g} (deficit {1.0 - sums[h]:.12g})"] if off[h] else []
+            if mins[h] < 0:
+                parts.append(f"has negative entry {mins[h]:.12g}")
+            report.append(f"{kind} row at stage {i}, history code {h}: " + "; ".join(parts))
+        if not report:                                  # no 0 or inf sum to divide by
+            out.append((rows / sums[:, None]).reshape(t.shape))
+    if report:
+        raise InvalidArgumentError(f"invalid {kind} kernels: " + "; ".join(report))
+    return out
 
-    @property
-    def deficit(self) -> float:
-        return 1.0 - self.row_sum
 
-    def __str__(self):
-        parts = [f"{self.kind} row at stage {self.stage}, history code {self.history}"]
-        if not abs(self.deficit) <= ROW_SUM_TOL:         # a nan sum too
-            parts.append(f"sums to {self.row_sum:.12g} (deficit {self.deficit:.12g})")
-        if self.min_entry < 0:
-            parts.append(f"has negative entry {self.min_entry:.12g}")
-        return ": ".join([parts[0], "; ".join(parts[1:])])
-
-
-def _check_rows(kind: str, stage: int, rows: np.ndarray) -> list[RowViolation]:
-    """Collect violations for a 2-D array whose rows should be distributions."""
-    sums = rows.sum(axis=1)
-    mins = rows.min(axis=1) if rows.size else np.zeros(rows.shape[0])
-    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL) | (mins < 0)       # nan fails the first
-    return [
-        RowViolation(kind, stage, int(h), float(sums[h]), float(mins[h]))
-        for h in np.nonzero(bad)[0]
-    ]
+def _check_alphabets(source, g=None, **parts) -> None:
+    """Refuse each of ``parts`` (policies or marginal processes, by name) built
+    on other alphabets than ``source``, naming both sides, and a list ``g`` of
+    other than one table per stage."""
+    al = source.alphabets
+    for what, part in parts.items():
+        if part.alphabets != al:
+            on = [f"x sizes {a.x_sizes} and y sizes {a.y_sizes}" for a in (part.alphabets, al)]
+            raise InvalidArgumentError(f"{what} is built on {on[0]}, the source on {on[1]}")
+    if g is not None and len(g) != al.n_stages:
+        raise InvalidArgumentError(f"g has {len(g)} tables, the source {al.n_stages} stages")
 
 
 def _expand_window(t: np.ndarray, n_hist: int, axis: int = 0) -> np.ndarray:
@@ -177,12 +178,6 @@ def _expand_window(t: np.ndarray, n_hist: int, axis: int = 0) -> np.ndarray:
     sizes agree."""
     w = t.shape[axis]
     return t if w == n_hist else np.take(t, np.arange(n_hist) % w, axis=axis)
-
-
-def _renormalize(rows: np.ndarray) -> np.ndarray:
-    out = np.asarray(rows, dtype=float).copy()
-    out /= out.sum(axis=1, keepdims=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +200,10 @@ class SourceModel:
     symbols and rows are indexed by the code of that suffix (which equals
     ``full_code % window_hist_size`` under the shared mixed-radix contract).
     Any other ``memory`` (a float, a bool, a negative number) is rejected.
+    The rows are checked and stored renormalized by :func:`_check_rows`.
     """
 
-    def __init__(self, alphabets: StageAlphabets, kernels, memory="full", validate=True):
+    def __init__(self, alphabets: StageAlphabets, kernels, memory="full"):
         if not _valid_memory(memory):
             raise InvalidArgumentError(
                 f"memory must be 'full' or a nonnegative integer, got {memory!r}")
@@ -224,13 +220,7 @@ class SourceModel:
                 raise InvalidArgumentError(
                     f"kernel {i} has shape {k.shape}, expected {want}")
             ks.append(k)
-        self.kernels = ks
-        if validate:
-            report = validate_source(self)
-            if report:
-                raise InvalidArgumentError(
-                    "invalid source kernels: " + "; ".join(str(v) for v in report))
-            self.kernels = [_renormalize(k) for k in self.kernels]
+        self.kernels = _check_rows("source", ks)
 
     def window_len(self, stage: int) -> int:
         return stage if self.memory == "full" else min(self.memory, stage)
@@ -245,17 +235,6 @@ class SourceModel:
         if n_hist is None:
             n_hist = self.alphabets.x_hist_size(stage - 1)
         return _expand_window(self.kernels[stage], n_hist)
-
-
-def validate_source(source: SourceModel) -> list[RowViolation]:
-    """Report every kernel row that is not a probability vector.
-
-    Empty report iff the source is valid (sums within 1e-12, no negatives).
-    """
-    report = []
-    for i, k in enumerate(source.kernels):
-        report.extend(_check_rows("source", i, k))
-    return report
 
 
 def full_joint_source(source: SourceModel) -> np.ndarray:
@@ -384,7 +363,8 @@ class CausalPolicy:
     (w_i = 1 for a kernel that ignores x), and each row along the last axis
     is a probability vector.  ``kernels[i]``, of shape ``(y_hist_size(i-1),
     x_hist_size(i), y_sizes[i])``, is the same kernel over full x-histories,
-    expanded by :func:`_expand_window` when first read.
+    expanded by :func:`_expand_window` when first read.  With ``validate``
+    the rows are checked and stored renormalized by :func:`_check_rows`.
     """
 
     def __init__(self, alphabets: StageAlphabets, kernels, validate=True):
@@ -402,15 +382,8 @@ class CausalPolicy:
                     f"policy kernel {i} has shape {k.shape}, expected ({yh}, w, {sy}) "
                     f"with w among the suffix-window sizes {windows}")
             ts.append(k)
-        self.tables = ts
+        self.tables = _check_rows("policy", ts) if validate else ts
         self._kernels = None
-        if validate:
-            report = validate_policy(self)
-            if report:
-                raise InvalidArgumentError(
-                    "invalid policy kernels: " + "; ".join(str(v) for v in report))
-            self.tables = [_renormalize(k.reshape(-1, k.shape[-1])).reshape(k.shape)
-                           for k in self.tables]
 
     @property
     def kernels(self) -> list:
@@ -419,14 +392,6 @@ class CausalPolicy:
             self._kernels = [_expand_window(k, self.alphabets.x_hist_size(i), axis=1)
                              for i, k in enumerate(self.tables)]
         return self._kernels
-
-
-def validate_policy(policy: CausalPolicy) -> list[RowViolation]:
-    """Report every row of the policy's tables that is not a probability vector."""
-    report = []
-    for i, k in enumerate(policy.tables):
-        report.extend(_check_rows("policy", i, k.reshape(-1, k.shape[-1])))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,13 @@ from .baseline import _accelerated_alternation, search_multiplier
 from .errors import DegenerateMarginalError, InternalConsistencyError, InvalidArgumentError
 from .measures import (MarginalProcess, directed_information, expected_distortion,
                        lagrangian_values)
-from .model import (CausalPolicy, DistortionSpec, SourceModel, _check_multiplier, _count,
-                    _expand_window, full_joint_source)
+from .model import (CausalPolicy, DistortionSpec, SourceModel, _check_alphabets,
+                    _check_multiplier, _count, _expand_window, full_joint_source)
 
 RATE_CHECK_TOL = 1e-6        # closed-form rate against directed information
 CURVE_TOL = 1e-9             # rate rise and chord excess a curve's checks allow
+TARGET_DIST_TOL = 1e-6       # solve_for_target_distortion: per-symbol distortion tolerance
+STATIONARITY_PROBES = 100    # verify_stationarity: random kernels probed
 STATIONARITY_EPSILON = 1e-3  # verify_stationarity: step toward each random kernel
 STATIONARITY_BLOCK_ENTRIES = 2**18   # verify_stationarity: (probe, x^n, y^n) entries per block
 
@@ -333,6 +335,7 @@ def backward_g(source: SourceModel, spec: DistortionSpec,
     tilted mass the next stage can reach, averaged over the next source
     symbol; the terminal table is zero.
     """
+    _check_alphabets(source, nu=nu)
     return _Passes(source, spec, s).backward(nu.tables)[0]
 
 
@@ -345,6 +348,7 @@ def tilted_policy(source: SourceModel, spec: DistortionSpec,
     unchanged (the normalizer absorbs it); at the terminal stage g is zero and
     the kernel reduces to the pure single-stage tilt.
     """
+    _check_alphabets(source, g, nu=nu)
     passes = _Passes(source, spec, s).load(nu.tables)
     return passes.policy([passes.tilt(i, passes._y_major(t, i))[0] for i, t in enumerate(g)])
 
@@ -354,6 +358,7 @@ def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProces
     consistency map whose fixed point the solver seeks), from one forward pass
     on ``policy.tables``.  Stage i's x-window is the last k_i symbols, k_i the
     largest of the policy's window, the next source row's and k_{i+1} - 1."""
+    _check_alphabets(source, policy=policy)
     x, k = source.alphabets.x_sizes, [0] * (source.alphabets.n_stages + 1)
     for i in range(len(x) - 1, -1, -1):
         w = policy.tables[i].shape[1]                 # the policy reads w codes
@@ -459,6 +464,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     ``policy``.  Cross-checks the value against the directed information of
     the policy and raises :class:`InternalConsistencyError` beyond 1e-6.
     """
+    _check_alphabets(source, g, policy=policy, nu=nu)
     passes = _Passes(source, spec, s).load(nu.tables)
     logz0 = passes.tilt(0, passes._y_major(g[0], 0))[1]
     mu = full_joint_source(source)
@@ -473,23 +479,19 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
 # ---------------------------------------------------------------------------
 
 def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
-                                d_target: float, dist_tol: float = 1e-6,
-                                **settings) -> SolveResult:
+                                d_target: float, **settings) -> SolveResult:
     """Solve at a per-symbol distortion target by searching the multiplier;
     ``settings`` are the :class:`SolverConfig` fields other than ``s``.
 
     The multiplier is found by :func:`~causalrd.baseline.search_multiplier`
-    (doubling from -1, then safeguarded false position) to within ``dist_tol``
-    of the per-symbol target.  A returned solve that misses the target by more
-    than ``dist_tol`` has ``target_met`` False.  Targets at or above the
+    (doubling from -1, then safeguarded false position) to within
+    TARGET_DIST_TOL of the per-symbol target.  A returned solve that misses the
+    target by more than that has ``target_met`` False.  Targets at or above the
     zero-rate distortion return the s = 0 endpoint; targets below the
     achievable floor return an infeasible sentinel with rate +inf.
     """
     if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
-    if not 0 < dist_tol < math.inf:
-        raise InvalidArgumentError("dist_tol must be a finite number > 0")
-
     config = SolverConfig(s=0.0, **settings)         # a bad setting raises here
 
     def solve_at(s):
@@ -507,8 +509,8 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
                            residual=0.0, feasible=False, target_met=False)
 
     best = search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
-                             dist_tol, failed=lambda r: not r.converged)
-    best.target_met = abs(best.distortion_per_symbol - d_target) <= dist_tol
+                             TARGET_DIST_TOL, failed=lambda r: not r.converged)
+    best.target_met = abs(best.distortion_per_symbol - d_target) <= TARGET_DIST_TOL
     return best
 
 
@@ -563,7 +565,7 @@ def _check_curve(curve: RdCurve, n_stages: int):
 
 def rate_limit_estimate(source_family: Callable[[int], SourceModel],
                         rho, d_target: float,
-                        horizons: Sequence[int], **solver_kwargs) -> list:
+                        horizons: Sequence[int]) -> list:
     """Per-symbol rates of the target-distortion solve across horizons,
     under the single-letter distortion table ``rho`` at every horizon.  The
     trend is reported, not asserted; every horizon is counted before any solve.
@@ -575,7 +577,7 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
     for h in horizons:
         src = source_family(h)
         spec = DistortionSpec.single_letter(src.alphabets, rho)
-        res = solve_for_target_distortion(src, spec, d_target, **solver_kwargs)
+        res = solve_for_target_distortion(src, spec, d_target)
         rates.append(res.rate_nats / src.alphabets.n_stages)
     return rates
 
@@ -585,11 +587,11 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
 # ---------------------------------------------------------------------------
 
 def verify_stationarity(source: SourceModel, spec: DistortionSpec,
-                        result: SolveResult, n_perturbations: int = 100,
-                        seed: int = 0) -> float:
+                        result: SolveResult, seed: int = 0) -> float:
     """Largest Lagrangian decrease over random feasible kernel perturbations.
 
-    Directions are per-stage rows redrawn uniformly on the simplex; the probe
+    Directions are per-stage rows redrawn uniformly on the simplex, one for
+    each of STATIONARITY_PROBES probes, from ``seed``, an integer >= 0; the probe
     policy is q* + eps (q_random - q*) with eps = STATIONARITY_EPSILON.  At a
     first-order optimum the returned value is nonpositive up to o(eps).
 
@@ -602,20 +604,17 @@ def verify_stationarity(source: SourceModel, spec: DistortionSpec,
     """
     if result.policy is None:
         raise InvalidArgumentError("result carries no policy")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    if n_perturbations != 0 or isinstance(n_perturbations, bool):
-        n_perturbations = _count(n_perturbations, "n_perturbations")
-    if n_perturbations == 0:
-        return 0.0
+    _check_alphabets(source, result=result.policy)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     kernels = result.policy.kernels
     mu, d = full_joint_source(source), spec.total_table()
     base = lagrangian_values(mu, d, [k[None] for k in kernels], result.s)[0]
     per_block = max(1, STATIONARITY_BLOCK_ENTRIES // d.size)
     worst = -math.inf
-    for start in range(0, n_perturbations, per_block):
-        probes = _probe_kernels(rng, kernels, min(per_block, n_perturbations - start))
+    for start in range(0, STATIONARITY_PROBES, per_block):
+        probes = _probe_kernels(rng, kernels, min(per_block, STATIONARITY_PROBES - start))
         worst = max(worst, float(np.max(base - lagrangian_values(mu, d, probes, result.s))))
     return worst
 

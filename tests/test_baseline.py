@@ -44,25 +44,28 @@ def test_ba_zero_tilt():
     assert abs(p.distortion - 0.1) < 1e-15     # best source-blind symbol
 
 
-def test_ba_classical_binary_point():
+def test_ba_classical_binary_point(monkeypatch):
+    monkeypatch.setattr(baseline, "BA_TOL", 1e-13)
     d = 0.1
     s = math.log(d / (1 - d))
-    p = blahut_arimoto([0.5, 0.5], HAMMING2, s, tol=1e-13)
+    p = blahut_arimoto([0.5, 0.5], HAMMING2, s)
     assert p.converged
     assert abs(p.distortion - d) < 1e-12
     assert abs(p.rate_nats - (LN2 - binary_entropy(d))) < 1e-9
 
 
-def test_ba_lossless_limit_quaternary():
+def test_ba_lossless_limit_quaternary(monkeypatch):
+    monkeypatch.setattr(baseline, "BA_TOL", 1e-14)
     rho = 1.0 - np.eye(4)
-    p = blahut_arimoto(np.full(4, 0.25), rho, -30.0, tol=1e-14)
+    p = blahut_arimoto(np.full(4, 0.25), rho, -30.0)
     assert abs(p.rate_nats - math.log(4)) < 1e-9
     assert p.distortion < 1e-12
 
 
-def test_ba_sweep_monotone_convex():
+def test_ba_sweep_monotone_convex(monkeypatch):
+    monkeypatch.setattr(baseline, "BA_TOL", 1e-13)
     svals = -np.geomspace(0.3, 5.0, 14)
-    pts = [blahut_arimoto([0.3, 0.7], HAMMING2, float(s), tol=1e-13) for s in svals]
+    pts = [blahut_arimoto([0.3, 0.7], HAMMING2, float(s)) for s in svals]
     pts.sort(key=lambda p: p.distortion)
     for a, b in zip(pts, pts[1:]):
         assert b.rate_nats <= a.rate_nats + 1e-9
@@ -77,7 +80,7 @@ def test_ba_markov_block_takes_at_most_150_iterations():
     # over-relaxed one 1,150
     src = binary_symmetric_markov(0.3, 4)
     spec = hamming_distortion(src.alphabets)
-    p = blahut_arimoto(full_joint_source(src), spec.total_table(), -1.0, tol=1e-12)
+    p = blahut_arimoto(full_joint_source(src), spec.total_table(), -1.0)
     assert p.converged and p.iterations <= 150
 
 
@@ -185,6 +188,10 @@ def test_ba_input_validation():
         blahut_arimoto([0.5, 0.5], HAMMING2, 1.0)
     with pytest.raises(InvalidArgumentError):
         blahut_arimoto([0.5, 0.5], -HAMMING2, -1.0)
+    with pytest.raises(InvalidArgumentError, match="shapes"):
+        blahut_arimoto([0.5, 0.5], np.array([0.0, 1.0]), -1.0)     # 1-D rho
+    with pytest.raises(InvalidArgumentError, match="shapes"):
+        blahut_arimoto([0.5, 0.5], HAMMING2[:, :, None], -1.0)     # 3-D rho
 
 
 def test_single_stage_solver_agrees_with_ba():
@@ -197,7 +204,7 @@ def test_single_stage_solver_agrees_with_ba():
         spec = DistortionSpec.stage_tables(al, [rho])
         s = float(rng.uniform(-4.0, -0.2))
         r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12, max_sweeps=200000))
-        ba = blahut_arimoto(src.kernels[0][0], rho, s, tol=1e-12)
+        ba = blahut_arimoto(src.kernels[0][0], rho, s)
         assert abs(r.distortion_per_symbol - ba.distortion) < 1e-8
         assert abs(r.rate_nats - ba.rate_nats) < 1e-8
 
@@ -299,7 +306,7 @@ def test_target_search_stops_at_the_multiplier_cap(monkeypatch):
 def test_block_rdf_search_stops_at_the_multiplier_cap(monkeypatch):
     probes = []
 
-    def fake(px, rho, s, tol=1e-11):
+    def fake(px, rho, s):
         probes.append(s)
         return BaPoint(s, 1.0, 0.4, 1, True)       # total distortion, above 0.2
 
@@ -330,22 +337,24 @@ def test_target_search_at_the_floor_probes_at_most_21_times(monkeypatch):
     monkeypatch.setattr(solver, "fixed_point_solve", counted)
     src = iid_source(FLOOR_PX, 2)
     spec = DistortionSpec.single_letter(src.alphabets, FLOOR_RHO)
-    res = solve_for_target_distortion(src, spec, 0.24, dist_tol=1e-9)
+    monkeypatch.setattr(solver, "TARGET_DIST_TOL", 1e-9)
+    res = solve_for_target_distortion(src, spec, 0.24)
     assert res.converged and res.feasible
     assert len(probes) <= 21
     assert max(abs(s) for s in probes) <= S_MAGNITUDE_CAP
 
 
-def test_target_search_at_the_floor_reports_the_missed_target():
-    # with dist_tol 1e-9 the search stops at s = -524288, 4.3e-7 above the
-    # target; with the default 1e-6 that miss is within tolerance
+def test_target_search_at_the_floor_reports_the_missed_target(monkeypatch):
+    # with TARGET_DIST_TOL at 1e-9 the search stops at s = -524288, 4.3e-7
+    # above the target; at its value of 1e-6 that miss is within tolerance
     src = iid_source(FLOOR_PX, 2)
     spec = DistortionSpec.single_letter(src.alphabets, FLOOR_RHO)
-    res = solve_for_target_distortion(src, spec, 0.24, dist_tol=1e-9)
+    assert solve_for_target_distortion(src, spec, 0.24).target_met is True
+    monkeypatch.setattr(solver, "TARGET_DIST_TOL", 1e-9)
+    res = solve_for_target_distortion(src, spec, 0.24)
     assert res.s == -524288.0 and res.converged and res.feasible
     assert 1e-7 < res.distortion_per_symbol - 0.24 < 1e-6
     assert res.target_met is False
-    assert solve_for_target_distortion(src, spec, 0.24).target_met is True
 
 
 def test_ba_and_block_rdf_refuse_a_nan_source_law():

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -305,10 +304,9 @@ def test_verify_at_distortion_floor_passes_dominance(tmp_path):
 
 
 def test_missed_distortion_target_exits_numerical(tmp_path, monkeypatch):
-    # at dist_tol 1e-9 the search at the floor stops at the multiplier cap,
-    # 4.3e-7 above the target, so the solve has target_met False
-    monkeypatch.setattr(cli, "solve_for_target_distortion",
-                        functools.partial(solver.solve_for_target_distortion, dist_tol=1e-9))
+    # with TARGET_DIST_TOL at 1e-9 the search at the floor stops at the
+    # multiplier cap, 4.3e-7 above the target, so the solve has target_met False
+    monkeypatch.setattr(solver, "TARGET_DIST_TOL", 1e-9)
     path = write_config(tmp_path, mode="target_d", D_target=0.24,
                         source={"type": "iid", "px": [0.6, 0.4]},
                         distortion={"single_letter": [[0.2, 0.200002], [0.5, 0.3]]})

@@ -14,7 +14,6 @@ from causalrd.model import (
     hamming_distortion,
     iid_source,
     markov_source,
-    validate_source,
 )
 
 from helpers import (
@@ -111,26 +110,23 @@ def test_source_factories_count_stages_and_sizes(factory):
 
 
 def test_validate_source_clean():
-    src = iid_source([0.5, 0.5], 3)
-    assert validate_source(src) == []
+    # a row that sums to 1 exactly is stored as given
+    src = iid_source([0.25, 0.75], 3)
+    assert all(np.array_equal(k, [[0.25, 0.75]]) for k in src.kernels)
 
 
 def test_validate_source_reports_bad_row():
     al = StageAlphabets(1, [2], [2])
-    src = SourceModel(al, [np.array([[0.5, 0.4]])], validate=False)
-    report = validate_source(src)
-    assert len(report) == 1
-    v = report[0]
-    assert v.stage == 0 and v.history == 0
-    assert abs(v.deficit - 0.1) < 1e-12
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as err:
         SourceModel(al, [np.array([[0.5, 0.4]])])
+    assert str(err.value) == ("invalid source kernels: source row at stage 0, history code 0: "
+                              "sums to 0.9 (deficit 0.1)")
 
 
 def test_validate_source_tolerance_boundary():
     al = StageAlphabets(1, [2], [2])
-    src = SourceModel(al, [np.array([[1.0 + 1e-15, 0.0]])], validate=False)
-    assert validate_source(src) == []
+    src = SourceModel(al, [np.array([[1.0 + 1e-15, 0.0]])])
+    assert src.kernels[0][0, 0] == 1.0
 
 
 def test_a_nan_row_is_refused_and_reported():

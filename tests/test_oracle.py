@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from causalrd import oracle
+from causalrd import baseline, oracle
 from causalrd.baseline import blahut_arimoto
 from causalrd.errors import InternalConsistencyError, InvalidArgumentError, ResourceBudgetError
 from causalrd.measures import JointLaw, directed_information, joint_law, lagrangian_value
@@ -92,11 +92,12 @@ def test_brute_force_zero_multiplier():
     assert np.ptp(pol.kernels[0][0], axis=0).max() < 1e-12    # ignores x
 
 
-def test_brute_force_single_stage_near_ba():
+def test_brute_force_single_stage_near_ba(monkeypatch):
+    monkeypatch.setattr(baseline, "BA_TOL", 1e-13)
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
     val, _ = brute_force_lagrangian_min(src, spec, -2.0, GridSpec(resolution=0.01))
-    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), -2.0, tol=1e-13)
+    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), -2.0)
     ba_lagrangian = ba.rate_nats + 2.0 * ba.distortion
     assert val >= ba_lagrangian - 1e-9
     assert val <= ba_lagrangian + 1e-3

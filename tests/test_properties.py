@@ -2,9 +2,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from causalrd import solver
 from causalrd.baseline import (S_MAGNITUDE_CAP, blahut_arimoto, classical_block_rdf,
                                search_multiplier)
 from causalrd.measures import (MarginalProcess, directed_information, joint_law,
@@ -42,7 +44,7 @@ def single_stage_problems(draw):
 @given(single_stage_problems())
 def test_blahut_arimoto_matches_the_one_stage_causal_solve(problem):
     px, rho, s = problem
-    ba = blahut_arimoto(px, rho, s, tol=1e-12)
+    ba = blahut_arimoto(px, rho, s)
     src = iid_source(px, 1, y_size=rho.shape[1])
     spec = DistortionSpec.stage_tables(src.alphabets, [rho])
     r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12, max_sweeps=200_000))
@@ -156,7 +158,9 @@ def test_batched_stationarity_matches_the_per_probe_reference(problem, seed):
     src, spec, s = problem
     r = fixed_point_solve(src, spec, SolverConfig(s=s, fp_tol=1e-12))
     assume(r.converged)
-    dec = verify_stationarity(src, spec, r, n_perturbations=20, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "STATIONARITY_PROBES", 20)
+        dec = verify_stationarity(src, spec, r, seed=seed)
     assert dec == reference_stationarity(src, spec, r, 20, seed=seed)
 
 

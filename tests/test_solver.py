@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from causalrd.measures import (
     directed_information,
     expected_distortion,
     joint_law,
+    lagrangian_value,
     markov_chain_check,
     output_marginal,
 )
@@ -247,7 +249,7 @@ def test_fixed_point_single_stage_matches_ba():
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
-    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), -2.0, tol=1e-12)
+    ba = blahut_arimoto([0.5, 0.5], 1.0 - np.eye(2), -2.0)
     assert abs(r.distortion_per_symbol - ba.distortion) < 1e-8
     assert abs(r.rate_nats - ba.rate_nats) < 1e-8
 
@@ -819,6 +821,39 @@ def test_every_multiplier_entry_refuses_a_nonfinite_or_positive_s(entry, s):
         _multiplier_entries()[entry](s)
 
 
+def _mismatched_calls():
+    """Calls that take an input built for another horizon than their source,
+    each with the start of its refusal: binary symmetric Markov (flip 0.3)
+    under Hamming distortion at n = 2 and n = 3, each solved at s = -2."""
+    (src2, spec2, r2), (src3, spec3, r3) = (
+        (src, spec, fixed_point_solve(src, spec, SolverConfig(s=-2.0)))
+        for src in (binary_symmetric_markov(0.3, 2), binary_symmetric_markov(0.3, 3))
+        for spec in [hamming_distortion(src.alphabets)])
+    n2, n3 = "x sizes [2, 2] and y sizes [2, 2]", "x sizes [2, 2, 2] and y sizes [2, 2, 2]"
+    return {
+        "marginal_update": (lambda: marginal_update(src2, r3.policy),
+                            f"policy is built on {n3}, the source on {n2}"),
+        "rdf_value": (lambda: rdf_value(src3, spec3, r3.policy, r3.nu, r2.g, -2.0),
+                      "g has 2 tables, the source 3 stages"),
+        "backward_g": (lambda: backward_g(src3, spec3, r2.nu, -2.0),
+                       f"nu is built on {n2}, the source on {n3}"),
+        "tilted_policy": (lambda: tilted_policy(src3, spec3, r2.nu, r3.g, -2.0),
+                          f"nu is built on {n2}, the source on {n3}"),
+        "verify_stationarity": (lambda: verify_stationarity(src3, spec3, r2),
+                                f"result is built on {n2}, the source on {n3}"),
+        "lagrangian_value": (lambda: lagrangian_value(src2, spec2, r3.policy, -2.0),
+                             f"policy is built on {n3}, the source on {n2}"),
+    }
+
+
+@pytest.mark.parametrize("entry", ["marginal_update", "rdf_value", "backward_g", "tilted_policy",
+                                   "verify_stationarity", "lagrangian_value"])
+def test_inputs_built_on_other_alphabets_than_the_source_are_refused(entry):
+    call, message = _mismatched_calls()[entry]
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        call()
+
+
 def test_infeasible_target_still_checks_the_settings():
     src = iid_source([0.5, 0.5], 2)
     spec = DistortionSpec.single_letter(src.alphabets, [[1.0, 2.0], [3.0, 1.0]])
@@ -834,14 +869,10 @@ def test_solver_config_takes_an_integral_float_count_as_an_int():
     assert type(config.max_sweeps) is int and r.sweeps_used == 3 and not r.converged
 
 
-@pytest.mark.parametrize("target, dist_tol", [
-    (math.nan, 1e-6), (0.2, math.nan), (0.2, -1.0), (0.2, 0.0), (0.2, math.inf),
-], ids=["target-nan", "tol-nan", "tol-negative", "tol-0", "tol-inf"])
-def test_target_solve_refuses_a_nan_target_or_a_bad_tolerance(target, dist_tol):
+def test_target_solve_refuses_a_nan_target():
     src = binary_symmetric_markov(0.3, 3)
-    with pytest.raises(InvalidArgumentError):
-        solve_for_target_distortion(src, hamming_distortion(src.alphabets), target,
-                                    dist_tol=dist_tol)
+    with pytest.raises(InvalidArgumentError, match="d_target"):
+        solve_for_target_distortion(src, hamming_distortion(src.alphabets), math.nan)
 
 
 def _count_endpoint_work(monkeypatch):
@@ -939,22 +970,6 @@ def test_rate_limit_estimate_counts_horizons_before_any_solve():
 # stationarity
 # ---------------------------------------------------------------------------
 
-def test_verify_stationarity_zero_perturbations():
-    src = iid_source([0.5, 0.5], 1)
-    spec = hamming_distortion(src.alphabets)
-    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
-    assert verify_stationarity(src, spec, r, n_perturbations=0) == 0.0
-
-
-@pytest.mark.parametrize("count", [-1, 2.5, True, math.nan])
-def test_verify_stationarity_refuses_a_bad_perturbation_count(count):
-    src = iid_source([0.5, 0.5], 1)
-    spec = hamming_distortion(src.alphabets)
-    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0, fp_tol=1e-12))
-    with pytest.raises(InvalidArgumentError, match="n_perturbations"):
-        verify_stationarity(src, spec, r, n_perturbations=count)
-
-
 def test_verify_stationarity_refuses_a_negative_seed():
     src = iid_source([0.5, 0.5], 1)
     spec = hamming_distortion(src.alphabets)
@@ -963,11 +978,20 @@ def test_verify_stationarity_refuses_a_negative_seed():
         verify_stationarity(src, spec, r, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [-1.5, True], ids=["fraction", "bool"])
+def test_verify_stationarity_refuses_a_seed_that_is_not_an_integer(seed):
+    src = iid_source([0.5, 0.5], 1)
+    spec = hamming_distortion(src.alphabets)
+    r = fixed_point_solve(src, spec, SolverConfig(s=-2.0))
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        verify_stationarity(src, spec, r, seed=seed)
+
+
 def test_verify_stationarity_converged_optimum():
     src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)
     r = fixed_point_solve(src, spec, SolverConfig(s=-3.0, fp_tol=1e-12))
-    dec = verify_stationarity(src, spec, r, n_perturbations=100, seed=1)
+    dec = verify_stationarity(src, spec, r, seed=1)
     assert dec <= 1e-8
 
 
@@ -981,7 +1005,7 @@ def test_verify_stationarity_corrupted_negative_control():
                       nu=r.nu, g=r.g, rate_nats=0.0, distortion_total=0.0,
                       distortion_per_symbol=0.0, sweeps_used=0, converged=True,
                       residual=0.0)
-    dec = verify_stationarity(src, spec, bad, n_perturbations=100, seed=1)
+    dec = verify_stationarity(src, spec, bad, seed=1)
     assert dec > 1e-4
 
 
@@ -997,7 +1021,7 @@ def test_batched_stationarity_matches_the_per_probe_reference(monkeypatch, one_p
     if one_probe_per_block:
         monkeypatch.setattr(solver_module, "STATIONARITY_BLOCK_ENTRIES", 1)
     src, spec, r = _cli_verify_solve()
-    dec = verify_stationarity(src, spec, r, n_perturbations=100, seed=1)
+    dec = verify_stationarity(src, spec, r, seed=1)
     assert dec == reference_stationarity(src, spec, r, 100, seed=1)
     assert dec <= 1e-8
 
@@ -1014,5 +1038,6 @@ def test_batched_stationarity_draws_mixed_row_lengths_in_probe_order(monkeypatch
     r = fixed_point_solve(src, spec, SolverConfig(s=-1.5, fp_tol=1e-12))
     monkeypatch.setattr(solver_module, "STATIONARITY_BLOCK_ENTRIES",
                         3 * al.x_trajectories() * al.y_trajectories())
-    dec = verify_stationarity(src, spec, r, n_perturbations=7, seed=4)
+    monkeypatch.setattr(solver_module, "STATIONARITY_PROBES", 7)
+    dec = verify_stationarity(src, spec, r, seed=4)
     assert dec == reference_stationarity(src, spec, r, 7, seed=4)
