@@ -71,62 +71,73 @@ def _accelerated_alternation(backward, forward, x, widths, tol, max_sweeps):
     return y, aux, max_sweeps, residual, False
 
 
-def search_multiplier(probe, distortion, target, tol, failed=lambda point: False):
+def _rate_aware_step(near, far, target):
+    """The multiplier at ``target`` on the quadratic s(D) through probes
+    ``near`` and ``far``, (s, D, R) each, whose integral between their
+    distortions is the rate difference (dR/dD = s along the curve), and the
+    secant point of the two, which it equals when s(D) is linear:
+    s1 + B t + 3 (2A - B)(t - t^2), with t = (target - D1) / h, h = D2 - D1,
+    A = (R2 - R1) / h - s1 and B = s2 - s1."""
+    (s1, d1, r1), (s2, d2, r2) = near[:3], far[:3]
+    h = d2 - d1
+    t, b = (target - d1) / h, s2 - s1
+    return s1 + b * t + 3.0 * (2.0 * ((r2 - r1) / h - s1) - b) * (t - t * t), s1 + b * t
+
+
+def search_multiplier(probe, measure, target, tol, failed=lambda point: False):
     """Probe the multiplier for a distortion within ``tol`` of ``target``.
 
-    D(s) is nondecreasing in s.  Doubles s from -1 until a probe's distortion
-    is at most ``target``; the probe before it, or s = 0, closes the bracket.
-    The bracket is then narrowed by Illinois false position on
-    f(s) = D(s) - target (Dowell & Jarratt, BIT 11, 1971): each step probes
-    the secant point of the bracket's ends and halves the f of an end kept
-    for two steps in a row.  A step takes the midpoint instead while the
-    upper end is s = 0 (its f unknown), when the secant point is not strictly
-    inside the bracket, or when the bracket did not halve over the last two
-    steps.  Stops at the first probe within ``tol`` of the target and returns
-    the closest probe; no s is probed twice.  Returns the first probe
-    ``failed`` flags, and returns the last probe, unnarrowed, when the next
-    doubling would pass |s| = S_MAGNITUDE_CAP.
+    ``measure(point)`` returns a probe's (distortion, rate), in units where
+    dR/dD = s.  D(s) is nondecreasing in s.  Doubles s from -1 until a probe's
+    distortion is at most ``target``; the probe before it, or s = 0, closes
+    the bracket.  Each step then fits the quadratic s(D) to the probe closest
+    to the target and the closest one of another distortion, matching both
+    multipliers and the rate between them (:func:`_rate_aware_step`), and
+    probes it at the target; when that point is not strictly inside the
+    bracket it takes the two probes' secant point, and when neither is, the
+    midpoint.  A fitted step also gives way to the midpoint when the bracket
+    did not halve over the last two steps, unless it moves less than half as
+    far as the last step did (Brent's test, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  Stops at the first probe within
+    ``tol`` of the target and returns the closest probe; no s is probed
+    twice.  Returns the first probe ``failed`` flags, and returns the last
+    probe, unnarrowed, when the next doubling would pass |s| = S_MAGNITUDE_CAP.
     """
-    lo, hi, f_hi = -1.0, 0.0, None
-    point = probe(lo)
-    while distortion(point) > target and not failed(point):
+    lo, hi, seen = -1.0, 0.0, []            # seen: (s, D, R, point) in probe order
+
+    def look(s):
+        point = probe(s)
+        if not failed(point):
+            seen.append((s, *measure(point), point))
+        return point
+
+    point = look(lo)
+    while not failed(point) and seen[-1][1] > target:
         if -2.0 * lo > S_MAGNITUDE_CAP:
             return point
-        hi, f_hi, last = lo, distortion(point) - target, point
-        lo *= 2.0
-        point = probe(lo)
-    if failed(point):
-        return point
-    f_lo, side, widths = distortion(point) - target, 0, (math.inf, math.inf)
-    best = last if f_hi is not None and f_hi < -f_lo else point
+        hi, lo = lo, 2.0 * lo
+        point = look(lo)
+    widths = (math.inf, math.inf)
     for _ in range(200):
-        if abs(distortion(best) - target) <= tol:
+        if failed(point):
+            return point
+        near = sorted(seen, key=lambda p: abs(p[1] - target))       # a tie keeps the earlier
+        if abs(near[0][1] - target) <= tol:
             break
         s = 0.5 * (lo + hi)
-        if f_hi is not None and hi - lo <= 0.5 * widths[0]:
-            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                s = secant
+        far = next((p for p in near if p[1] != near[0][1]), None)
+        if far is not None:
+            fit = next((x for x in _rate_aware_step(near[0], far, target) if lo < x < hi), None)
+            if fit is not None and (hi - lo <= 0.5 * widths[0] or
+                                    abs(fit - seen[-1][0]) <= 0.5 * abs(seen[-1][0] - seen[-2][0])):
+                s = fit
         if not lo < s < hi:                 # the bracket is two adjacent floats
             break
         widths = (widths[1], hi - lo)
-        point = probe(s)
-        if failed(point):
-            return point
-        f = distortion(point) - target
-        if f >= 0:
-            hi, f_hi = s, f
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = s, f
-            if side < 0 and f_hi is not None:
-                f_hi *= 0.5
-            side = -1
-        if abs(f) < abs(distortion(best) - target):
-            best = point
-    return best
+        point = look(s)
+        if not failed(point):
+            lo, hi = (lo, s) if seen[-1][1] >= target else (s, hi)
+    return min(seen, key=lambda p: abs(p[1] - target))[3]
 
 
 @dataclass
@@ -201,7 +212,8 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     """Classical block rate (total nats) at per-symbol distortion ``d_target``.
 
     Runs Blahut-Arimoto on the trajectory super-alphabets with the
-    stage-summed distortion, searching the multiplier by false position until
+    stage-summed distortion, searching the multiplier by
+    :func:`search_multiplier` on each run's total distortion and rate until
     the achieved distortion is within 1e-9 of the target, then evaluates the
     supporting line at the exact target (second-order accurate on the convex
     curve).  When the search stops at the multiplier cap short of the target,
@@ -230,7 +242,7 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
         return math.inf
 
     best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s),
-                             lambda p: p.distortion, target_total, BLOCK_DIST_TOL)
+                             lambda p: (p.distortion, p.rate_nats), target_total, BLOCK_DIST_TOL)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)
     return max(rate, 0.0)

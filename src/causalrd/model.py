@@ -158,9 +158,9 @@ def _check_rows(kind: str, tables) -> list:
 
 
 def _check_alphabets(source, g=None, **parts) -> None:
-    """Refuse each of ``parts`` (policies or marginal processes, by name) built
-    on other alphabets than ``source``, naming both sides, and a list ``g`` of
-    other than one table per stage."""
+    """Refuse each of ``parts`` (policies, marginal processes or distortion
+    specs, by name) built on other alphabets than ``source``, naming both
+    sides, and a list ``g`` of other than one table per stage."""
     al = source.alphabets
     for what, part in parts.items():
         if part.alphabets != al:

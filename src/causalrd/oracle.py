@@ -18,7 +18,6 @@ builds a grid.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -184,7 +183,7 @@ def brute_force_lagrangian_min(source: SourceModel, spec: DistortionSpec,
     mu0 = source.kernels[0][0]
     rho0 = spec.stage_table(0)
     grid0 = simplex_grid(sy0, grid.resolution)
-    combo_idx = np.array(list(itertools.product(range(g0), repeat=n_rows0)))
+    combo_idx = np.indices((g0,) * n_rows0).reshape(n_rows0, -1).T   # the last index fastest
     rows0 = grid0[combo_idx]                       # (C0, |X_0|, |Y_0|)
     vals0, mass = _stage0_values(mu0, rows0, rho0, s)     # mass (C0, sy0) = P(y0)
 

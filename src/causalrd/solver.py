@@ -180,6 +180,8 @@ class _Passes:
     def __init__(self, source: SourceModel, spec: Optional[DistortionSpec] = None,
                  s: float = 0.0, k: Optional[list] = None):
         _check_multiplier(s)
+        if spec is not None:
+            _check_alphabets(source, spec=spec)
         al = source.alphabets
         n = al.n_stages
         m = source.memory
@@ -484,7 +486,8 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     ``settings`` are the :class:`SolverConfig` fields other than ``s``.
 
     The multiplier is found by :func:`~causalrd.baseline.search_multiplier`
-    (doubling from -1, then safeguarded false position) to within
+    (doubling from -1, then safeguarded rate-aware steps, each probe read as
+    its per-symbol distortion and rate R/n) to within
     TARGET_DIST_TOL of the per-symbol target.  A returned solve that misses the
     target by more than that has ``target_met`` False.  Targets at or above the
     zero-rate distortion return the s = 0 endpoint; targets below the
@@ -508,8 +511,9 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
                            distortion_per_symbol=floor, sweeps_used=0, converged=True,
                            residual=0.0, feasible=False, target_met=False)
 
-    best = search_multiplier(solve_at, lambda r: r.distortion_per_symbol, d_target,
-                             TARGET_DIST_TOL, failed=lambda r: not r.converged)
+    n = source.alphabets.n_stages
+    best = search_multiplier(solve_at, lambda r: (r.distortion_per_symbol, r.rate_nats / n),
+                             d_target, TARGET_DIST_TOL, failed=lambda r: not r.converged)
     best.target_met = abs(best.distortion_per_symbol - d_target) <= TARGET_DIST_TOL
     return best
 
@@ -521,11 +525,13 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
     convexity and slope diagnostics.
 
     Per-point failures are recorded on the point rather than raised; a bad
-    setting raises before any solve.
+    setting, or a spec on other alphabets than the source, raises before any
+    solve.
     """
     if len(s_values) == 0:
         raise InvalidArgumentError("s_values must be nonempty")
     config = SolverConfig(s=0.0, **settings)
+    _check_alphabets(source, spec=spec)
     n = source.alphabets.n_stages
     pts = []
     for s in s_values:

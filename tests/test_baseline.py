@@ -15,6 +15,7 @@ from causalrd.baseline import (
     _accelerated_alternation,
     blahut_arimoto,
     classical_block_rdf,
+    search_multiplier,
 )
 from causalrd.errors import InvalidArgumentError
 from causalrd.model import (
@@ -260,18 +261,37 @@ def test_target_search_probes_no_multiplier_twice(monkeypatch):
     assert len(set(s_values)) == len(s_values), s_values
 
 
-def test_cli_verify_searches_solve_at_most_8_and_10_times(monkeypatch):
+def test_cli_verify_searches_solve_at_most_5_and_7_times(monkeypatch):
     # the problem of the CLI's verify benchmark: Markov flip 0.3, n = 4, D = 0.2;
-    # bisection took 18 solves and 31 Blahut-Arimoto runs
+    # bisection took 18 solves and 31 Blahut-Arimoto runs, Illinois false
+    # position 7 and 9
     solves, runs = [], []
     monkeypatch.setattr(solver, "fixed_point_solve", _counted(solves, fixed_point_solve))
     monkeypatch.setattr(baseline, "blahut_arimoto", _counted(runs, blahut_arimoto))
     src = binary_symmetric_markov(0.3, 4)
     spec = hamming_distortion(src.alphabets)
     res = solve_for_target_distortion(src, spec, 0.2)
-    assert res.target_met and len(solves) <= 8
+    assert res.target_met and len(solves) <= 5
     block = classical_block_rdf(full_joint_source(src), spec, res.distortion_per_symbol)
-    assert 0.0 < block <= res.rate_nats and len(runs) <= 10
+    assert 0.0 < block <= res.rate_nats and len(runs) <= 7
+
+
+def test_one_rate_aware_step_lands_on_the_root_of_a_quadratic_curve():
+    # s(D) = D^2 + 3D - 4 on [0, 1], so D(s) = (sqrt(25 + 4s) - 3) / 2 and
+    # R(D) = int_D^1 -s(t) dt; the doubling probes s = -1, -2, -4 (D = 0), and
+    # the step from the two probes closest to the target solves s(D) exactly
+    def s_of(d):
+        return d * d + 3.0 * d - 4.0
+
+    def probe(s):
+        probes.append(s)
+        d = (math.sqrt(25.0 + 4.0 * s) - 3.0) / 2.0
+        return d, 4.0 * (1.0 - d) - 1.5 * (1.0 - d * d) - (1.0 - d ** 3) / 3.0
+
+    probes = []
+    d, _ = search_multiplier(probe, lambda p: p, 0.3, 1e-12)
+    assert probes[:3] == [-1.0, -2.0, -4.0] and len(probes) == 4
+    assert probes[3] == pytest.approx(s_of(0.3), abs=1e-14) and abs(d - 0.3) <= 1e-12
 
 
 # A target at the distortion floor that no multiplier below the cap reaches:

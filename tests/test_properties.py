@@ -221,35 +221,55 @@ def test_accelerated_sweeps_take_at_most_a_quarter_of_the_plain_count():
     assert abs(r.rate_nats - rate) <= 1e-6 and abs(r.distortion_total - dist) <= 1e-6
 
 
-def _bisection_search(probe, distortion, target, tol):
+def _bisection_search(probe, measure, target, tol):
     """The multiplier search that false position replaced, kept as the
     reference: double s from -1, then bisect [s, 0]."""
     lo, hi = -1.0, 0.0
     best = probe(lo)
-    while distortion(best) > target:
+    while measure(best)[0] > target:
         if -2.0 * lo > S_MAGNITUDE_CAP:
             return best
         lo *= 2.0
         best = probe(lo)
     for _ in range(200):
-        if abs(distortion(best) - target) <= tol:
+        if abs(measure(best)[0] - target) <= tol:
             break
         mid = 0.5 * (lo + hi)
         point = probe(mid)
-        if distortion(point) >= target:
+        if measure(point)[0] >= target:
             hi = mid
         else:
             lo = mid
-        if abs(distortion(point) - target) < abs(distortion(best) - target):
+        if abs(measure(point)[0] - target) < abs(measure(best)[0] - target):
             best = point
     return best
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _hill_integral(u, power):
+    """int_0^u dv / (1 + v^power) for u >= 0, by 20-point Gauss-Legendre on
+    unit panels of x = log v from min(log u, 0) - 40: the integrand
+    e^x / (1 + e^(power x)) is analytic within pi / power >= pi / 4 of the
+    real axis, so each panel is exact to rounding, and the cut tail is
+    below e^-40 of the integral."""
+    if u == 0.0:
+        return 0.0
+    top = math.log(u)
+    edges = np.append(np.arange(min(top, 0.0) - 40.0, top, 1.0), top)
+    a, b = edges[:-1, None], edges[1:, None]
+    x = 0.5 * (a + b) + 0.5 * (b - a) * GL_NODES
+    return float(np.sum(0.5 * (b - a) * GL_WEIGHTS * np.exp(x) / (1.0 + np.exp(power * x))))
+
+
 @st.composite
 def distortion_curves(draw):
-    """(kind, D, target, tol): D(s) nondecreasing on s < 0 and smooth, with
+    """(kind, D, R, target, tol): D(s) nondecreasing on s < 0 and smooth, with
     flat steps, with a jump across the target, or with a kink: a jump whose
-    lower or upper edge is the target."""
+    lower or upper edge is the target.  R(s) = s D(s) + int_s^0 D(t) dt is
+    the rate that makes dR/dD = s, in closed form but for the smooth part's
+    integral, a quadrature exact to rounding."""
     scale = 10.0 ** draw(st.floats(-2.0, 4.0))
     power = draw(st.floats(0.5, 4.0))
     top = draw(st.floats(0.1, 10.0))
@@ -257,15 +277,23 @@ def distortion_curves(draw):
     def smooth(s):
         return top / (1.0 + (-s / scale) ** power)
 
+    def smooth_integral(s):                     # int_s^0 smooth(t) dt
+        return top * scale * _hill_integral(-s / scale, power)
+
     kind = draw(st.sampled_from(["smooth", "steps", "jump", "kink"]))
     target = draw(st.floats(0.0, top))
     if kind == "smooth":
-        curve = smooth
+        curve, integral = smooth, smooth_integral
     elif kind == "steps":
         levels = draw(st.integers(2, 50))
+        # smooth(t) >= k top / levels from t_k on
+        rises = [-scale * (levels / k - 1.0) ** (1.0 / power) for k in range(1, levels)]
 
         def curve(s):
             return math.floor(smooth(s) / top * levels) * top / levels
+
+        def integral(s):
+            return -top / levels * sum(max(s, t) for t in rises)
     else:
         at = -(10.0 ** draw(st.floats(-3.0, 6.0)))
         gap = draw(st.floats(0.2, 10.0))
@@ -274,33 +302,46 @@ def distortion_curves(draw):
 
         def curve(s):
             return smooth(s) + (gap if s > at else 0.0)
-    return kind, curve, target, draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+
+        def integral(s):
+            return smooth_integral(s) - gap * max(s, at)
+    return (kind, curve, lambda s: s * curve(s) + integral(s), target,
+            draw(st.sampled_from([1e-9, 1e-6, 1e-3])))
+
+
+def test_hill_integral_matches_closed_forms():
+    # power 1: log(1 + u); power 2: atan(u); power 4 up to u = 1e8: the
+    # whole integral (pi / 4) / sin(pi / 4) less a tail of 3e-25
+    for u in [1e-13, 0.3, 1.0, 7.0, 1e8]:
+        assert _hill_integral(u, 1.0) == pytest.approx(math.log1p(u), rel=1e-13)
+        assert _hill_integral(u, 2.0) == pytest.approx(math.atan(u), rel=1e-13)
+    assert _hill_integral(1e8, 4.0) == pytest.approx(math.pi / 4 / math.sin(math.pi / 4),
+                                                     rel=1e-13)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(distortion_curves())
 def test_false_position_search_beats_bisection_on_synthetic_curves(problem):
-    kind, curve, target, tol = problem
+    kind, curve, rate, target, tol = problem
 
-    def run(search):
+    def run(search, rate):
         probes = []
 
         def probe(s):
             probes.append(s)
-            return s, curve(s)
-        return search(probe, lambda p: p[1], target, tol), probes
+            return s, curve(s), rate(s)
+        return search(probe, lambda p: p[1:], target, tol), probes
 
-    (_, d), probes = run(search_multiplier)
-    (_, d_ref), ref_probes = run(_bisection_search)
+    (_, d, _), probes = run(search_multiplier, rate)
+    (_, d_ref, _), ref_probes = run(_bisection_search, lambda s: math.nan)     # reads no rate
     assert all(-S_MAGNITUDE_CAP <= s < 0.0 for s in probes)
     assert len(set(probes)) == len(probes)
     if abs(d_ref - target) <= tol:
         assert abs(d - target) <= tol
-    # at a kink the within-tol set ends at the jump, where the far end's f
-    # stays large; the safeguard then halves the bracket every third probe,
-    # against bisection's every probe
-    if kind != "kink":
-        assert len(probes) <= 2 * len(ref_probes) + 1
+    # at a kink the within-tol set ends at the jump, where the far side's
+    # distortion stays a whole gap away; the safeguard then halves the
+    # bracket at least every third probe, against bisection's every probe
+    assert len(probes) <= (3 if kind == "kink" else 2) * len(ref_probes) + 1
 
 
 @st.composite

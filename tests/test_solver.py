@@ -854,6 +854,30 @@ def test_inputs_built_on_other_alphabets_than_the_source_are_refused(entry):
         call()
 
 
+SPEC_ENTRIES = {
+    "fixed_point_solve": lambda src, spec: fixed_point_solve(src, spec, SolverConfig(s=-2.0)),
+    "solve_for_target_distortion": lambda src, spec: solve_for_target_distortion(src, spec, 0.1),
+    "trace_curve": lambda src, spec: trace_curve(src, spec, [-1.0, -2.0]),
+    "d_max_policy": d_max_policy,
+    "min_achievable_distortion": min_achievable_distortion,
+}
+
+
+@pytest.mark.parametrize("entry", list(SPEC_ENTRIES))
+@pytest.mark.parametrize("y_size, n_stages", [(3, 3), (2, 2)], ids=["3-letter-Y", "2-stage"])
+def test_a_spec_built_on_other_alphabets_than_the_source_is_refused(entry, y_size, n_stages):
+    # a 3-letter Y used to raise numpy's ValueError, and a 2-stage Hamming
+    # spec on a 3-stage source used to be taken silently
+    src = binary_symmetric_markov(0.3, 3)
+    spec = DistortionSpec.single_letter(StageAlphabets(n_stages, [2] * n_stages, [y_size] * n_stages),
+                                        1.0 - np.eye(2, y_size))
+    on = (f"x sizes {[2] * n_stages} and y sizes {[y_size] * n_stages}",
+          "x sizes [2, 2, 2] and y sizes [2, 2, 2]")
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"spec is built on {on[0]}, "
+                                                             f"the source on {on[1]}")):
+        SPEC_ENTRIES[entry](src, spec)
+
+
 def test_infeasible_target_still_checks_the_settings():
     src = iid_source([0.5, 0.5], 2)
     spec = DistortionSpec.single_letter(src.alphabets, [[1.0, 2.0], [3.0, 1.0]])
