@@ -1,10 +1,12 @@
 """Classical (noncausal) rate-distortion references via Blahut-Arimoto.
 
-Used as the block-level dominance oracle and as the single-stage equivalence
-check for the causal solver, with which it shares the accelerated
-alternation loop and the multiplier search.  Everything is parametric in
-the multiplier ``s <= 0`` (slope of the rate-distortion curve, rates in
-nats).
+``blahut_arimoto`` at a causal solve's own multiplier is the block-level
+dominance check (the classical J = R - s D never exceeds the causal one) and
+the single-stage equivalence check for the causal solver, with which it shares
+the accelerated alternation loop and the multiplier search;
+``classical_block_rdf`` is the classical rate at a distortion target.
+Everything is parametric in the multiplier ``s <= 0`` (slope of the
+rate-distortion curve, rates in nats).
 """
 from __future__ import annotations
 

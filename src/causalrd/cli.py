@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .baseline import classical_block_rdf
+from .baseline import blahut_arimoto
 from .errors import CausalRdError, ConfigError, InvalidArgumentError, ResourceBudgetError
 from .measures import joint_law, markov_chain_check
 from .model import (
@@ -308,9 +308,12 @@ def _run_checks(names, solves, curve, seed: int):
         note = None
         if name == "dominance":
             tol = 1e-9
-            value = max((classical_block_rdf(full_joint_source(src), spec,
-                                             r.distortion_per_symbol) - r.rate_nats
-                         for src, spec, r in solved), default=None)
+            gaps = []           # J_cl(s) - J(s), J = R - s D in total nats, at the solve's s
+            for src, spec, r in solved:
+                ba = blahut_arimoto(full_joint_source(src), spec.total_table(), r.s)
+                gaps.append((ba.rate_nats - r.s * ba.distortion)
+                            - (r.rate_nats - r.s * r.distortion_total))
+            value = max(gaps, default=None)
             ok = value is None or value <= tol
         elif name == "convexity":
             tol = CURVE_TOL

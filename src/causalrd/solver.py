@@ -488,7 +488,10 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     The multiplier is found by :func:`~causalrd.baseline.search_multiplier`
     (doubling from -1, then safeguarded rate-aware steps, each probe read as
     its per-symbol distortion and rate R/n) to within
-    TARGET_DIST_TOL of the per-symbol target.  A returned solve that misses the
+    TARGET_DIST_TOL of the per-symbol target.  The result is the probe's own
+    point on the curve: its rate is its policy's rate at its own distortion D,
+    and R/n + s (d_target - D) is the rate per symbol at the exact target, which
+    R/n may miss by up to |s| TARGET_DIST_TOL.  A returned solve that misses the
     target by more than that has ``target_met`` False.  Targets at or above the
     zero-rate distortion return the s = 0 endpoint; targets below the
     achievable floor return an infeasible sentinel with rate +inf.

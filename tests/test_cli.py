@@ -290,8 +290,8 @@ def test_horizon_sweep_honours_y_sizes(tmp_path):
 
 
 def test_verify_at_distortion_floor_passes_dominance(tmp_path):
-    # the multiplier search stops at the cap here; the classical rate is
-    # then the supporting line at the last probe, a finite lower bound
+    # the target search stops at the multiplier cap here (s = -524288), and the
+    # dominance check runs Blahut-Arimoto once at that s
     path = write_config(tmp_path, mode="verify", D_target=0.24,
                         source={"type": "iid", "px": [0.6, 0.4]},
                         distortion={"single_letter": [[0.2, 0.200002], [0.5, 0.3]]})
@@ -363,3 +363,62 @@ def test_negative_seed_exits_config_before_any_solve(tmp_path, capsys, monkeypat
     assert main(["run", path, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "v.csv.json").exists()
+
+
+# perfbench's cli_verify config: Markov flip 0.3, n = 4, D = 0.2, verify mode
+CLI_VERIFY = dict(mode="verify", horizon=4, D_target=0.2, solver={},
+                  source={"type": "markov", "init": [0.5, 0.5],
+                          "transition": [[0.7, 0.3], [0.3, 0.7]]})
+
+
+def _dominance(tmp_path):
+    report = json.loads((tmp_path / "v.csv.json").read_text())
+    return next(c for c in report["checks"] if c["check"] == "dominance"), report
+
+
+def test_verify_runs_one_blahut_arimoto_at_the_solves_multiplier(tmp_path, monkeypatch):
+    calls, real = [], cli.blahut_arimoto
+
+    def counted(px, rho, s):
+        calls.append(s)
+        return real(px, rho, s)
+
+    monkeypatch.setattr(cli, "blahut_arimoto", counted)
+    assert run(write_config(tmp_path, **CLI_VERIFY), out=str(tmp_path / "v.csv")) == EXIT_OK
+    dominance, report = _dominance(tmp_path)
+    assert calls == [report["points"][0]["s"]]
+    # J_cl(s) - J(s) sits below the pointwise R_cl(D) - R(D) = -0.1144434
+    assert dominance["pass"] and dominance["value"] == pytest.approx(-0.1145793, abs=1e-7)
+
+
+def test_dominance_fails_on_a_rate_below_the_classical_lagrangian(tmp_path, monkeypatch):
+    real = cli._solve
+
+    def lowered(rc):
+        solves, curve = real(rc)
+        for _, _, r in solves:
+            r.rate_nats -= 1e-3
+        return solves, curve
+
+    monkeypatch.setattr(cli, "_solve", lowered)
+    path = write_config(tmp_path, mode="verify", horizon=3, s=-2.0,
+                        source={"type": "iid", "px": [0.6, 0.4]})
+    assert run(path, out=str(tmp_path / "v.csv"), checks=("dominance",)) == EXIT_NUMERICAL
+    dominance, _ = _dominance(tmp_path)
+    assert not dominance["pass"] and dominance["value"] == pytest.approx(1e-3, abs=1e-8)
+
+
+@pytest.mark.parametrize("px", [[0.6, 0.4], [0.3, 0.7]])
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("s", [-0.5, -2.0, -8.0])
+def test_dominance_is_sharp_on_iid_sources(tmp_path, px, horizon, s):
+    # the causal and classical curves coincide on an IID source, so do the
+    # Lagrangians, to the causal solve's fp_tol of 1e-10 (at the default 1e-9,
+    # [0.3, 0.7] at n = 3 and s = -0.5 reads -1.6e-9).  Blahut-Arimoto takes
+    # 294,404 iterations at [0.6, 0.4], n = 3, s = -0.5: its map's slowest
+    # mode there contracts by 1 - 9e-6 per step
+    path = write_config(tmp_path, mode="verify", horizon=horizon, s=s,
+                        source={"type": "iid", "px": px})
+    assert run(path, out=str(tmp_path / "v.csv"), checks=("dominance",)) == EXIT_OK
+    dominance, _ = _dominance(tmp_path)
+    assert abs(dominance["value"]) <= 1e-9

@@ -678,6 +678,18 @@ def test_target_distortion_matches_classical_binary():
     assert abs(r.rate_nats / 3 - (LN2 - binary_entropy(0.1))) < 1e-5
 
 
+def test_target_solve_is_its_own_point_and_its_supporting_line_meets_the_target():
+    # demo 01's fair IID source at n = 3: the returned rate is the policy's own,
+    # at a distortion within TARGET_DIST_TOL of the target; the line of slope s
+    # through that point gives the rate at the exact target
+    src = iid_source([0.5, 0.5], 3)
+    spec = hamming_distortion(src.alphabets)
+    r = solve_for_target_distortion(src, spec, 0.05)
+    exact = LN2 - binary_entropy(0.05)
+    assert abs(r.rate_nats / 3 + r.s * (0.05 - r.distortion_per_symbol) - exact) <= 1e-9
+    assert abs(r.rate_nats / 3 - exact) <= abs(r.s) * solver_module.TARGET_DIST_TOL
+
+
 def test_target_distortion_zero_approaches_entropy():
     src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)

@@ -10,13 +10,15 @@ untracked files that git does not ignore), so neither side sees the other's
 build products.  For each workload, pair k runs ``perfbench/run.py --trace 0``
 once on each side, the parent first in odd pairs and the change first in even
 ones, so slow drift of the host falls on both sides alike.  With
-``--trace-seconds`` each side also gets one ``--trace 1`` run per workload.
+``--trace-seconds`` each pair also runs ``perfbench/run.py --trace 1`` once
+on each side, in the same order, after its untraced runs.
 
 The output has the top-level keys ``what``, ``host``, ``workloads`` (every
 result line, by workload, pair and side), ``summary`` (per metric and side
 the median and quartile spread, the relative change of the medians, the
 median of the per-pair change/parent ratios and the pairs the change won) and,
-with traces, ``traces``.  The tool only runs ``perfbench/run.py``; it reads
+with traces, ``traces`` (per workload the traced runs and their summary, with
+every per-layer metric).  The tool only runs ``perfbench/run.py``; it reads
 nothing else under ``perfbench/``.
 """
 from __future__ import annotations
@@ -77,7 +79,8 @@ def quartiles(xs):
 
 def summarize(runs: list) -> dict:
     """Per-metric medians, quartile spreads and pair ratios of one workload's
-    ``runs`` ({"pair", "side", "result"} records); a metric is lower-better."""
+    ``runs`` ({"pair", "side", "result"} records); a metric is lower-better.
+    A ratio to a parent value of 0 is None."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
@@ -89,11 +92,13 @@ def summarize(runs: list) -> dict:
             q1, med, q3 = quartiles(values[side])
             out[f"{name}.{side}.median"] = med
             out[f"{name}.{side}.iqr"] = q3 - q1
-        base = out[f"{name}.parent.median"]
-        out[f"{name}.change_vs_parent"] = (out[f"{name}.change.median"] - base) / base
-        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        base = out[f"{name}.parent.median"]         # a count or a time may read 0
+        out[f"{name}.change_vs_parent"] = (
+            (out[f"{name}.change.median"] - base) / base if base else None)
+        ratios = [c / p if p else None for p, c in zip(values["parent"], values["change"])]
         out[f"{name}.pair_ratios"] = ratios
-        out[f"{name}.pair_ratio.median"] = statistics.median(ratios)
+        defined = [r for r in ratios if r is not None]
+        out[f"{name}.pair_ratio.median"] = statistics.median(defined) if defined else None
         out[f"{name}.pairs_change_lower"] = sum(c < p for p, c in
                                                 zip(values["parent"], values["change"]))
     out["pairs"] = len(pairs)
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
                  f"first in each pair (parent first in odd pairs), --seed {args.seed} "
                  f"--seconds {args.seconds} --trace 0"
                  + (f"; 'traces' holds one --seconds {args.trace_seconds} --trace 1 result "
-                    "line per side and workload" if args.trace_seconds else "")),
+                    "line per side and pair, run after the pair's untraced lines in the same "
+                    "order, and their summary" if args.trace_seconds else "")),
         "host": host(),
         "workloads": {},
         "summary": {},
@@ -137,20 +143,23 @@ def main(argv=None) -> int:
         export(root, parent, copies["parent"])
         export(root, working_tree(root, tmp), copies["change"])
         for w in args.workloads:
-            runs = []
+            runs, traced = [], []
             for pair in range(1, args.pairs + 1):
-                for side in (SIDES if pair % 2 else SIDES[::-1]):
+                order = SIDES if pair % 2 else SIDES[::-1]
+                for side in order:
                     result = run_once(copies[side], w, args.seed, args.seconds, 0)
                     runs.append({"pair": pair, "side": side, "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{w} pair {pair} {side}: wall_s {wall:.4g}", file=sys.stderr)
+                for side in order if args.trace_seconds else ():
+                    result = run_once(copies[side], w, args.seed, args.trace_seconds, 1)
+                    traced.append({"pair": pair, "side": side, "result": result})
             report["workloads"][w] = {"seed": args.seed, "seconds": args.seconds, "runs": runs}
             report["summary"][w] = summarize(runs)
-            if args.trace_seconds:
+            if traced:
                 report.setdefault("traces", {})[w] = {
-                    "seed": args.seed, "seconds": args.trace_seconds,
-                    **{side: run_once(copies[side], w, args.seed, args.trace_seconds, 1)
-                       for side in SIDES}}
+                    "seed": args.seed, "seconds": args.trace_seconds, "runs": traced,
+                    "summary": summarize(traced)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
