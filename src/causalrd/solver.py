@@ -90,7 +90,9 @@ class SolveResult:
     min(nu, nu'), and keeps it only if J = -E[log Z_0] does not rise, else pays
     one more backward pass for nu' (:func:`~causalrd.baseline._accelerated_alternation`):
     ``sweeps_used`` counts forward passes, ``nu`` is the last nu'.  A missed
-    distortion target, or an infeasible one, sets ``target_met`` False.
+    distortion target, or an infeasible one, sets ``target_met`` False; the
+    infeasible sentinel is the one result with ``s`` None, so ``feasible``
+    reads that.
     """
     s: Optional[float]
     policy: Optional[CausalPolicy]
@@ -102,8 +104,11 @@ class SolveResult:
     sweeps_used: int
     converged: bool
     residual: float
-    feasible: bool = True
     target_met: bool = True
+
+    @property
+    def feasible(self) -> bool:
+        return self.s is not None
 
 
 @dataclass
@@ -402,22 +407,35 @@ def min_achievable_distortion(source: SourceModel, spec: DistortionSpec) -> floa
 # Fixed point
 # ---------------------------------------------------------------------------
 
-def fixed_point_solve(source: SourceModel, spec: DistortionSpec,
-                      config: SolverConfig) -> SolveResult:
+def fixed_point_solve(source: SourceModel, spec: DistortionSpec, config: SolverConfig,
+                      start: Optional[SolveResult] = None) -> SolveResult:
     """Solve the stationary system (backward pass -> tilted kernels -> induced
     marginal) at fixed multiplier ``config.s``.
 
-    The sweeps start from the uniform marginal.  At ``s = 0`` every
-    source-blind policy is stationary; the solve starts instead from the
-    output law of the distortion-minimizing one (the s -> 0 limit of the
-    optimizers, by :meth:`_Passes.zero_rate`), and one sweep confirms the
-    endpoint (D_max, 0).  Non-convergence is reported, not raised.
+    The sweeps start from the uniform marginal u, or, given ``start``, a
+    converged solve of the same source at another multiplier, from
+    (1 - eps) nu_start + eps u with eps = min(1e-2, |s - start.s|): every
+    entry starts above 0, as the map never revives a zero.  A start on other
+    alphabets than the source, or one that did not converge, is refused.  At
+    ``s = 0`` every source-blind policy is stationary; the solve starts
+    instead, whatever ``start``, from the output law of the
+    distortion-minimizing one (the s -> 0 limit of the optimizers, by
+    :meth:`_Passes.zero_rate`), and one sweep confirms the endpoint (D_max, 0).
+    Non-convergence is reported, not raised.
     """
     al = source.alphabets
     s = float(config.s) + 0.0                          # -0.0 -> 0.0
     passes = _Passes(source, spec, s)
-    nu = (np.concatenate([k[:, 0].T for k in passes.zero_rate()[1]], axis=None) if s == 0.0
-          else 1.0 / passes.widths.repeat(passes.widths))
+    if start is not None:
+        if not (start.converged and start.feasible):
+            raise InvalidArgumentError("start must be a converged, feasible solve")
+        _check_alphabets(source, start=start.nu)
+    nu = 1.0 / passes.widths.repeat(passes.widths)
+    if s == 0.0:
+        nu = np.concatenate([k[:, 0].T for k in passes.zero_rate()[1]], axis=None)
+    elif start is not None:
+        eps = min(1e-2, abs(s - start.s))
+        nu = (1.0 - eps) * np.concatenate(start.nu.tables, axis=None) + eps * nu
 
     def backward(nu):                                 # J(nu) = -E[log Z_0(X_0)]
         _, logz, q = passes.backward(nu)
@@ -487,10 +505,12 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
 
     The multiplier is found by :func:`~causalrd.baseline.search_multiplier`
     (doubling from -1, then safeguarded rate-aware steps, each probe read as
-    its per-symbol distortion and rate R/n) to within
-    TARGET_DIST_TOL of the per-symbol target.  The result is the probe's own
-    point on the curve: its rate is its policy's rate at its own distortion D,
-    and R/n + s (d_target - D) is the rate per symbol at the exact target, which
+    its per-symbol distortion and rate R/n) to within TARGET_DIST_TOL of the
+    per-symbol target.  Each probe is a :func:`fixed_point_solve`, looked up on
+    this module at call time, warm-started from the converged probe nearest it
+    in s (the first starts cold).  The result is the probe's own point on the
+    curve: its rate is its policy's rate at its own distortion D, and
+    R/n + s (d_target - D) is the rate per symbol at the exact target, which
     R/n may miss by up to |s| TARGET_DIST_TOL.  A returned solve that misses the
     target by more than that has ``target_met`` False.  Targets at or above the
     zero-rate distortion return the s = 0 endpoint; targets below the
@@ -499,9 +519,14 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
     config = SolverConfig(s=0.0, **settings)         # a bad setting raises here
+    solved = []                                       # converged probes, the starts
 
     def solve_at(s):
-        return fixed_point_solve(source, spec, replace(config, s=s))
+        start = min(solved, key=lambda r: abs(r.s - s), default=None)
+        result = fixed_point_solve(source, spec, replace(config, s=s), start=start)
+        if result.converged:
+            solved.append(result)
+        return result
 
     d_max = _Passes(source, spec).zero_rate()[0] / source.alphabets.n_stages
     if d_target >= d_max - 1e-12:
@@ -512,7 +537,7 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
         return SolveResult(s=None, policy=None, nu=None, g=None, rate_nats=math.inf,
                            distortion_total=floor * source.alphabets.n_stages,
                            distortion_per_symbol=floor, sweeps_used=0, converged=True,
-                           residual=0.0, feasible=False, target_met=False)
+                           residual=0.0, target_met=False)
 
     n = source.alphabets.n_stages
     best = search_multiplier(solve_at, lambda r: (r.distortion_per_symbol, r.rate_nats / n),

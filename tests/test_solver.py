@@ -916,9 +916,9 @@ def _count_endpoint_work(monkeypatch):
     calls = {"s0": 0, "stage_table": 0}
     solve, stage_table = solver_module.fixed_point_solve, DistortionSpec.stage_table
 
-    def counted_solve(source, spec, config):
+    def counted_solve(source, spec, config, start=None):
         calls["s0"] += config.s == 0.0
-        return solve(source, spec, config)
+        return solve(source, spec, config, start=start)
 
     def counted_stage_table(self, stage):
         calls["stage_table"] += 1
@@ -947,6 +947,72 @@ def test_target_at_or_above_d_max_runs_one_zero_rate_solve(monkeypatch, above):
     assert r.s == 0.0 and r.rate_nats == 0.0 and r.target_met
     assert r.distortion_per_symbol == pytest.approx(d_max, abs=1e-12)
     assert calls == {"s0": 1, "stage_table": 0}
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+def _warm_start_problems():
+    """cli_verify's Markov n = 4 problem between its search's last probes, and
+    full-history source 106 (perfbench's generator) from s = -1 to s = -2."""
+    markov = binary_symmetric_markov(0.3, 4)
+    fullhist = random_source(np.random.default_rng(106), StageAlphabets(5, [2] * 5, [2] * 5))
+    return [(markov, -1.237486, -1.227773), (fullhist, -2.0, -1.0)]
+
+
+def _assert_same_point(warm, cold):
+    assert warm.converged and cold.converged
+    assert abs(warm.rate_nats - cold.rate_nats) <= 1e-8
+    assert abs(warm.distortion_total - cold.distortion_total) <= 1e-8
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_warm_solve_matches_the_cold_solve(case):
+    src, s, s_start = _warm_start_problems()[case]
+    spec = hamming_distortion(src.alphabets)
+    start = fixed_point_solve(src, spec, SolverConfig(s=s_start))
+    cold = fixed_point_solve(src, spec, SolverConfig(s=s))
+    warm = fixed_point_solve(src, spec, SolverConfig(s=s), start=start)
+    _assert_same_point(warm, cold)
+    assert warm.sweeps_used < cold.sweeps_used
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_warm_start_with_exact_zeros_reaches_the_cold_point(case):
+    # the s = 0 endpoint's rows are one-hot; the uniform share revives them
+    src, s, _ = _warm_start_problems()[case]
+    spec = hamming_distortion(src.alphabets)
+    start = fixed_point_solve(src, spec, SolverConfig(s=0.0))
+    assert (np.concatenate(start.nu.tables, axis=None) == 0.0).any()
+    warm = fixed_point_solve(src, spec, SolverConfig(s=s), start=start)
+    _assert_same_point(warm, fixed_point_solve(src, spec, SolverConfig(s=s)))
+
+
+def test_warm_start_on_other_alphabets_or_unconverged_is_refused():
+    src = iid_source([0.5, 0.5], 2)
+    spec = DistortionSpec.single_letter(src.alphabets, [[1.0, 2.0], [3.0, 1.0]])
+    other = binary_symmetric_markov(0.3, 3)
+    elsewhere = fixed_point_solve(other, hamming_distortion(other.alphabets),
+                                  SolverConfig(s=-1.0))
+    unconverged = fixed_point_solve(src, spec, SolverConfig(s=-1.0, max_sweeps=1))
+    infeasible = solve_for_target_distortion(src, spec, 0.5)    # floor is 1.0
+    assert elsewhere.converged and not unconverged.converged and not infeasible.feasible
+    for start in (elsewhere, unconverged, infeasible):
+        with pytest.raises(InvalidArgumentError, match="start"):
+            fixed_point_solve(src, spec, SolverConfig(s=-2.0), start=start)
+
+
+def test_a_start_changes_nothing_at_zero_multiplier():
+    src = binary_symmetric_markov(0.3, 4)
+    spec = hamming_distortion(src.alphabets)
+    start = fixed_point_solve(src, spec, SolverConfig(s=-1.0))
+    cold = fixed_point_solve(src, spec, SolverConfig(s=0.0))
+    warm = fixed_point_solve(src, spec, SolverConfig(s=0.0), start=start)
+    assert (warm.rate_nats, warm.distortion_total, warm.sweeps_used, warm.residual) == \
+        (cold.rate_nats, cold.distortion_total, cold.sweeps_used, cold.residual)
+    for a, b in zip(warm.nu.tables, cold.nu.tables):
+        assert np.array_equal(a, b)
 
 
 def test_trace_curve_empty_rejected():
