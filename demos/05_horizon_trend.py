@@ -4,7 +4,7 @@ For a stationary, consistent source the per-symbol block rate settles as the
 horizon grows; the solver exposes the trend without asserting the limit.
 Short horizons overpay because the reproduction has less past to lean on.
 The solver's passes run over the source's one-symbol memory window rather
-than the whole source history, which keeps horizon 10 within a few seconds.
+than the whole source history, which keeps horizon 10 to a few hundredths of a second.
 """
 import numpy as np
 

@@ -23,6 +23,7 @@ BLOCK_DIST_TOL = 1e-9       # classical_block_rdf: distortion search tolerance
 BA_TOL = 1e-12              # blahut_arimoto: sup-norm change of the marginal at its stop
 BA_MAX_ITERS = 500_000      # blahut_arimoto: iterations before it reports no convergence
 AA_DEPTH = 5                # differences an Anderson step of a marginal combines
+ENDPOINT_SLACK = 1e-12      # a distortion target this close to an endpoint is that endpoint
 _EPS = np.finfo(float).eps
 
 
@@ -86,42 +87,46 @@ def _rate_aware_step(near, far, target):
     return s1 + b * t + 3.0 * (2.0 * ((r2 - r1) / h - s1) - b) * (t - t * t), s1 + b * t
 
 
-def search_multiplier(probe, measure, target, tol, failed=lambda point: False):
+def search_multiplier(probe, measure, target, tol):
     """Probe the multiplier for a distortion within ``tol`` of ``target``.
 
-    ``measure(point)`` returns a probe's (distortion, rate), in units where
-    dR/dD = s.  D(s) is nondecreasing in s.  Doubles s from -1 until a probe's
-    distortion is at most ``target``; the probe before it, or s = 0, closes
-    the bracket.  Each step then fits the quadratic s(D) to the probe closest
-    to the target and the closest one of another distortion, matching both
-    multipliers and the rate between them (:func:`_rate_aware_step`), and
-    probes it at the target; when that point is not strictly inside the
-    bracket it takes the two probes' secant point, and when neither is, the
-    midpoint.  A fitted step also gives way to the midpoint when the bracket
-    did not halve over the last two steps, unless it moves less than half as
-    far as the last step did (Brent's test, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4).  Stops at the first probe within
-    ``tol`` of the target and returns the closest probe; no s is probed
-    twice.  Returns the first probe ``failed`` flags, and returns the last
-    probe, unnarrowed, when the next doubling would pass |s| = S_MAGNITUDE_CAP.
+    ``probe(s, start)`` returns a point with a ``converged`` flag, ``start``
+    the converged probe nearest s (the earlier one on a tie; None before the
+    first); ``measure(point)`` returns a converged probe's (distortion, rate),
+    in units where dR/dD = s.  D(s) is nondecreasing in s.  Doubles s from -1
+    until a probe's distortion is at most ``target``; the probe before it, or
+    s = 0, closes the bracket.  Each step then fits the quadratic s(D) to the
+    probe closest to the target and the closest one of another distortion,
+    matching both multipliers and the rate between them
+    (:func:`_rate_aware_step`), and probes it at the target; when that point
+    is not strictly inside the bracket it takes the two probes' secant point,
+    and when neither is, the midpoint.  A fitted step also gives way to the
+    midpoint when the bracket did not halve over the last two steps, unless it
+    moves less than half as far as the last step did (Brent's test, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4).  Stops at the first
+    probe within ``tol`` of the target and returns the closest probe; no s is
+    probed twice.  Returns the first probe that did not converge, and returns
+    the last probe, unnarrowed, when the next doubling would pass
+    |s| = S_MAGNITUDE_CAP.
     """
-    lo, hi, seen = -1.0, 0.0, []            # seen: (s, D, R, point) in probe order
+    lo, hi, seen = -1.0, 0.0, []            # seen: (s, D, R, point) of converged probes, in order
 
     def look(s):
-        point = probe(s)
-        if not failed(point):
+        start = min(seen, key=lambda p: abs(p[0] - s), default=None)
+        point = probe(s, start and start[3])
+        if point.converged:
             seen.append((s, *measure(point), point))
         return point
 
     point = look(lo)
-    while not failed(point) and seen[-1][1] > target:
+    while point.converged and seen[-1][1] > target:
         if -2.0 * lo > S_MAGNITUDE_CAP:
             return point
         hi, lo = lo, 2.0 * lo
         point = look(lo)
     widths = (math.inf, math.inf)
     for _ in range(200):
-        if failed(point):
+        if not point.converged:
             return point
         near = sorted(seen, key=lambda p: abs(p[1] - target))       # a tie keeps the earlier
         if abs(near[0][1] - target) <= tol:
@@ -137,7 +142,7 @@ def search_multiplier(probe, measure, target, tol, failed=lambda point: False):
             break
         widths = (widths[1], hi - lo)
         point = look(s)
-        if not failed(point):
+        if point.converged:
             lo, hi = (lo, s) if seen[-1][1] >= target else (s, hi)
     return min(seen, key=lambda p: abs(p[1] - target))[3]
 
@@ -219,7 +224,8 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     the achieved distortion is within 1e-9 of the target, then evaluates the
     supporting line at the exact target (second-order accurate on the convex
     curve).  When the search stops at the multiplier cap short of the target,
-    the line is a lower bound on the rate.
+    the line is a lower bound on the rate; when it stops at a run that did not
+    converge, the line is that run's.
 
     Returns 0 for targets at or above the zero-rate distortion and ``inf``
     for targets below the minimum achievable distortion.
@@ -237,13 +243,13 @@ def classical_block_rdf(mu, spec: DistortionSpec, d_target: float) -> float:
     target_total = d_target * n
 
     dmax_total = _zero_rate_distortion(mu, dmat)
-    if target_total >= dmax_total - 1e-12:
+    if target_total >= dmax_total - ENDPOINT_SLACK:
         return 0.0
     dmin_total = float(mu @ dmat.min(axis=1))
-    if target_total < dmin_total - 1e-12:
+    if target_total < dmin_total - ENDPOINT_SLACK:
         return math.inf
 
-    best = search_multiplier(lambda s: blahut_arimoto(mu, dmat, s),
+    best = search_multiplier(lambda s, _: blahut_arimoto(mu, dmat, s),
                              lambda p: (p.distortion, p.rate_nats), target_total, BLOCK_DIST_TOL)
     # supporting line through the solved point, evaluated at the target
     rate = best.rate_nats + best.s * (target_total - best.distortion)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -182,17 +181,10 @@ def directed_information(mu: np.ndarray, policy: CausalPolicy) -> float:
     return float(_evaluate(np.asarray(mu, dtype=float), [k[None] for k in policy.kernels])[1][0])
 
 
-class DistortionValue(NamedTuple):
-    total: float
-    per_symbol: float
-
-
-def expected_distortion(mu: np.ndarray, policy: CausalPolicy,
-                        spec: DistortionSpec) -> DistortionValue:
-    """Expected additive distortion under mu tensor Q: the stage-summed total
-    and the per-symbol value total / n_stages."""
-    total = float(np.sum(joint_law(mu, policy).table * spec.total_table()))
-    return DistortionValue(total, total / policy.alphabets.n_stages)
+def expected_distortion(mu: np.ndarray, policy: CausalPolicy, spec: DistortionSpec) -> float:
+    """Expected additive distortion under mu tensor Q, summed over the stages;
+    the per-symbol value is this total / n_stages."""
+    return float(np.sum(joint_law(mu, policy).table * spec.total_table()))
 
 
 def lagrangian_value(source: SourceModel, spec: DistortionSpec,

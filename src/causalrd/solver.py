@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baseline import _accelerated_alternation, search_multiplier
+from .baseline import ENDPOINT_SLACK, _accelerated_alternation, search_multiplier
 from .errors import DegenerateMarginalError, InternalConsistencyError, InvalidArgumentError
 from .measures import (MarginalProcess, directed_information, expected_distortion,
                        lagrangian_values)
@@ -139,14 +139,22 @@ class RdCurve:
     order as ``points``."""
     points: list
     results: list = None
-    monotone_ok: bool = True
     monotone_worst: float = 0.0
-    convex_ok: bool = True
     convex_worst: float = 0.0
     slope_worst_rel_err: Optional[float] = None
 
     def __iter__(self):
         return iter(self.points)
+
+    @property
+    def monotone_ok(self) -> bool:
+        """No rate rise between converged points beyond CURVE_TOL."""
+        return self.monotone_worst <= CURVE_TOL
+
+    @property
+    def convex_ok(self) -> bool:
+        """No chord excess beyond CURVE_TOL."""
+        return self.convex_worst <= CURVE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +497,7 @@ def rdf_value(source: SourceModel, spec: DistortionSpec, policy: CausalPolicy,
     logz0 = passes.tilt(0, passes._y_major(g[0], 0))[1]
     mu = full_joint_source(source)
     if distortion_total is None:
-        distortion_total = expected_distortion(mu, policy, spec).total
+        distortion_total = expected_distortion(mu, policy, spec)
     return _closed_form_rate(source, s, distortion_total, logz0,
                              directed_information(mu, policy), "so the fixed point looks broken")
 
@@ -507,41 +515,33 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     (doubling from -1, then safeguarded rate-aware steps, each probe read as
     its per-symbol distortion and rate R/n) to within TARGET_DIST_TOL of the
     per-symbol target.  Each probe is a :func:`fixed_point_solve`, looked up on
-    this module at call time, warm-started from the converged probe nearest it
-    in s (the first starts cold).  The result is the probe's own point on the
-    curve: its rate is its policy's rate at its own distortion D, and
-    R/n + s (d_target - D) is the rate per symbol at the exact target, which
-    R/n may miss by up to |s| TARGET_DIST_TOL.  A returned solve that misses the
-    target by more than that has ``target_met`` False.  Targets at or above the
-    zero-rate distortion return the s = 0 endpoint; targets below the
-    achievable floor return an infeasible sentinel with rate +inf.
+    this module at call time, warm-started from the start the search hands it:
+    the converged probe nearest it in s (the first starts cold).  The result is
+    the probe's own point on the curve: its rate is its policy's rate at its
+    own distortion D, and R/n + s (d_target - D) is the rate per symbol at the
+    exact target, which R/n may miss by up to |s| TARGET_DIST_TOL.  A returned
+    solve that misses the target by more than that has ``target_met`` False.
+    Targets within ENDPOINT_SLACK below the zero-rate distortion, or above it,
+    return the s = 0 endpoint; targets more than that below the achievable
+    floor return an infeasible sentinel with rate +inf.
     """
     if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
     config = SolverConfig(s=0.0, **settings)         # a bad setting raises here
-    solved = []                                       # converged probes, the starts
-
-    def solve_at(s):
-        start = min(solved, key=lambda r: abs(r.s - s), default=None)
-        result = fixed_point_solve(source, spec, replace(config, s=s), start=start)
-        if result.converged:
-            solved.append(result)
-        return result
-
-    d_max = _Passes(source, spec).zero_rate()[0] / source.alphabets.n_stages
-    if d_target >= d_max - 1e-12:
-        return solve_at(0.0)
+    if d_target >= d_max_policy(source, spec)[0] - ENDPOINT_SLACK:
+        return fixed_point_solve(source, spec, config)
 
     floor = min_achievable_distortion(source, spec)
-    if d_target < floor - 1e-12:
+    if d_target < floor - ENDPOINT_SLACK:
         return SolveResult(s=None, policy=None, nu=None, g=None, rate_nats=math.inf,
                            distortion_total=floor * source.alphabets.n_stages,
                            distortion_per_symbol=floor, sweeps_used=0, converged=True,
                            residual=0.0, target_met=False)
 
     n = source.alphabets.n_stages
-    best = search_multiplier(solve_at, lambda r: (r.distortion_per_symbol, r.rate_nats / n),
-                             d_target, TARGET_DIST_TOL, failed=lambda r: not r.converged)
+    best = search_multiplier(
+        lambda s, start: fixed_point_solve(source, spec, replace(config, s=s), start=start),
+        lambda r: (r.distortion_per_symbol, r.rate_nats / n), d_target, TARGET_DIST_TOL)
     best.target_met = abs(best.distortion_per_symbol - d_target) <= TARGET_DIST_TOL
     return best
 
@@ -581,7 +581,6 @@ def _check_curve(curve: RdCurve, n_stages: int):
     good = [p for p in curve.points if p.converged and math.isfinite(p.rate_total_nats)]
     for a, b in zip(good, good[1:]):
         curve.monotone_worst = max(curve.monotone_worst, b.rate_total_nats - a.rate_total_nats)
-    curve.monotone_ok = curve.monotone_worst <= CURVE_TOL
     rel = []
     for a, b, c in zip(good, good[1:], good[2:]):
         da, db, dc = (p.distortion_per_symbol for p in (a, b, c))
@@ -593,7 +592,6 @@ def _check_curve(curve: RdCurve, n_stages: int):
         if abs(dd) >= 1e-12 and b.s != 0.0:
             slope = (c.rate_total_nats - a.rate_total_nats) / dd
             rel.append(abs(slope - b.s) / abs(b.s))
-    curve.convex_ok = curve.convex_worst <= CURVE_TOL
     curve.slope_worst_rel_err = max(rel) if rel else None
 
 

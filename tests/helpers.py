@@ -8,11 +8,12 @@ package code, which the current forms must match bit for bit.
 """
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import (COND_EPS, DistortionValue, JointLaw, MarginalProcess,
+from causalrd.measures import (COND_EPS, JointLaw, MarginalProcess,
                                causal_channel_table, lagrangian_value)
 from causalrd.baseline import _EPS, AA_DEPTH
 from causalrd.errors import DegenerateMarginalError
@@ -76,6 +77,15 @@ def enum_expected_distortion(source, policy, per_letter) -> float:
             w = px * policy_prob(policy, list(xs), list(ys))
             total += w * sum(per_letter(x, y) for x, y in zip(xs, ys))
     return total
+
+
+class SyntheticProbe(NamedTuple):
+    """A multiplier-search probe of a closed-form curve: its multiplier,
+    distortion and rate, and whether it converged."""
+    s: float
+    distortion: float
+    rate: float
+    converged: bool = True
 
 
 def binary_entropy(p: float) -> float:
@@ -438,18 +448,17 @@ def reference_directed_information(mu: np.ndarray, policy: CausalPolicy) -> floa
     return max(val, 0.0)
 
 
-def reference_expected_distortion(mu: np.ndarray, policy: CausalPolicy, spec) -> DistortionValue:
-    """Expected total and per-symbol distortion under mu tensor Q."""
+def reference_expected_distortion(mu: np.ndarray, policy: CausalPolicy, spec) -> float:
+    """Expected total distortion under mu tensor Q."""
     joint = JointLaw(policy.alphabets, np.asarray(mu, dtype=float)[:, None]
                      * reference_causal_channel_table(policy))
-    total = float(np.sum(joint.table * spec.total_table()))
-    return DistortionValue(total, total / policy.alphabets.n_stages)
+    return float(np.sum(joint.table * spec.total_table()))
 
 
 def reference_lagrangian_value(source, spec, policy, s) -> float:
     mu = full_joint_source(source)
     return (reference_directed_information(mu, policy)
-            - s * reference_expected_distortion(mu, policy, spec).total)
+            - s * reference_expected_distortion(mu, policy, spec))
 
 
 def reference_lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float) -> np.ndarray:

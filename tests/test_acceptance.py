@@ -180,7 +180,7 @@ def measured_lagrangian(src, spec, s, policy):
     """I(X -> Y) - s * total distortion of ``policy``, through the measures."""
     mu = full_joint_source(src)
     return (directed_information(mu, policy)
-            - s * expected_distortion(mu, policy, spec).total)
+            - s * expected_distortion(mu, policy, spec))
 
 
 def grid_rounding_cost(c, resolution):

@@ -56,8 +56,9 @@ def test_surface_of_a_hand_made_module():
 
 def test_the_package_adds_no_public_callable_or_parameter():
     # ROADMAP aim 2 counts the public surface of the five library modules;
-    # 43 callables with 145 parameters is its count once the inputs that only
-    # tests set were removed, so a new setting must replace an old one
+    # 42 callables with 140 parameters is its count once the multiplier search
+    # owned its probes and the distortion record went, so a new setting must
+    # replace an old one
     counts = [count for m in api_surface.MODULES
               for _, count in api_surface.surface(importlib.import_module(f"causalrd.{m}"))]
-    assert len(counts) <= 43 and sum(counts) <= 145, (len(counts), sum(counts))
+    assert len(counts) <= 42 and sum(counts) <= 140, (len(counts), sum(counts))

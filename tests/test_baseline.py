@@ -33,7 +33,8 @@ from causalrd.solver import (
     solve_for_target_distortion,
 )
 
-from helpers import binary_entropy, random_alphabets, random_source, reference_ba_tilt
+from helpers import (SyntheticProbe, binary_entropy, random_alphabets, random_source,
+                     reference_ba_tilt)
 
 LN2 = math.log(2.0)
 HAMMING2 = 1.0 - np.eye(2)
@@ -290,15 +291,37 @@ def test_one_rate_aware_step_lands_on_the_root_of_a_quadratic_curve():
     def s_of(d):
         return d * d + 3.0 * d - 4.0
 
-    def probe(s):
+    def probe(s, start):
         probes.append(s)
+        starts.append(start and start.s)
         d = (math.sqrt(25.0 + 4.0 * s) - 3.0) / 2.0
-        return d, 4.0 * (1.0 - d) - 1.5 * (1.0 - d * d) - (1.0 - d ** 3) / 3.0
+        return SyntheticProbe(s, d, 4.0 * (1.0 - d) - 1.5 * (1.0 - d * d) - (1.0 - d ** 3) / 3.0)
 
-    probes = []
-    d, _ = search_multiplier(probe, lambda p: p, 0.3, 1e-12)
+    probes, starts = [], []
+    d = search_multiplier(probe, lambda p: (p.distortion, p.rate), 0.3, 1e-12).distortion
     assert probes[:3] == [-1.0, -2.0, -4.0] and len(probes) == 4
     assert probes[3] == pytest.approx(s_of(0.3), abs=1e-14) and abs(d - 0.3) <= 1e-12
+    assert starts == [None, -1.0, -2.0, -4.0]         # the converged probe nearest each s
+
+
+def test_the_search_starts_each_probe_from_its_nearest_converged_probe():
+    # s(D) = D - 3, R = (3 - D)^2 / 2: s = -1 and -2 give D = 2 and 1, and the
+    # step lands on s = -1.5 (D = 1.5), one apart from both; the tie goes to
+    # the earlier probe.  A probe that did not converge is no start and ends
+    # the search, which returns it.
+    def run(failing):
+        def probe(s, start):
+            calls.append((s, start and start.s))
+            return SyntheticProbe(s, s + 3.0, (s * s) / 2.0, s not in failing)
+        calls = []
+        return search_multiplier(probe, lambda p: (p.distortion, p.rate), 1.5, 1e-12), calls
+
+    best, calls = run(failing=())
+    assert calls == [(-1.0, None), (-2.0, -1.0), (-1.5, -1.0)] and best.s == -1.5
+    best, calls = run(failing=(-1.5,))
+    assert calls == [(-1.0, None), (-2.0, -1.0), (-1.5, -1.0)] and not best.converged
+    best, calls = run(failing=(-1.0,))
+    assert calls == [(-1.0, None)] and not best.converged
 
 
 # A target at the distortion floor that no multiplier below the cap reaches:
@@ -390,6 +413,8 @@ def test_ba_and_block_rdf_refuse_a_nan_source_law():
         blahut_arimoto([math.nan, 0.5], HAMMING2, -1.0)
     src = binary_symmetric_markov(0.3, 2)
     mu = full_joint_source(src)
+    with pytest.raises(InvalidArgumentError, match="mu does not match"):
+        classical_block_rdf(mu[:3], hamming_distortion(src.alphabets), 0.1)
     mu[1] = math.nan
     with pytest.raises(InvalidArgumentError, match="mu"):
         classical_block_rdf(mu, hamming_distortion(src.alphabets), 0.1)

@@ -20,7 +20,8 @@ from causalrd.solver import CurvePoint
 LN2 = math.log(2.0)
 
 
-def write_config(tmp_path, name="cfg.json", **overrides):
+def write_config(tmp_path, name="cfg.json", drop=(), **overrides):
+    """A valid solve_s config with ``overrides`` set and the keys ``drop`` removed."""
     cfg = {
         "schema_version": 1,
         "horizon": 2,
@@ -32,6 +33,8 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "output": {"format": "csv", "units": "nats"},
     }
     cfg.update(overrides)
+    for key in drop:
+        del cfg[key]
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -63,6 +66,14 @@ def test_curve_mode_rows_and_checks(tmp_path):
     # the reported tolerance is the one the curve's checks used
     convexity = next(c for c in report["checks"] if c["check"] == "convexity")
     assert convexity["tolerance"] == solver.CURVE_TOL
+
+
+def test_convexity_check_outside_curve_mode_notes_no_curve_and_passes(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(write_config(tmp_path), out=str(out), checks=("convexity",)) == EXIT_OK
+    check, = json.loads((tmp_path / "s.csv.json").read_text())["checks"]
+    assert check["check"] == "convexity" and check["pass"] is True
+    assert check["value"] is None and check["note"] == "no curve in this mode"
 
 
 def test_bad_kernel_row_exits_config(tmp_path):
@@ -113,13 +124,21 @@ def test_nan_kernel_entry_exits_config_naming_the_source(tmp_path, capsys):
     assert "$.source" in err and "sums to nan" in err
 
 
-def test_schema_violations(tmp_path):
+def test_schema_violations(tmp_path, capsys):
     assert run(write_config(tmp_path, schema_version=2)) == EXIT_CONFIG
     assert run(write_config(tmp_path, mode="nope")) == EXIT_CONFIG
     assert run(write_config(tmp_path, mode="curve")) == EXIT_CONFIG   # no s_values
     assert run(write_config(tmp_path, s=1.0)) == EXIT_CONFIG
     missing = tmp_path / "missing.json"
     assert run(str(missing)) == EXIT_CONFIG
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    for text, message in [('{"schema_version": 1,', "config is not valid JSON"),
+                          ("[1, 2]", "config root must be an object")]:
+        bad.write_text(text)
+        assert run(str(bad), out=str(tmp_path / "out.csv")) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_infeasible_target_exit(tmp_path):
@@ -259,14 +278,39 @@ STAGE_TABLES = {"stage_tables": [[[0, 1], [1, 0]],
                   "kernels": [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}), "$.source"),
     (dict(output={"path": ["out.csv"]}), "$.output.path"),
     (dict(horizon=10 ** 6), "$.source"),
+    (dict(drop=["source"]), "$.source"),
+    (dict(source="iid"), "$.source"),
+    (dict(source={"type": "poisson"}), "$.source.type"),
+    (dict(y_sizes=[2, 3]), "$.y_sizes"),
+    (dict(y_sizes=[2, 3], source={"type": "markov", "init": [0.5, 0.5],
+                                  "transition": [[0.9, 0.1], [0.1, 0.9]]}), "$.y_sizes"),
+    (dict(distortion={"rho": [[0, 1], [1, 0]]}), "$.distortion"),
+    (dict(solver=[1e-10]), "$.solver"),
+    (dict(output="csv"), "$.output"),
+    (dict(output={"units": "hartleys"}), "$.output.units"),
+    (dict(output={"format": "xml"}), "$.output.format"),
+    (dict(drop=["s"]), "$.s"),
+    (dict(mode="target_d"), "$.D_target"),
+    (dict(mode="horizon_sweep", D_target=0.1), "$.horizons"),
+    (dict(mode="horizon_sweep", D_target=0.1, horizons=[1, 2], source={"type": "general", "x_sizes": [2, 2],
+                  "kernels": [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}),
+     "$.source"),
+    (dict(mode="verify", drop=["s"]), "$.s or $.D_target"),
+    (dict(checks=["nope"]), "--check"),
 ], ids=["sweep-stage-tables", "negative-D", "fp_tol-0", "damping-2", "max_sweeps-0",
         "horizon-0", "fp_tol-string", "s-string", "s_values-string", "horizons-string",
         "rho-shape", "max_sweeps-huge", "horizons-over-budget", "damping-half",
         "memory-float", "horizon-bool", "schema_version-bool", "horizon-huge",
-        "x_sizes-fraction", "output-path-list", "horizon-over-budget"])
+        "x_sizes-fraction", "output-path-list", "horizon-over-budget",
+        "source-missing", "source-string", "source-type-unknown", "y_sizes-iid",
+        "y_sizes-markov", "distortion-no-key", "solver-list", "output-string",
+        "units-unknown", "format-unknown", "solve_s-no-s", "target_d-no-D",
+        "sweep-no-horizons", "sweep-general-source", "verify-no-s-or-D", "check-unknown"])
 def test_bad_config_exits_config_before_any_solve(tmp_path, capsys, overrides, field):
     out = tmp_path / "out.csv"
-    assert run(write_config(tmp_path, **overrides), out=str(out)) == EXIT_CONFIG
+    config = {k: v for k, v in overrides.items() if k != "checks"}     # checks: run's own
+    assert run(write_config(tmp_path, **config), out=str(out),
+               checks=overrides.get("checks", ())) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.csv.json").exists()
 

@@ -171,24 +171,24 @@ def test_expected_distortion_identity_zero():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
     d = expected_distortion(full_joint_source(src), identity_policy(src.alphabets), spec)
-    assert d.total == 0.0 and d.per_symbol == 0.0
+    assert d == 0.0
 
 
 def test_expected_distortion_constant_policy():
     src = iid_source([0.5, 0.5], 3)
     spec = hamming_distortion(src.alphabets)
     d = expected_distortion(full_joint_source(src), constant_policy(src.alphabets, [0, 0, 0]), spec)
-    assert abs(d.per_symbol - 0.5) < 1e-12
+    assert abs(d / 3 - 0.5) < 1e-12
 
 
 def test_expected_distortion_bsc():
     src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)
     d = expected_distortion(full_joint_source(src), bsc_policy(src.alphabets, 0.1), spec)
-    assert abs(d.per_symbol - 0.1) < 1e-12
+    assert abs(d / 2 - 0.1) < 1e-12
     ref = enum_expected_distortion(src, bsc_policy(src.alphabets, 0.1),
                                    lambda x, y: float(x != y))
-    assert abs(d.total - ref) < 1e-12
+    assert abs(d - ref) < 1e-12
 
 
 def test_expected_distortion_linear_in_mixture():
@@ -200,9 +200,9 @@ def test_expected_distortion_linear_in_mixture():
         a = random_policy(rng, src.alphabets)
         b = random_policy(rng, src.alphabets)
         mixed = mix_policies(a, b, lam)
-        da = expected_distortion(mu, a, spec).total
-        db = expected_distortion(mu, b, spec).total
-        dm = expected_distortion(mu, mixed, spec).total
+        da = expected_distortion(mu, a, spec)
+        db = expected_distortion(mu, b, spec)
+        dm = expected_distortion(mu, mixed, spec)
         assert abs(dm - (lam * da + (1 - lam) * db)) < 1e-12
 
 
@@ -332,6 +332,16 @@ def test_markov_chain_check_identity_joint():
     j = joint_law(full_joint_source(src), identity_policy(src.alphabets))
     for variant in (1, 2, 3, 4):
         assert markov_chain_check(j, variant) <= 1e-15
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.full((2, 3), 1.0 / 6.0), r"joint table shape \(2, 3\)"),
+    ([[0.5, -0.1], [0.3, 0.3]], "negative entries"),
+    (np.full((2, 2), 0.5), "mass 2 is not 1"),
+], ids=["shape", "negative", "mass"])
+def test_joint_law_refuses_a_wrong_shape_a_negative_entry_or_mass_off_one(table, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        JointLaw(StageAlphabets(1, [2], [2]), np.asarray(table))
 
 
 def test_markov_chain_check_bad_variant():

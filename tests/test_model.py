@@ -53,6 +53,8 @@ def test_encode_decode_roundtrip_exhaustive():
 def test_horizon_validation():
     with pytest.raises(InvalidArgumentError):
         StageAlphabets(0, [], [])
+    with pytest.raises(InvalidArgumentError, match="need 2 per-stage sizes"):
+        StageAlphabets(2, [2], [2, 2])
     with pytest.raises(ResourceBudgetError):       # 100 * 101 * 100 * 100 > 10**8
         StageAlphabets(2, [100, 101], [100, 100])
     with pytest.raises(ResourceBudgetError):       # 4**10_000 entries, never formed
@@ -121,6 +123,22 @@ def test_validate_source_reports_bad_row():
         SourceModel(al, [np.array([[0.5, 0.4]])])
     assert str(err.value) == ("invalid source kernels: source row at stage 0, history code 0: "
                               "sums to 0.9 (deficit 0.1)")
+    with pytest.raises(InvalidArgumentError, match="history code 0: has negative entry -0.25$"):
+        SourceModel(al, [np.array([[1.25, -0.25]])])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda al: SourceModel(al, [[[0.5, 0.5]]]), "need 2 kernels, got 1"),
+    (lambda al: SourceModel(al, [[[0.5, 0.5]]] * 2), r"kernel 1 has shape \(1, 2\)"),
+    (lambda al: CausalPolicy(al, [np.full((1, 1, 2), 0.5)]), "need 2 kernels, got 1"),
+    (lambda al: markov_source([0.5, 0.5], [[1.0, 0.0]], 2), "transition must be square"),
+    (lambda al: MarginalProcess(al, [np.full((1, 2), 0.5)]), "need 2 marginal tables"),
+    (lambda al: MarginalProcess(al, [np.full((1, 2), 0.5)] * 2), "marginal table 1 has shape"),
+], ids=["source-count", "source-shape", "policy-count", "markov-not-square",
+        "marginal-count", "marginal-shape"])
+def test_constructors_refuse_a_wrong_table_count_or_shape(build, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        build(StageAlphabets(2, [2, 2], [2, 2]))
 
 
 def test_validate_source_tolerance_boundary():
@@ -242,6 +260,18 @@ def test_distortion_rejects_negative_and_nonfinite():
         DistortionSpec.single_letter(al, [[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(InvalidArgumentError):
         DistortionSpec.single_letter(al, [[0.0, np.inf], [1.0, 0.0]])
+    hamming = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for build, message in [
+            (lambda: DistortionSpec(al, rho=hamming, tables=[hamming]), "exactly one"),
+            (lambda: DistortionSpec(al), "exactly one"),
+            (lambda: DistortionSpec.single_letter(al, [0.0, 1.0]), "must be 2-D"),
+            (lambda: DistortionSpec.single_letter(StageAlphabets(2, [2, 3], [2, 2]), hamming),
+             "equal per-stage alphabet sizes"),
+            (lambda: DistortionSpec.stage_tables(al, [hamming] * 2), "need 1 stage tables"),
+            (lambda: DistortionSpec.stage_tables(al, [np.zeros((2, 3))]),
+             r"stage table 0 has shape \(2, 3\)")]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            build()
 
 
 def test_total_table_budget_guard():

@@ -61,6 +61,12 @@ def test_simplex_grid_refuses_an_empty_simplex_and_a_step_off_its_range(k, resol
         simplex_grid(k, resolution)
 
 
+@pytest.mark.parametrize("resolution", [0.7, 0.0, math.nan])
+def test_grid_spec_refuses_a_resolution_off_its_range(resolution):
+    with pytest.raises(InvalidArgumentError, match="resolution"):
+        GridSpec(resolution=resolution)
+
+
 def test_exhaustive_directed_info_product_joint():
     al = StageAlphabets(1, [2], [2])
     j = JointLaw(al, np.outer([0.3, 0.7], [0.4, 0.6]))

@@ -17,8 +17,8 @@ from causalrd.solver import (SolverConfig, _Passes, backward_g, d_max_policy,
                              fixed_point_solve, min_achievable_distortion, tilted_policy,
                              trace_curve, verify_stationarity)
 
-from helpers import (code_of, enum_causal_floor, enum_trajectory_costs, exhaustive_directed_info,
-                     reference_stationarity)
+from helpers import (SyntheticProbe, code_of, enum_causal_floor, enum_trajectory_costs,
+                     exhaustive_directed_info, reference_stationarity)
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -225,17 +225,17 @@ def _bisection_search(probe, measure, target, tol):
     """The multiplier search that false position replaced, kept as the
     reference: double s from -1, then bisect [s, 0]."""
     lo, hi = -1.0, 0.0
-    best = probe(lo)
+    best = probe(lo, None)
     while measure(best)[0] > target:
         if -2.0 * lo > S_MAGNITUDE_CAP:
             return best
         lo *= 2.0
-        best = probe(lo)
+        best = probe(lo, None)
     for _ in range(200):
         if abs(measure(best)[0] - target) <= tol:
             break
         mid = 0.5 * (lo + hi)
-        point = probe(mid)
+        point = probe(mid, None)
         if measure(point)[0] >= target:
             hi = mid
         else:
@@ -327,13 +327,14 @@ def test_false_position_search_beats_bisection_on_synthetic_curves(problem):
     def run(search, rate):
         probes = []
 
-        def probe(s):
+        def probe(s, start):
             probes.append(s)
-            return s, curve(s), rate(s)
-        return search(probe, lambda p: p[1:], target, tol), probes
+            return SyntheticProbe(s, curve(s), rate(s))
+        return search(probe, lambda p: (p.distortion, p.rate), target, tol), probes
 
-    (_, d, _), probes = run(search_multiplier, rate)
-    (_, d_ref, _), ref_probes = run(_bisection_search, lambda s: math.nan)     # reads no rate
+    best, probes = run(search_multiplier, rate)
+    ref, ref_probes = run(_bisection_search, lambda s: math.nan)     # reads no rate
+    d, d_ref = best.distortion, ref.distortion
     assert all(-S_MAGNITUDE_CAP <= s < 0.0 for s in probes)
     assert len(set(probes)) == len(probes)
     if abs(d_ref - target) <= tol:

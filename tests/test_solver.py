@@ -461,7 +461,7 @@ def test_fused_passes_match_dense_measures(mode, memory):
             assert r.converged
             _assert_marginals_match(src, r.policy)
             assert abs(r.distortion_total
-                       - expected_distortion(mu, r.policy, spec).total) < 1e-12
+                       - expected_distortion(mu, r.policy, spec)) < 1e-12
             info = directed_information(mu, r.policy)
             assert abs(r.rate_nats - info) < 1e-12
             assert abs(_windowed_info(src, spec, s, r.nu.tables) - info) < 1e-12
@@ -707,6 +707,8 @@ def test_target_distortion_infeasible_sentinel():
     assert not r.feasible
     assert math.isinf(r.rate_nats)
     assert abs(min_achievable_distortion(src, spec) - 1.0) < 1e-12
+    with pytest.raises(InvalidArgumentError, match="result carries no policy"):
+        verify_stationarity(src, spec, r)
 
 
 def test_target_distortion_propagates_nonconvergence():

@@ -13,10 +13,12 @@ binary, n = 5, Hamming distortion):
 
 For each target it prints one line: its name, source, D, the probes
 (``fixed_point_solve`` calls) and their total sweeps, ``target_met`` and the
-returned rate R in total nats, to 17 digits; then the totals.  ``--first N``
-runs only the first N targets.  The package is imported from the ``src``
-directory next to this file, so a copy of the file run in a ``git archive``
-export of another commit measures that commit's search.
+returned rate R in total nats, to 17 digits; then an indented line of the
+probes' multipliers, each its ``repr``, in probe order, so the output of two
+commits can be diffed exactly; then the totals.  ``--first N`` runs only the
+first N targets.  Exits 1 when a target is missed.  The package is imported
+from the ``src`` directory next to this file, so a copy of the file run in a
+``git archive`` export of another commit measures that commit's search.
 """
 from __future__ import annotations
 
@@ -54,23 +56,25 @@ def main(argv=None) -> dict:
     from causalrd import hamming_distortion, solver
     from perfbench.workloads import fullhist_source
 
-    sweeps = []
+    probes = []                                       # (s, sweeps) of each probe
     real = solver.fixed_point_solve
 
     def counted(*args, **kwargs):
         result = real(*args, **kwargs)
-        sweeps.append(result.sweeps_used)
+        probes.append((result.s, result.sweeps_used))
         return result
 
     totals = {"targets": 0, "probes": 0, "sweeps": 0, "met": 0}
     solver.fixed_point_solve = counted
     try:
         for name, k, src, d in targets(fullhist_source, hamming_distortion, solver)[:args.first]:
-            sweeps.clear()
+            probes.clear()
             r = solver.solve_for_target_distortion(src, hamming_distortion(src.alphabets), d)
-            print(f"{name} source={k} D={d:.17g} probes={len(sweeps)} sweeps={sum(sweeps)} "
+            sweeps = sum(n for _, n in probes)
+            print(f"{name} source={k} D={d:.17g} probes={len(probes)} sweeps={sweeps} "
                   f"target_met={r.target_met} R={r.rate_nats:.17g}")
-            for key, v in (("targets", 1), ("probes", len(sweeps)), ("sweeps", sum(sweeps)),
+            print("    s=" + " ".join(repr(s) for s, _ in probes))
+            for key, v in (("targets", 1), ("probes", len(probes)), ("sweeps", sweeps),
                            ("met", r.target_met)):
                 totals[key] += v
     finally:
@@ -80,4 +84,5 @@ def main(argv=None) -> dict:
 
 
 if __name__ == "__main__":
-    main()
+    totals = main()
+    sys.exit(0 if totals["met"] == totals["targets"] else 1)
