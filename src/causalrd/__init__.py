@@ -36,7 +36,6 @@ from .measures import (
     joint_law,
     lagrangian_value,
     markov_chain_check,
-    output_marginal,
 )
 from .oracle import GridSpec, brute_force_lagrangian_min
 from .solver import (
@@ -45,10 +44,9 @@ from .solver import (
     SolveResult,
     SolverConfig,
     backward_g,
-    d_max_policy,
+    distortion_range,
     fixed_point_solve,
     marginal_update,
-    min_achievable_distortion,
     rate_limit_estimate,
     rdf_value,
     solve_for_target_distortion,

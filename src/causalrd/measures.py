@@ -49,8 +49,9 @@ class MarginalProcess:
 
     ``tables[i]`` has shape ``(y_hist_size(i-1), y_sizes[i])``; rows for
     unreachable histories are uniform by convention, where a solve's ``nu``
-    keeps its iterate's rows.  When built from a joint law, ``prefix_mass[i]``
-    holds P(y^{i-1}) so callers can tell reachable rows apart.
+    keeps its iterate's rows.  When built by a forward pass (a solve's ``nu``,
+    :func:`~causalrd.solver.marginal_update`), ``prefix_mass[i]`` holds
+    P(y^{i-1}) so callers can tell reachable rows apart.
     """
 
     def __init__(self, alphabets: StageAlphabets, tables, prefix_mass=None):
@@ -68,13 +69,6 @@ class MarginalProcess:
             ts.append(t)
         self.tables = ts
         self.prefix_mass = prefix_mass
-
-    @classmethod
-    def uniform(cls, alphabets: StageAlphabets):
-        ts = [np.full((alphabets.y_hist_size(i - 1), alphabets.y_sizes[i]),
-                      1.0 / alphabets.y_sizes[i])
-              for i in range(alphabets.n_stages)]
-        return cls(alphabets, ts)
 
 
 def _check_joints(tables: np.ndarray) -> None:
@@ -136,13 +130,9 @@ def _evaluate(mu: np.ndarray, kernels):
     return joint, np.array([max(float(vp[lp].sum()), 0.0) for vp, lp in zip(v, live)])
 
 
-def causal_channel_table(policy: CausalPolicy) -> np.ndarray:
-    """Dense Q(y^n | x^n) = prod_i q_i(y_i | y^{i-1}, x^i) over trajectory codes."""
-    return _channels([k[None] for k in policy.kernels])[0]
-
-
 def joint_law(mu: np.ndarray, policy: CausalPolicy) -> JointLaw:
-    """Joint law mu tensor Q over trajectory pairs.
+    """Joint law mu tensor Q over trajectory pairs, Q(y^n | x^n) =
+    prod_i q_i(y_i | y^{i-1}, x^i) the policy's dense channel.
 
     ``mu`` is the dense source trajectory law (see
     :func:`causalrd.model.full_joint_source`).
@@ -152,18 +142,7 @@ def joint_law(mu: np.ndarray, policy: CausalPolicy) -> JointLaw:
     if mu.shape != (al.x_trajectories(),):
         raise InvalidArgumentError(
             f"source law has shape {mu.shape}, expected ({al.x_trajectories()},)")
-    return JointLaw(al, mu[:, None] * causal_channel_table(policy))
-
-
-def output_marginal(joint: JointLaw) -> MarginalProcess:
-    """Conditional marginals nu_i(y_i | y^{i-1}) of the joint's y-trajectory law.
-
-    Rows are computed as within-block proportions so every reachable row sums
-    to 1 exactly; unreachable rows are uniform.
-    """
-    al = joint.alphabets
-    tables, masses = _marginals(joint.table.sum(axis=0)[None], al.y_sizes)
-    return MarginalProcess(al, [t[0] for t in tables], prefix_mass=[m[0] for m in masses])
+    return JointLaw(al, mu[:, None] * _channels([k[None] for k in policy.kernels])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -386,29 +386,23 @@ def marginal_update(source: SourceModel, policy: CausalPolicy) -> MarginalProces
 
 
 # ---------------------------------------------------------------------------
-# Distortion endpoints
+# Distortion range
 # ---------------------------------------------------------------------------
 
-def d_max_policy(source: SourceModel, spec: DistortionSpec):
-    """Best source-blind reproduction: the deterministic trajectory minimizing
-    expected distortion, its per-symbol value, and the policy emitting it.
+def distortion_range(source: SourceModel, spec: DistortionSpec) -> tuple:
+    """Per-symbol ends (floor, D_max) of the distortion range, both the
+    s -> -inf limit of the backward pass, run twice on one sweep plan.
 
-    This is the distortion at which the rate-distortion curve hits zero.  The
-    trajectory is built stage by stage from the backward pass's least rule,
-    so ties go to the lowest code only up to rounding.
+    The floor, over all causal policies, takes a min over y_i of rho_i + g_i at
+    each state; a floor of 0 is +0.0.  D_max, where the rate reaches 0, is the
+    least distortion of a policy that ignores x: a deterministic trajectory
+    built stage by stage, which the s = 0 solve's policy emits.  Ties, which
+    move neither end, go to the lowest code up to rounding.
     """
     passes = _Passes(source, spec)
-    d_max, q = passes.zero_rate()
-    return d_max / source.alphabets.n_stages, passes.policy(q)
-
-
-def min_achievable_distortion(source: SourceModel, spec: DistortionSpec) -> float:
-    """Per-symbol distortion floor over all causal policies: the s -> -inf
-    limit of the backward pass, a min over y_i of rho_i + g_i at each state
-    (ties, which do not move the floor, to the lowest code up to rounding)."""
-    passes = _Passes(source, spec)
-    logz0 = passes.backward()[1][0]
-    return -float(source.kernels[0][0] @ logz0[:, 0]) / source.alphabets.n_stages
+    n = source.alphabets.n_stages
+    floor = -float(source.kernels[0][0] @ passes.backward()[1][0][:, 0]) / n + 0.0
+    return floor, passes.zero_rate()[0] / n
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +522,9 @@ def solve_for_target_distortion(source: SourceModel, spec: DistortionSpec,
     if not d_target >= 0:                             # also refuses nan
         raise InvalidArgumentError("d_target must be >= 0")
     config = SolverConfig(s=0.0, **settings)         # a bad setting raises here
-    if d_target >= d_max_policy(source, spec)[0] - ENDPOINT_SLACK:
+    floor, d_max = distortion_range(source, spec)
+    if d_target >= d_max - ENDPOINT_SLACK:
         return fixed_point_solve(source, spec, config)
-
-    floor = min_achievable_distortion(source, spec)
     if d_target < floor - ENDPOINT_SLACK:
         return SolveResult(s=None, policy=None, nu=None, g=None, rate_nats=math.inf,
                            distortion_total=floor * source.alphabets.n_stages,
@@ -553,21 +546,28 @@ def trace_curve(source: SourceModel, spec: DistortionSpec,
     convexity and slope diagnostics.
 
     Per-point failures are recorded on the point rather than raised; a bad
-    setting, or a spec on other alphabets than the source, raises before any
-    solve.
+    setting or multiplier, or a spec on other alphabets than the source,
+    raises before any solve.
     """
     if len(s_values) == 0:
         raise InvalidArgumentError("s_values must be nonempty")
     config = SolverConfig(s=0.0, **settings)
     _check_alphabets(source, spec=spec)
-    n = source.alphabets.n_stages
-    pts = []
+    multipliers = []
     for s in s_values:
         try:
-            r = fixed_point_solve(source, spec, replace(config, s=float(s)))
+            multipliers.append(float(s))
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"multiplier s must be a number, got {s!r}") from None
+        _check_multiplier(multipliers[-1])
+    n = source.alphabets.n_stages
+    pts = []
+    for s in multipliers:
+        try:
+            r = fixed_point_solve(source, spec, replace(config, s=s))
             pts.append((CurvePoint.from_result(r, n), r))
         except Exception as exc:       # record, do not abort the sweep
-            pts.append((CurvePoint(float(s), math.nan, math.nan, math.nan,
+            pts.append((CurvePoint(s, math.nan, math.nan, math.nan,
                                    0, False, math.nan, error=str(exc)), None))
     # failed points (distortion nan) go last: nan compares false either way
     pts.sort(key=lambda pr: (math.isnan(pr[0].distortion_per_symbol),
@@ -600,17 +600,23 @@ def rate_limit_estimate(source_family: Callable[[int], SourceModel],
                         horizons: Sequence[int]) -> list:
     """Per-symbol rates of the target-distortion solve across horizons,
     under the single-letter distortion table ``rho`` at every horizon.  The
-    trend is reported, not asserted; every horizon is counted before any solve.
+    trend is reported, not asserted; every horizon is counted before any solve,
+    and a source of another horizon than asked is refused before its solve.
     """
     horizons = [_count(h, "horizons entry") for h in horizons]
+    if not horizons:
+        raise InvalidArgumentError("horizons must be nonempty")
     if horizons != sorted(horizons):
         raise InvalidArgumentError("horizons must be ascending")
     rates = []
     for h in horizons:
         src = source_family(h)
+        if src.alphabets.n_stages != h:
+            raise InvalidArgumentError(
+                f"source_family({h}) has {src.alphabets.n_stages} stages, not {h}")
         spec = DistortionSpec.single_letter(src.alphabets, rho)
         res = solve_for_target_distortion(src, spec, d_target)
-        rates.append(res.rate_nats / src.alphabets.n_stages)
+        rates.append(res.rate_nats / h)
     return rates
 
 

@@ -13,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from causalrd.errors import InvalidArgumentError
-from causalrd.measures import (COND_EPS, JointLaw, MarginalProcess,
-                               causal_channel_table, lagrangian_value)
+from causalrd.measures import COND_EPS, JointLaw, MarginalProcess, lagrangian_value
 from causalrd.baseline import _EPS, AA_DEPTH
 from causalrd.errors import DegenerateMarginalError
 from causalrd.model import CausalPolicy, SourceModel, StageAlphabets, full_joint_source
@@ -227,6 +226,13 @@ def uniform_policy(alphabets: StageAlphabets) -> CausalPolicy:
                                     for i in range(alphabets.n_stages)], validate=False)
 
 
+def uniform_marginal(alphabets: StageAlphabets) -> MarginalProcess:
+    """The marginal process with every row uniform."""
+    return MarginalProcess(alphabets, [np.full((alphabets.y_hist_size(i - 1), alphabets.y_sizes[i]),
+                                               1.0 / alphabets.y_sizes[i])
+                                       for i in range(alphabets.n_stages)])
+
+
 def policy_from_marginals(nu: MarginalProcess) -> CausalPolicy:
     """Source-independent policy q_i(y_i | y^{i-1}, x^i) := nu_i(y_i | y^{i-1})."""
     return CausalPolicy(nu.alphabets, [t[:, None, :].copy() for t in nu.tables],
@@ -239,7 +245,8 @@ def _prefix_channels(policy: CausalPolicy):
     al = policy.alphabets
     for i in range(al.n_stages):
         head = StageAlphabets(i + 1, al.x_sizes[: i + 1], al.y_sizes[: i + 1])
-        yield causal_channel_table(CausalPolicy(head, policy.tables[: i + 1], validate=False))
+        yield reference_causal_channel_table(CausalPolicy(head, policy.tables[: i + 1],
+                                                          validate=False))
 
 
 def mix_policies(a: CausalPolicy, b: CausalPolicy, lam: float) -> CausalPolicy:
@@ -388,7 +395,8 @@ def reference_branch_minima(w, cost, grid):
 
 # ---------------------------------------------------------------------------
 # the dense measures and the Blahut-Arimoto step before they shared one
-# stacked evaluator: the references the one-policy values must match bit for bit
+# stacked evaluator: the references the one-policy values must match bit for
+# bit, and the tests' dense channel table and output marginal
 # ---------------------------------------------------------------------------
 
 def reference_causal_channel_table(policy: CausalPolicy) -> np.ndarray:
@@ -465,14 +473,14 @@ def reference_lagrangian_values(mu: np.ndarray, d: np.ndarray, kernels, s: float
     """The Lagrangian of P stacked policies by its own batched sums, which
     summed in another order than one policy evaluated alone."""
     q = kernels[0][:, 0].copy()                    # (P, x_hist(0), sy0), overwritten below
-    for k in kernels[1:]:                          # as causal_channel_table
+    for k in kernels[1:]:                          # as measures._channels
         p, yh, xh, sy = k.shape
         q = np.einsum('pab,pbacd->pacbd', q, k.reshape(p, yh, q.shape[1], -1, sy))
         q = q.reshape(p, xh, yh * sy)
     joint = mu[:, None] * q
     dist = np.einsum('pxy,xy->p', joint, d)
     # output marginals from the last stage down, then their chain product, as
-    # output_marginal and MarginalProcess.chain_vector
+    # reference_output_marginal and reference_chain_vector
     tables, mass = [], joint.sum(axis=1)
     for k in kernels[::-1]:
         sy = k.shape[-1]
@@ -789,7 +797,7 @@ def reference_solve(source, spec, s, fp_tol=1e-9, max_sweeps=10_000) -> SolveRes
     s = float(s) + 0.0                                 # -0.0 -> 0.0
     passes = ReferencePasses(source, spec, s)
     tables = ([k[:, 0].T for k in passes.zero_rate()[1]] if s == 0.0
-              else MarginalProcess.uniform(al).tables)
+              else uniform_marginal(al).tables)
 
     def backward(nu_tables):                          # J(nu) = -E[log Z_0(X_0)]
         _, logz, q = passes.backward(nu_tables)

@@ -13,12 +13,12 @@ from causalrd.measures import (MarginalProcess, directed_information, joint_law,
                                markov_chain_check)
 from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, full_joint_source,
                             hamming_distortion, iid_source)
-from causalrd.solver import (SolverConfig, _Passes, backward_g, d_max_policy,
-                             fixed_point_solve, min_achievable_distortion, tilted_policy,
-                             trace_curve, verify_stationarity)
+from causalrd.solver import (SolverConfig, _Passes, backward_g, distortion_range,
+                             fixed_point_solve, tilted_policy, trace_curve,
+                             verify_stationarity)
 
 from helpers import (SyntheticProbe, code_of, enum_causal_floor, enum_trajectory_costs,
-                     exhaustive_directed_info, reference_stationarity)
+                     exhaustive_directed_info, reference_stationarity, uniform_marginal)
 
 # rho entries: a few repeated values (ties) mixed with arbitrary ones
 RHO_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -169,7 +169,7 @@ def _plain_sweeps(src, spec, s, fp_tol):
     replaced, kept as the reference: (block rate, total distortion, sweeps,
     converged), the rate read off stage 0 as the solver reads it."""
     passes = _Passes(src, spec, s)
-    tables = MarginalProcess.uniform(src.alphabets).tables
+    tables = uniform_marginal(src.alphabets).tables
     converged = False
     for sweeps in range(1, 10_001):
         nxt, masses = passes.forward(passes.backward(tables)[2])[:2]
@@ -384,8 +384,9 @@ def test_both_distortion_endpoints_match_plain_loops(problem):
     n = al.n_stages
     costs = enum_trajectory_costs(src, spec)
     d_max = min(costs.values())
-    assert abs(min_achievable_distortion(src, spec) * n - enum_causal_floor(src, spec)) <= 1e-12
-    assert abs(d_max_policy(src, spec)[0] * n - d_max) <= 1e-12
+    floor, d_max_per_symbol = distortion_range(src, spec)
+    assert abs(floor * n - enum_causal_floor(src, spec)) <= 1e-12
+    assert abs(d_max_per_symbol * n - d_max) <= 1e-12
     r = fixed_point_solve(src, spec, SolverConfig(s=0.0))
     assert r.converged and abs(r.rate_nats) <= 1e-12
     assert abs(r.distortion_total - d_max) <= 1e-12

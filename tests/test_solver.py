@@ -17,7 +17,6 @@ from causalrd.measures import (
     joint_law,
     lagrangian_value,
     markov_chain_check,
-    output_marginal,
 )
 from causalrd.model import (
     CausalPolicy,
@@ -36,10 +35,9 @@ from causalrd.solver import (
     SolveResult,
     SolverConfig,
     backward_g,
-    d_max_policy,
+    distortion_range,
     fixed_point_solve,
     marginal_update,
-    min_achievable_distortion,
     rate_limit_estimate,
     rdf_value,
     solve_for_target_distortion,
@@ -56,14 +54,12 @@ from helpers import (
     random_alphabets,
     random_policy,
     random_source,
+    reference_output_marginal,
     reference_stationarity,
+    uniform_marginal,
 )
 
 LN2 = math.log(2.0)
-
-
-def uniform_nu(alphabets):
-    return MarginalProcess.uniform(alphabets)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +69,14 @@ def uniform_nu(alphabets):
 def test_backward_g_terminal_zero():
     src = binary_symmetric_markov(0.3, 3)
     spec = hamming_distortion(src.alphabets)
-    g = backward_g(src, spec, uniform_nu(src.alphabets), -1.5)
+    g = backward_g(src, spec, uniform_marginal(src.alphabets), -1.5)
     assert np.array_equal(g[2], np.zeros_like(g[2]))
 
 
 def test_backward_g_zero_multiplier():
     src = binary_symmetric_markov(0.2, 3)
     spec = hamming_distortion(src.alphabets)
-    g = backward_g(src, spec, uniform_nu(src.alphabets), 0.0)
+    g = backward_g(src, spec, uniform_marginal(src.alphabets), 0.0)
     for t in g:
         assert np.max(np.abs(t)) < 1e-14
 
@@ -92,7 +88,7 @@ def test_backward_g_hand_value_per_remaining_stage():
     for n_stages in (2, 3):
         src = iid_source([0.5, 0.5], n_stages)
         spec = hamming_distortion(src.alphabets)
-        g = backward_g(src, spec, uniform_nu(src.alphabets), -1.0)
+        g = backward_g(src, spec, uniform_marginal(src.alphabets), -1.0)
         for i, t in enumerate(g):
             remaining = n_stages - 1 - i
             assert np.max(np.abs(t - remaining * unit)) < 1e-12
@@ -137,7 +133,7 @@ def test_tilted_policy_single_stage_is_ba_update():
 def test_tilted_policy_shift_invariance():
     src = binary_symmetric_markov(0.3, 2)
     spec = hamming_distortion(src.alphabets)
-    nu = uniform_nu(src.alphabets)
+    nu = uniform_marginal(src.alphabets)
     g = backward_g(src, spec, nu, -1.5)
     pol = tilted_policy(src, spec, nu, g, -1.5)
     rng = np.random.default_rng(5)
@@ -377,7 +373,7 @@ def test_fixed_point_zero_mass_nu_init_names_stage_and_row():
     # a marginal with an all-zero row leaves the tilt of that row no mass
     src = binary_symmetric_markov(0.3, 3)
     spec = hamming_distortion(src.alphabets)
-    tables = [t.copy() for t in uniform_nu(src.alphabets).tables]
+    tables = [t.copy() for t in uniform_marginal(src.alphabets).tables]
     tables[2][3] = 0.0                              # y-history code 3 at stage 2
     with pytest.raises(DegenerateMarginalError, match="stage 2, y-history code 3") as err:
         backward_g(src, spec, MarginalProcess(src.alphabets, tables), -2.0)
@@ -432,7 +428,7 @@ def _assert_marginals_match(src, policy, tol=1e-12):
     convention): a mass near the underflow threshold can be 1e-300 in the
     forward recursion and 0 in the dense sum over whole trajectories."""
     fused = marginal_update(src, policy)
-    dense = output_marginal(joint_law(full_joint_source(src), policy))
+    dense = reference_output_marginal(joint_law(full_joint_source(src), policy))
     for a, b, ma, mb in zip(fused.tables, dense.tables, fused.prefix_mass, dense.prefix_mass):
         assert np.max(np.abs(ma - mb)) < tol
         assert np.max(np.abs(ma[:, None] * a - mb[:, None] * b)) < tol
@@ -699,14 +695,16 @@ def test_target_distortion_zero_approaches_entropy():
     assert abs(r.rate_nats / 2 - LN2) < 1e-4
 
 
-def test_target_distortion_infeasible_sentinel():
+def test_target_distortion_infeasible_sentinel(monkeypatch):
     al = StageAlphabets(2, [2, 2], [2, 2])
     src = iid_source([0.5, 0.5], 2)
     spec = DistortionSpec.single_letter(al, [[1.0, 2.0], [3.0, 1.0]])
+    calls = _count_endpoint_work(monkeypatch)
     r = solve_for_target_distortion(src, spec, 0.5)   # floor is 1.0
+    assert calls == {"s0": 0, "stage_table": 0, "plans": 1}    # one for both ends, no solve
     assert not r.feasible
     assert math.isinf(r.rate_nats)
-    assert abs(min_achievable_distortion(src, spec) - 1.0) < 1e-12
+    assert abs(distortion_range(src, spec)[0] - 1.0) < 1e-12
     with pytest.raises(InvalidArgumentError, match="result carries no policy"):
         verify_stationarity(src, spec, r)
 
@@ -722,9 +720,17 @@ def test_target_distortion_propagates_nonconvergence():
 def test_d_max_policy_asymmetric():
     src = iid_source([0.9, 0.1], 1)
     spec = hamming_distortion(src.alphabets)
-    dmax, pol = d_max_policy(src, spec)
+    dmax = distortion_range(src, spec)[1]
+    pol = fixed_point_solve(src, spec, SolverConfig(s=0.0)).policy
     assert abs(dmax - 0.1) < 1e-12
     assert np.allclose(pol.kernels[0][0, :, 0], 1.0)   # always emit symbol 0
+
+
+def test_a_zero_floor_is_positive_zero():
+    # the floor negates a sum of zeros, which read -0.0 here
+    src = binary_symmetric_markov(0.3, 4)
+    floor, d_max = distortion_range(src, hamming_distortion(src.alphabets))
+    assert floor == 0.0 and math.copysign(1.0, floor) == 1.0 and d_max > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +819,7 @@ def test_solver_config_rejects_settings_of_the_wrong_kind(settings):
 def _multiplier_entries():
     src = iid_source([0.5, 0.5], 2)
     spec = hamming_distortion(src.alphabets)
-    nu = uniform_nu(src.alphabets)
+    nu = uniform_marginal(src.alphabets)
     g = backward_g(src, spec, nu, -1.0)
     pol = tilted_policy(src, spec, nu, g, -1.0)
     return {
@@ -868,12 +874,14 @@ def test_inputs_built_on_other_alphabets_than_the_source_are_refused(entry):
         call()
 
 
+# each key names the answer its entry computes: the floor comes from
+# distortion_range, the D_max policy from the s = 0 solve
 SPEC_ENTRIES = {
     "fixed_point_solve": lambda src, spec: fixed_point_solve(src, spec, SolverConfig(s=-2.0)),
     "solve_for_target_distortion": lambda src, spec: solve_for_target_distortion(src, spec, 0.1),
     "trace_curve": lambda src, spec: trace_curve(src, spec, [-1.0, -2.0]),
-    "d_max_policy": d_max_policy,
-    "min_achievable_distortion": min_achievable_distortion,
+    "min_achievable_distortion": lambda src, spec: distortion_range(src, spec)[0],
+    "d_max_policy": lambda src, spec: fixed_point_solve(src, spec, SolverConfig(s=0.0)).policy,
 }
 
 
@@ -914,9 +922,10 @@ def test_target_solve_refuses_a_nan_target():
 
 
 def _count_endpoint_work(monkeypatch):
-    """Counters of s = 0 solves and of dense stage-table builds."""
-    calls = {"s0": 0, "stage_table": 0}
+    """Counters of s = 0 solves, of dense stage-table builds and of sweep plans."""
+    calls = {"s0": 0, "stage_table": 0, "plans": 0}
     solve, stage_table = solver_module.fixed_point_solve, DistortionSpec.stage_table
+    plan = solver_module._Passes.__init__
 
     def counted_solve(source, spec, config, start=None):
         calls["s0"] += config.s == 0.0
@@ -926,8 +935,13 @@ def _count_endpoint_work(monkeypatch):
         calls["stage_table"] += 1
         return stage_table(self, stage)
 
+    def counted_plan(self, *args, **kwargs):
+        calls["plans"] += 1
+        plan(self, *args, **kwargs)
+
     monkeypatch.setattr(solver_module, "fixed_point_solve", counted_solve)
     monkeypatch.setattr(DistortionSpec, "stage_table", counted_stage_table)
+    monkeypatch.setattr(solver_module._Passes, "__init__", counted_plan)
     return calls
 
 
@@ -936,19 +950,19 @@ def test_target_search_runs_no_zero_rate_solve_and_no_dense_stage_table(monkeypa
     src = binary_symmetric_markov(0.3, 4)
     r = solve_for_target_distortion(src, hamming_distortion(src.alphabets), 0.2)
     assert r.target_met and r.s < 0
-    assert calls == {"s0": 0, "stage_table": 0}
+    assert calls == {"s0": 0, "stage_table": 0, "plans": 6}   # one for both ends, 5 probes
 
 
 @pytest.mark.parametrize("above", [0.0, 0.1])
 def test_target_at_or_above_d_max_runs_one_zero_rate_solve(monkeypatch, above):
-    calls = _count_endpoint_work(monkeypatch)
     src = binary_symmetric_markov(0.3, 4)
     spec = hamming_distortion(src.alphabets)
-    d_max = d_max_policy(src, spec)[0]
+    d_max = distortion_range(src, spec)[1]
+    calls = _count_endpoint_work(monkeypatch)
     r = solve_for_target_distortion(src, spec, d_max + above)
     assert r.s == 0.0 and r.rate_nats == 0.0 and r.target_met
     assert r.distortion_per_symbol == pytest.approx(d_max, abs=1e-12)
-    assert calls == {"s0": 1, "stage_table": 0}
+    assert calls == {"s0": 1, "stage_table": 0, "plans": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1040,16 @@ def test_trace_curve_empty_rejected():
         trace_curve(src, spec, [-1.0], fp_tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [0.5, math.nan, -math.inf, "a"])
+def test_trace_curve_refuses_a_bad_multiplier_before_any_solve(monkeypatch, bad):
+    solves = []
+    monkeypatch.setattr(solver_module, "fixed_point_solve", lambda *a, **k: solves.append(a))
+    src = iid_source([0.5, 0.5], 1)
+    with pytest.raises(InvalidArgumentError, match="multiplier s must be"):
+        trace_curve(src, hamming_distortion(src.alphabets), [-1.0, bad])
+    assert solves == []
+
+
 # ---------------------------------------------------------------------------
 # horizon sweeps
 # ---------------------------------------------------------------------------
@@ -1061,13 +1085,29 @@ def test_rate_limit_estimate_counts_horizons_before_any_solve():
         seen.append(h)
         return iid_source([0.5, 0.5], h)
 
-    for bad in ([1.7, 2.2], [True], [1, 2.5]):
+    for bad in ([1.7, 2.2], [True], [1, 2.5], []):
         with pytest.raises(InvalidArgumentError, match="horizons"):
             rate_limit_estimate(family, rho, 0.1, bad)
     assert seen == []
     assert (rate_limit_estimate(family, rho, 0.1, [1.0, np.int64(2)])
             == rate_limit_estimate(family, rho, 0.1, [1, 2]))
     assert seen == [1, 2, 1, 2] and all(type(h) is int for h in seen)
+
+
+def test_rate_limit_estimate_refuses_a_source_of_another_horizon(monkeypatch):
+    # the n = 2 rate used to come back labelled as each horizon asked for
+    solves = []
+    solve = solver_module.solve_for_target_distortion
+
+    def counted(src, *args):
+        solves.append(src.alphabets.n_stages)
+        return solve(src, *args)
+
+    monkeypatch.setattr(solver_module, "solve_for_target_distortion", counted)
+    with pytest.raises(InvalidArgumentError, match=re.escape("source_family(3) has 2 stages")):
+        rate_limit_estimate(lambda h: binary_symmetric_markov(0.3, 2), 1.0 - np.eye(2),
+                            0.1, [2, 3])
+    assert solves == [2]                            # horizon 2's, none for horizon 3
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from causalrd.model import (DistortionSpec, SourceModel, StageAlphabets, binary_
 from causalrd.solver import (SolverConfig, backward_g, fixed_point_solve, marginal_update,
                              tilted_policy)
 
-from helpers import random_source, reference_solve
+from helpers import random_source, reference_solve, uniform_marginal
 
 POOL = StageAlphabets(5, [2] * 5, [2] * 5)     # perfbench's full-history pool, by rng seed
 
@@ -90,8 +90,8 @@ def test_tilted_policy_zero_mass_row_names_stage_and_row():
     # as backward_g in test_fixed_point_zero_mass_nu_init_names_stage_and_row
     src, spec = _markov(3)
     al = src.alphabets
-    g = backward_g(src, spec, MarginalProcess.uniform(al), -2.0)
-    tables = [t.copy() for t in MarginalProcess.uniform(al).tables]
+    g = backward_g(src, spec, uniform_marginal(al), -2.0)
+    tables = [t.copy() for t in uniform_marginal(al).tables]
     tables[2][3] = 0.0                              # y-history code 3 at stage 2
     with pytest.raises(DegenerateMarginalError, match="stage 2, y-history code 3") as err:
         tilted_policy(src, spec, MarginalProcess(al, tables), g, -2.0)

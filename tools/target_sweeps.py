@@ -38,8 +38,7 @@ def targets(source_of, hamming, solver):
     for k in range(20):
         src = source_of(k)
         spec = hamming(src.alphabets)
-        floor = solver.min_achievable_distortion(src, spec)
-        d_max = solver.d_max_policy(src, spec)[0]
+        floor, d_max = solver.distortion_range(src, spec)
         u = np.random.default_rng(k).uniform(0.05, 0.95)
         out.append((f"set{k}", k, src, floor + u * (d_max - floor)))
     return out + [(f"slow{j}", k, source_of(k), d) for j, (k, d) in enumerate(SLOW)]
